@@ -1,17 +1,27 @@
 """Ideal presentations and standard basis computations.
 
-Global orders use Buchberger's algorithm with full tail reduction; local
-orders use Mora's tangent-cone normal form with the smallest-ecart divisor
-rule, which terminates on polynomial input and decides membership in the
-power series ring.  Everything downstream (saturation, quotients, dimension,
-monomial detection, torus points) reduces to these two engines.
+One standard basis engine, the S-pair loop, serves both kinds of order;
+only its normal form, its pair selection and its finishing step change
+(Greuel-Pfister, *A Singular Introduction to Commutative Algebra*, 1.7 and
+2.3).  Global orders use full division by the basis and end with a full
+interreduction (Buchberger's algorithm).  Local orders use Mora's
+tangent-cone normal form with the smallest-ecart divisor rule, which
+terminates on polynomial input and decides membership in the power series
+ring, and end with a capped tail reduction.  Basis elements are carried as
+records of the element and its leading data, computed once.  One division
+routine, ``divide``, tracks quotients and serves global normal forms,
+exact division and w-homogeneous division alike.  Everything downstream
+(saturation, quotients, dimension, monomial detection, torus points)
+reduces to this engine.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import (
     InternalInvariantError,
@@ -36,37 +46,16 @@ from .polyring import (
     wdot,
 )
 from .scalars import (
-    AlgebraicNumber,
     ValueScalar,
-    adjoin_root,
-    factor_univariate,
     _pgcd,
     _pnorm,
+    _scalar_div,
+    _scalar_is_zero,
+    adjoin_root,
+    factor_univariate,
 )
 
 _MAX_REDUCTION_STEPS = 50000
-
-
-def scalar_inv(c):
-    if isinstance(c, AlgebraicNumber):
-        return c.inverse()
-    return Fraction(1) / Fraction(c)
-
-
-def monic(f: Polynomial, order: OrderDescriptor) -> Polynomial:
-    _, c = leading_term(f, order)
-    if c == 1:
-        return f
-    return f * scalar_inv(c)
-
-
-def spoly(f: Polynomial, g: Polynomial, order: OrderDescriptor) -> Polynomial:
-    mf, cf = leading_term(f, order)
-    mg, cg = leading_term(g, order)
-    m = expo_lcm(mf, mg)
-    return f.mul_term(expo_sub(m, mf), scalar_inv(cf)) - g.mul_term(
-        expo_sub(m, mg), scalar_inv(cg)
-    )
 
 
 def ecart(f: Polynomial, order: OrderDescriptor):
@@ -74,6 +63,32 @@ def ecart(f: Polynomial, order: OrderDescriptor):
     lo = w_order(f, order.weights)
     hi = w_order_max(f, order.weights)
     return hi - lo
+
+
+def _record(g, order):
+    """(g, leading monomial, leading coefficient, ecart) of a nonzero g; the
+    ecart is only used, and only computed, for local orders."""
+    m, c = leading_term(g, order)
+    return g, m, c, ecart(g, order) if order.mode == "local" else None
+
+
+def lead_records(polys, order: OrderDescriptor):
+    """Records of the nonzero polynomials, in order, for division."""
+    return [_record(g, order) for g in polys if not g.is_zero]
+
+
+def _spoly(a, b):
+    f, mf, cf, _ = a
+    g, mg, cg, _ = b
+    m = expo_lcm(mf, mg)
+    one = Fraction(1)
+    return f.mul_term(expo_sub(m, mf), _scalar_div(one, cf)) - g.mul_term(
+        expo_sub(m, mg), _scalar_div(one, cg)
+    )
+
+
+def spoly(f: Polynomial, g: Polynomial, order: OrderDescriptor) -> Polynomial:
+    return _spoly(_record(f, order), _record(g, order))
 
 
 @dataclass(frozen=True)
@@ -160,42 +175,59 @@ def presentation(ring, gens, mode="global", weights=None):
 # -- division ---------------------------------------------------------------
 
 
-def _prepare(basis, order):
-    out = []
-    for g in basis:
-        if g.is_zero:
-            continue
-        m, c = leading_term(g, order)
-        out.append((g, m, c))
-    return out
+def divide(f: Polynomial, records, order: OrderDescriptor):
+    """Full division of f by the polynomials of the records (see
+    lead_records): (quotients, remainder) with f = sum q_i g_i + remainder
+    and no remainder monomial divisible by a leading monomial.
 
-
-def _global_nf(f, prepared, order, steps=None):
-    rem = f.ring.zero()
-    h = f
-    n = 0
-    while not h.is_zero:
-        n += 1
-        if n > _MAX_REDUCTION_STEPS:
+    Each step uses the first divisor whose leading monomial divides the
+    leading monomial of the running polynomial.  Terminates for global
+    orders, and for w-homogeneous input under a local order, since a fixed
+    weight level carries finitely many monomials.  Leading monomials
+    strictly decrease, so every quotient and remainder monomial is written
+    once.
+    """
+    quots = [{} for _ in records]
+    rem = {}
+    h = dict(f.coeffs)
+    steps = 0
+    while h:
+        steps += 1
+        if steps > _MAX_REDUCTION_STEPS:
             raise InternalInvariantError("division did not terminate")
-        m, c = leading_term(h, order)
-        for g, mg, cg in prepared:
+        m = max(h, key=order.key)
+        c = h.pop(m)
+        for q, (g, mg, cg, _) in zip(quots, records):
             if expo_divides(mg, m):
-                h = h - g.mul_term(expo_sub(m, mg), c * scalar_inv(cg))
+                shift = expo_sub(m, mg)
+                coef = _scalar_div(c, cg)
+                q[shift] = coef
+                # the leading term cancels c exactly; subtract the rest
+                for mo, co in g.coeffs.items():
+                    if mo == mg:
+                        continue
+                    mt = expo_add(mo, shift)
+                    v = h.get(mt)
+                    v = -(co * coef) if v is None else v - co * coef
+                    if _scalar_is_zero(v):
+                        del h[mt]
+                    else:
+                        h[mt] = v
                 break
         else:
-            t = Polynomial(h.ring, {m: c})
-            rem = rem + t
-            h = h - t
-    if steps is not None:
-        steps[0] += n
-    return rem
+            rem[m] = c
+    ring = f.ring
+    return [Polynomial(ring, q) for q in quots], Polynomial(ring, rem)
 
 
-def _mora_nf(f, prepared, order):
+def _full_nf(f, records, order):
+    return divide(f, records, order)[1]
+
+
+def _mora_nf(f, records, order):
     """Mora weak normal form: u*f = sum q_i g_i + r with u a local unit and
     the leading term of r not divisible by any basis leading term."""
-    T = [(g, m, c, ecart(g, order)) for g, m, c in prepared]
+    T = list(records)
     h = f
     n = 0
     while not h.is_zero:
@@ -203,95 +235,91 @@ def _mora_nf(f, prepared, order):
         if n > _MAX_REDUCTION_STEPS:
             raise InternalInvariantError("Mora reduction did not terminate")
         m, c = leading_term(h, order)
-        cands = [
-            (i, rec) for i, rec in enumerate(T) if expo_divides(rec[1], m)
-        ]
+        cands = [(rec[3], i) for i, rec in enumerate(T) if expo_divides(rec[1], m)]
         if not cands:
             return h
         eh = ecart(h, order)
-        i, (g, mg, cg, eg) = min(cands, key=lambda t: (t[1][3], t[0]))
+        g, mg, cg, eg = T[min(cands)[1]]
         if eg > eh:
             T.append((h, m, c, eh))
-        h = h - g.mul_term(expo_sub(m, mg), c * scalar_inv(cg))
+        h = h - g.mul_term(expo_sub(m, mg), _scalar_div(c, cg))
     return h
 
 
 def normal_form(f: Polynomial, basis, order: OrderDescriptor) -> Polynomial:
     """Remainder of f on division by the basis (weak normal form in local
     mode); zero exactly for ideal members when the basis is standard."""
-    prepared = _prepare(basis, order)
-    if order.mode == "global":
-        return _global_nf(f, prepared, order)
-    return _mora_nf(f, prepared, order)
-
-
-def homogeneous_divide(f: Polynomial, divisors, order: OrderDescriptor):
-    """Divide a w-homogeneous polynomial by w-homogeneous divisors, tracking
-    quotients.  Terminates because a fixed weight level under positive
-    weights carries finitely many monomials.
-
-    Returns (quotients, remainder) with f = sum q_i d_i + remainder.
-    """
-    prepared = _prepare(divisors, order)
-    quots = [f.ring.zero() for _ in prepared]
-    rem = f.ring.zero()
-    h = f
-    n = 0
-    while not h.is_zero:
-        n += 1
-        if n > _MAX_REDUCTION_STEPS:
-            raise InternalInvariantError("homogeneous division did not terminate")
-        m, c = leading_term(h, order)
-        for i, (g, mg, cg) in enumerate(prepared):
-            if expo_divides(mg, m):
-                coef = c * scalar_inv(cg)
-                quots[i] = quots[i] + Polynomial(h.ring, {expo_sub(m, mg): coef})
-                h = h - g.mul_term(expo_sub(m, mg), coef)
-                break
-        else:
-            t = Polynomial(h.ring, {m: c})
-            rem = rem + t
-            h = h - t
-    return quots, rem
+    nf = _full_nf if order.mode == "global" else _mora_nf
+    return nf(f, lead_records(basis, order), order)
 
 
 # -- standard bases ---------------------------------------------------------
 
 
-def _pair_key(G, i, j, order):
-    mi, _ = leading_term(G[i], order)
-    mj, _ = leading_term(G[j], order)
-    m = expo_lcm(mi, mj)
-    return (expo_deg(m), m, i, j)
+def _entry(g, order):
+    """The record of g made monic, as g enters a basis."""
+    g, m, c, e = _record(g, order)
+    if c != 1:
+        g = g * _scalar_div(Fraction(1), c)
+        c = g.coeffs[m]
+    return g, m, c, e
 
 
-def _buchberger(gens, order):
+def _global_pair(order, a, b, i, j):
+    """Pair key by degree of the lcm, and whether the pair is skipped:
+    coprime leading monomials give an S-polynomial reducing to zero."""
+    m = expo_lcm(a[1], b[1])
+    return (expo_deg(m), m, i, j), m == expo_add(a[1], b[1])
+
+
+def _local_pair(order, a, b, i, j):
+    """Pair key by weight, then degree, of the lcm; no pair is skipped."""
+    m = expo_lcm(a[1], b[1])
+    return (wdot(order.weights, m), expo_deg(m), m, i, j), False
+
+
+def _spair_loop(gens, order, nf, pair):
+    """The standard basis algorithm, with the normal form and the pair
+    selection as its parameters (Greuel-Pfister, 1.7).  Returns the
+    minimalized basis records and the number of S-pair reductions.  A
+    pair's key is computed once, when the pair is formed; pairs pop in key
+    order, and keys end with (i, j)."""
     G = []
     for g in gens:
         if not g.is_zero:
-            g = monic(g, order)
-            if g not in G:
-                G.append(g)
+            rec = _entry(g, order)
+            if all(rec[0] != r[0] for r in G):
+                G.append(rec)
+    pairs = []
+
+    def add_pairs(k):
+        for i in range(k):
+            heapq.heappush(pairs, pair(order, G[i], G[k], i, k))
+
+    for k in range(len(G)):
+        add_pairs(k)
     reductions = 0
-    pairs = [(i, j) for j in range(len(G)) for i in range(j)]
     guard = 0
     while pairs:
         guard += 1
         if guard > 20000:
-            raise InternalInvariantError("Buchberger did not terminate")
-        pairs.sort(key=lambda p: _pair_key(G, p[0], p[1], order))
-        i, j = pairs.pop(0)
-        mi, _ = leading_term(G[i], order)
-        mj, _ = leading_term(G[j], order)
-        if expo_lcm(mi, mj) == expo_add(mi, mj):
-            continue  # coprime leading terms reduce to zero
-        h = _global_nf(spoly(G[i], G[j], order), _prepare(G, order), order)
+            raise InternalInvariantError("standard basis computation did not terminate")
+        key, skip = heapq.heappop(pairs)
+        if skip:
+            continue
+        i, j = key[-2:]
+        h = nf(_spoly(G[i], G[j]), G, order)
         reductions += 1
         if not h.is_zero:
-            G.append(monic(h, order))
-            k = len(G) - 1
-            pairs.extend((i2, k) for i2 in range(k))
-    G = _minimalize(G, order)
+            G.append(_entry(h, order))
+            add_pairs(len(G) - 1)
+    return _minimalize(G), reductions
+
+
+def _buchberger(gens, order):
+    """Buchberger's algorithm: full division, coprime pairs skipped, and a
+    fully interreduced basis in ascending order."""
+    G, reductions = _spair_loop(gens, order, _full_nf, _global_pair)
     # full interreduction (terminates for global orders)
     changed = True
     rounds = 0
@@ -299,103 +327,72 @@ def _buchberger(gens, order):
         changed = False
         rounds += 1
         for i in range(len(G)):
-            others = [G[k] for k in range(len(G)) if k != i]
-            r = _global_nf(G[i], _prepare(others, order), order)
+            r = _full_nf(G[i][0], G[:i] + G[i + 1 :], order)
             if r.is_zero:
                 G.pop(i)
                 changed = True
                 break
-            r = monic(r, order)
-            if r != G[i]:
-                G[i] = r
+            rec = _entry(r, order)
+            if rec[0] != G[i][0]:
+                G[i] = rec
                 changed = True
-    G.sort(key=lambda g: order.key(leading_term(g, order)[0]))
-    return G, reductions, _is_reduced(G, order)
+    G.sort(key=lambda r: order.key(r[1]))
+    return [r[0] for r in G], reductions, _is_reduced(G)
 
 
 def _mora_std(gens, order):
-    G = []
-    for g in gens:
-        if not g.is_zero:
-            g = monic(g, order)
-            if g not in G:
-                G.append(g)
-    reductions = 0
-    pairs = [(i, j) for j in range(len(G)) for i in range(j)]
-    guard = 0
-    while pairs:
-        guard += 1
-        if guard > 20000:
-            raise InternalInvariantError("Mora basis computation did not terminate")
-        pairs.sort(key=lambda p: _mora_pair_key(G, p[0], p[1], order))
-        i, j = pairs.pop(0)
-        h = _mora_nf(spoly(G[i], G[j], order), _prepare(G, order), order)
-        reductions += 1
-        if not h.is_zero:
-            G.append(monic(h, order))
-            k = len(G) - 1
-            pairs.extend((i2, k) for i2 in range(k))
-    G = _minimalize(G, order)
+    """Mora's algorithm: tangent-cone normal form, every pair reduced, and
+    a capped tail reduction; the basis is in descending order."""
+    G, reductions = _spair_loop(gens, order, _mora_nf, _local_pair)
     G = [_tail_reduce_local(i, G, order) for i in range(len(G))]
-    G.sort(key=lambda g: order.key(leading_term(g, order)[0]), reverse=True)
-    return G, reductions, _is_reduced(G, order)
+    G.sort(key=lambda r: order.key(r[1]), reverse=True)
+    return [r[0] for r in G], reductions, _is_reduced(G)
 
 
-def _mora_pair_key(G, i, j, order):
-    mi, _ = leading_term(G[i], order)
-    mj, _ = leading_term(G[j], order)
-    m = expo_lcm(mi, mj)
-    return (wdot(order.weights, m), expo_deg(m), m, i, j)
-
-
-def _minimalize(G, order):
-    # drop elements whose leading term is divisible by another's; on equal
-    # leading terms keep the earliest
-    lts = [leading_term(g, order)[0] for g in G]
+def _minimalize(G):
+    # drop records whose leading monomial is divisible by another's; on
+    # equal leading monomials keep the earliest
     out = []
-    for i in range(len(G)):
-        dominated = False
-        for j in range(len(G)):
-            if i == j:
-                continue
-            if expo_divides(lts[j], lts[i]):
-                if lts[j] != lts[i] or j < i:
-                    dominated = True
-                    break
-        if not dominated:
+    for i, (_, mi, _, _) in enumerate(G):
+        if not any(
+            j != i and expo_divides(mj, mi) and (mj != mi or j < i)
+            for j, (_, mj, _, _) in enumerate(G)
+        ):
             out.append(G[i])
     return out
 
 
 def _tail_reduce_local(idx, G, order, max_steps=200):
-    g = G[idx]
-    others = _prepare([G[k] for k in range(len(G)) if k != idx], order)
+    """Reduce the tail of G[idx] by the other records, in at most max_steps
+    steps.  A tail step subtracts terms below the leading term, so the
+    record keeps its leading monomial and coefficient; nothing reads the
+    ecart after this step, and the returned record carries none."""
+    g, lead_m, lead_c, _ = G[idx]
+    others = G[:idx] + G[idx + 1 :]
     if not others:
-        return g
-    lead_m, _ = leading_term(g, order)
+        return g, lead_m, lead_c, None
     for _ in range(max_steps):
         target = None
         for m in sorted(g.coeffs, key=order.key, reverse=True):
             if m == lead_m:
                 continue
-            for og, om, oc in others:
+            for og, om, oc, _ in others:
                 if expo_divides(om, m):
                     target = (m, og, om, oc)
                     break
             if target:
                 break
         if target is None:
-            return g
+            break
         m, og, om, oc = target
-        g = g - og.mul_term(expo_sub(m, om), g.coeffs[m] * scalar_inv(oc))
-    return g
+        g = g - og.mul_term(expo_sub(m, om), _scalar_div(g.coeffs[m], oc))
+    return g, lead_m, lead_c, None
 
 
-def _is_reduced(G, order):
-    lts = [leading_term(g, order)[0] for g in G]
-    for i, g in enumerate(G):
+def _is_reduced(G):
+    for i, (g, _, _, _) in enumerate(G):
         for m in g.coeffs:
-            for j, lt in enumerate(lts):
+            for j, (_, lt, _, _) in enumerate(G):
                 if i != j and expo_divides(lt, m):
                     return False
     return True
@@ -463,25 +460,6 @@ def saturate(I: IdealPresentation, g: Polynomial) -> IdealPresentation:
     return presentation(ring, back, "global")
 
 
-def exact_divide(f: Polynomial, g: Polynomial) -> Polynomial:
-    """f / g when the division is exact."""
-    if g.is_zero:
-        raise UsageError("division by the zero polynomial")
-    order = OrderDescriptor((ValueScalar(0),) * f.ring.nvars(), "global")
-    prepared = _prepare([g], order)
-    q = f.ring.zero()
-    h = f
-    while not h.is_zero:
-        m, c = leading_term(h, order)
-        gq, mg, cg = prepared[0]
-        if not expo_divides(mg, m):
-            raise InternalInvariantError(f"inexact division: {f} by {g}")
-        coef = c * scalar_inv(cg)
-        q = q + Polynomial(f.ring, {expo_sub(m, mg): coef})
-        h = h - gq.mul_term(expo_sub(m, mg), coef)
-    return q
-
-
 def ideal_quotient(I: IdealPresentation, f: Polynomial) -> IdealPresentation:
     """(I : f) via intersection with (f) and exact division."""
     if f.is_zero:
@@ -495,7 +473,16 @@ def ideal_quotient(I: IdealPresentation, f: Polynomial) -> IdealPresentation:
     elim = eliminate(big, gens, [big.nvars() - 1])
     small_map = vmap + [None]
     inter = [project(h, ring, small_map) for h in elim]
-    quots = [exact_divide(h, f) for h in inter if not h.is_zero]
+    order = OrderDescriptor((ValueScalar(0),) * ring.nvars(), "global")
+    divisor = lead_records([f], order)
+    quots = []
+    for h in inter:
+        if h.is_zero:
+            continue
+        (q,), r = divide(h, divisor, order)
+        if not r.is_zero:
+            raise InternalInvariantError(f"inexact division: {h} by {f}")
+        quots.append(q)
     return presentation(ring, quots, "global")
 
 
@@ -547,19 +534,24 @@ def dimension(I: IdealPresentation) -> int:
     basis = I.standard_basis()
     if I.is_unit_ideal():
         raise UsageError("the unit ideal has no dimension")
-    lts = [leading_term(g, I.order)[0] for g in basis]
     n = I.ring.nvars()
     if n > 16:
         raise UsageError("dimension computation capped at 16 variables")
-    supports = [frozenset(i for i, e in enumerate(m) if e) for m in lts]
-    best = 0
-    for mask in range(1 << n):
-        S = frozenset(i for i in range(n) if mask >> i & 1)
-        if len(S) <= best:
-            continue
-        if all(not sup <= S for sup in supports):
-            best = len(S)
-    return best
+    return len(_independent_set(basis, I.order, n))
+
+
+def _independent_set(basis, order, n):
+    """The first largest set of variable indices, in itertools.combinations
+    order, that contains the support of no leading monomial of the basis."""
+    supports = [
+        frozenset(i for i, e in enumerate(leading_term(g, order)[0]) if e)
+        for g in basis
+    ]
+    for size in range(n, 0, -1):
+        for S in combinations(range(n), size):
+            if not any(sup <= frozenset(S) for sup in supports):
+                return S
+    return ()
 
 
 # -- torus points -----------------------------------------------------------
@@ -630,13 +622,13 @@ def _solve_zero_dim(ring, gens, remaining, assignment):
     _, factors = factor_univariate(ring.field, uni)
     ordered = sorted(factors, key=lambda t: (len(t[0]), _fac_str(t[0])))
     for fac, _mult in ordered:
-        if len(fac) == 2 and _is_zero_scalar(fac[0]):
+        if len(fac) == 2 and _scalar_is_zero(fac[0]):
             continue  # root zero: not a torus point
         if len(fac) == 2:
             root = (-fac[0]) / fac[1]
         else:
             _, root = adjoin_root(ring.field, fac)
-        if _is_zero_scalar(root):
+        if _scalar_is_zero(root):
             continue
         trial = dict(assignment)
         trial[var] = root
@@ -650,12 +642,6 @@ def _fac_str(fac):
     from .scalars import scalar_str
 
     return tuple(scalar_str(c) for c in fac)
-
-
-def _is_zero_scalar(x):
-    if isinstance(x, AlgebraicNumber):
-        return not x
-    return x == 0
 
 
 def torus_point(
@@ -679,18 +665,7 @@ def torus_point(
     if not basis:
         values = _slice_values(seed, start_attempt, n)
         return TorusWitness(tuple(values), ring.field, seed, start_attempt)
-    lts = [leading_term(g, Jg.order)[0] for g in basis]
-    supports = [frozenset(i for i, e in enumerate(m) if e) for m in lts]
-    indep = None
-    for size in range(n, -1, -1):
-        for mask in _masks_of_size(n, size):
-            S = frozenset(i for i in range(n) if mask >> i & 1)
-            if all(not sup <= S for sup in supports):
-                indep = sorted(S)
-                break
-        if indep is not None:
-            break
-    indep = indep or []
+    indep = _independent_set(basis, Jg.order, n)
     for attempt in range(start_attempt, start_attempt + max_attempts):
         values = _slice_values(seed, attempt, len(indep))
         assignment = {i: v for i, v in zip(indep, values)}
@@ -699,7 +674,7 @@ def torus_point(
         if found is None:
             continue
         point = tuple(found[i] for i in range(n))
-        if any(_is_zero_scalar(x) for x in point):
+        if any(_scalar_is_zero(x) for x in point):
             continue
         ok = True
         for g in J.generators:
@@ -711,14 +686,3 @@ def torus_point(
     raise WitnessSearchError(
         f"no torus point found in {max_attempts} attempts (seed {seed})"
     )
-
-
-def _masks_of_size(n, size):
-    # deterministic: lexicographic by variable index set
-    from itertools import combinations
-
-    for combo in combinations(range(n), size):
-        mask = 0
-        for i in combo:
-            mask |= 1 << i
-        yield mask

@@ -44,7 +44,7 @@ from .polyring import (
     project,
     substitute_scalars,
 )
-from .scalars import ValueScalar, _Infinity, cmp_value, roots_in_extension
+from .scalars import ValueScalar, as_value, cmp_value, roots_in_extension
 from .series import (
     AtLeast,
     ValuedSeries,
@@ -59,14 +59,6 @@ from .valfan import initial_ideal
 
 def _lcm(a, b):
     return a * b // gcd(a, b)
-
-
-def _norm_scalar(x):
-    if isinstance(x, _Infinity):
-        raise UsageError("weights must be finite here")
-    if isinstance(x, ValueScalar):
-        return x
-    return ValueScalar(Fraction(x))
 
 
 # -- rational span of the weight values -------------------------------------
@@ -91,7 +83,9 @@ class RationalSpan:
 
 
 def rational_span(w):
-    entries = [_norm_scalar(x) for x in w]
+    entries = [as_value(x) for x in w]
+    if INF in entries:
+        raise UsageError("weights must be finite here")
     if not entries:
         raise UsageError("empty weight vector")
     pairs = [(x.a, x.b) for x in entries]
@@ -153,10 +147,6 @@ class DescentStep:
     monomial_free_ok: bool
     dim_before: int
     dim_after: int
-
-    @property
-    def w_prime(self):
-        return self.integral_weight
 
     def ok(self):
         return (
@@ -222,7 +212,7 @@ def descend(I, w, seed=0):
     """
     ring = I.ring
     n = ring.nvars()
-    w = tuple(_norm_scalar(x) for x in w)
+    w = tuple(as_value(x) for x in w)
     span = rational_span(w)
     Iw = presentation(ring, list(I.generators), "local", w)
     dim_before = dimension(Iw)
@@ -439,7 +429,9 @@ def newton_puiseux(coeffs, N, mode="puiseux"):
             raise UsageError("coefficients live over different fields")
         if c.mode != mode:
             raise UsageError("coefficient mode does not match")
-    N = _norm_scalar(N)
+    N = as_value(N)
+    if N is INF:
+        raise UsageError("weights must be finite here")
     budget = [_NP_NODE_LIMIT]
     acc = ValuedSeries.zero(field, INF, mode)
     return _np_rec(coeffs, N, mode, field, acc, None, budget)
@@ -536,8 +528,10 @@ class LiftProblem:
     mode: str = "puiseux"
 
     def __post_init__(self):
-        self.weights = tuple(_norm_scalar(x) for x in self.weights)
-        self.N = _norm_scalar(self.N)
+        self.weights = tuple(as_value(x) for x in self.weights)
+        self.N = as_value(self.N)
+        if INF in self.weights + (self.N,):
+            raise UsageError("weights must be finite here")
         if self.mode not in ("puiseux", "hahn"):
             raise UsageError("mode must be puiseux or hahn")
         if self.mode == "puiseux":
@@ -551,14 +545,6 @@ class LiftProblem:
                 raise UsageError("weights must be positive")
         if self.N.sign() <= 0:
             raise UsageError("the precision target must be positive")
-
-    @property
-    def I(self):
-        return self.ideal
-
-    @property
-    def w(self):
-        return self.weights
 
 
 @dataclass

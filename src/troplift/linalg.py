@@ -9,7 +9,6 @@ works on tuples of Fraction and never leaves exact arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .errors import InternalInvariantError
 
@@ -77,21 +76,6 @@ def solve_linear(rows, rhs, ncols):
     for i, piv in enumerate(pivots):
         sol[piv] = reduced[i][ncols]
     return tuple(sol)
-
-
-def primitive_int_row(row):
-    """Scale a rational row to coprime integers, preserving direction."""
-    fracs = _frac_row(row)
-    denom = 1
-    for x in fracs:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(ints)
 
 
 _FM_ROW_LIMIT = 20000

@@ -17,6 +17,7 @@ from .scalars import (
     INF,
     AlgebraicNumber,
     ValueScalar,
+    _scalar_is_zero,
     as_field_element,
     scalar_str,
 )
@@ -78,13 +79,13 @@ class PolyRing:
 
     def constant(self, c):
         c = as_field_element(self.field, c)
-        if _is_zero(c):
+        if _scalar_is_zero(c):
             return Polynomial(self, {})
         return Polynomial(self, {(0,) * len(self.vars): c})
 
     def monomial(self, expo, coeff=1):
         coeff = as_field_element(self.field, coeff)
-        if _is_zero(coeff):
+        if _scalar_is_zero(coeff):
             return Polynomial(self, {})
         return Polynomial(self, {tuple(expo): coeff})
 
@@ -100,7 +101,7 @@ class PolyRing:
             m = tuple(m)
             c0 = coeffs.get(m)
             c = c if c0 is None else c0 + c
-            if _is_zero(c):
+            if _scalar_is_zero(c):
                 coeffs.pop(m, None)
             else:
                 coeffs[m] = c
@@ -108,12 +109,6 @@ class PolyRing:
 
     def __repr__(self):
         return f"PolyRing({','.join(self.vars)})"
-
-
-def _is_zero(c):
-    if isinstance(c, AlgebraicNumber):
-        return not c
-    return c == 0
 
 
 class Polynomial:
@@ -161,7 +156,7 @@ class Polynomial:
         for m, c in other.coeffs.items():
             c0 = out.get(m)
             c = c if c0 is None else c0 + c
-            if _is_zero(c):
+            if _scalar_is_zero(c):
                 out.pop(m, None)
             else:
                 out[m] = c
@@ -181,7 +176,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, AlgebraicNumber)):
-            if _is_zero(as_field_element(self.ring.field, other)):
+            if _scalar_is_zero(as_field_element(self.ring.field, other)):
                 return self.ring.zero()
             return Polynomial(
                 self.ring, {m: c * other for m, c in self.coeffs.items()}
@@ -194,7 +189,7 @@ class Polynomial:
                 c = c1 * c2
                 c0 = out.get(m)
                 c = c if c0 is None else c0 + c
-                if _is_zero(c):
+                if _scalar_is_zero(c):
                     out.pop(m, None)
                 else:
                     out[m] = c
@@ -463,7 +458,7 @@ def project(f: Polynomial, small: PolyRing, var_map) -> Polynomial:
         key = tuple(e)
         c0 = out.get(key)
         out[key] = c if c0 is None else c0 + c
-    return Polynomial(small, {m: c for m, c in out.items() if not _is_zero(c)})
+    return Polynomial(small, {m: c for m, c in out.items() if not _scalar_is_zero(c)})
 
 
 def substitute_scalars(f: Polynomial, values: dict) -> Polynomial:
@@ -477,7 +472,7 @@ def substitute_scalars(f: Polynomial, values: dict) -> Polynomial:
             if e[i]:
                 coeff = coeff * (_as_scalar_pow(ring, val, e[i]))
                 e[i] = 0
-        out = out + Polynomial(ring, {tuple(e): coeff}) if not _is_zero(coeff) else out
+        out = out + Polynomial(ring, {tuple(e): coeff}) if not _scalar_is_zero(coeff) else out
     return out
 
 

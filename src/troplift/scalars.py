@@ -265,6 +265,14 @@ class ValueScalar:
         return f"ValueScalar({self})"
 
 
+def as_value(x):
+    """Coerce a weight, exponent or bound to a ValueScalar; INF passes
+    through, callers that need a finite value reject it themselves."""
+    if isinstance(x, (ValueScalar, _Infinity)):
+        return x
+    return ValueScalar(Fraction(x))
+
+
 def cmp_value(x, y) -> int:
     """Exact three-way comparison of value group elements (incl. +oo)."""
     if x is INF:
@@ -304,12 +312,6 @@ class NumberField:
 
     def height(self) -> int:
         return len(self.levels)
-
-    def absolute_degree(self) -> int:
-        n = 1
-        for lv in self.levels:
-            n *= lv.degree
-        return n
 
     def generator(self, level: int) -> "AlgebraicNumber":
         lv = self.levels[level - 1]
@@ -515,8 +517,11 @@ class AlgebraicNumber:
 
 
 def _scalar_div(a, b):
+    """a / b in the coefficient field; exact Fractions for int input."""
     if isinstance(b, AlgebraicNumber):
         return b.inverse() * a
+    if isinstance(a, int):
+        a = Fraction(a)
     return a / b
 
 
@@ -620,7 +625,7 @@ def _pdivmod(a, b):
     b = _pnorm(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    inv_lc = Fraction(1) / b[-1] if isinstance(b[-1], Fraction) else b[-1].inverse()
+    inv_lc = _scalar_div(Fraction(1), b[-1])
     q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
     r = list(a)
     while len(r) >= len(b) and _pnorm(r):
@@ -665,12 +670,6 @@ def _pshift(a, c):
     out = []
     for coeff in reversed(_pnorm(a)):
         out = _padd(_pmul(out, [c, Fraction(1)]), [coeff])
-    return out
-
-def _peval(a, c):
-    out = Fraction(0)
-    for coeff in reversed(a):
-        out = out * c + coeff
     return out
 
 def _presultant(a, b):

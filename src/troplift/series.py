@@ -11,33 +11,20 @@ zero from one that merely vanished below the noise floor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from .errors import InsufficientTruncationError, UsageError
-from .scalars import INF, ValueScalar, _Infinity, as_field_element, cmp_value, scalar_str
+from .scalars import (
+    INF,
+    ValueScalar,
+    _scalar_is_zero,
+    as_field_element,
+    as_value,
+    cmp_value,
+    scalar_str,
+)
 
 _MODES = ("puiseux", "hahn")
-
-
-def _norm_exp(x):
-    if isinstance(x, _Infinity):
-        raise UsageError("series exponents must be finite")
-    if isinstance(x, ValueScalar):
-        return x
-    return ValueScalar(Fraction(x))
-
-
-def _norm_trunc(x):
-    if isinstance(x, _Infinity):
-        return INF
-    if isinstance(x, ValueScalar):
-        return x
-    return ValueScalar(Fraction(x))
-
-
-def _is_zero_coeff(c):
-    return c == 0
 
 
 @dataclass(frozen=True)
@@ -67,10 +54,12 @@ class ValuedSeries:
     def __init__(self, field, terms, truncation=INF, mode="puiseux"):
         if mode not in _MODES:
             raise UsageError("mode must be one of %s" % (_MODES,))
-        truncation = _norm_trunc(truncation)
+        truncation = as_value(truncation)
         merged = {}
         for exp, coeff in terms:
-            exp = _norm_exp(exp)
+            exp = as_value(exp)
+            if exp is INF:
+                raise UsageError("series exponents must be finite")
             coeff = as_field_element(field, coeff)
             if exp in merged:
                 merged[exp] = merged[exp] + coeff
@@ -81,7 +70,7 @@ class ValuedSeries:
             if truncation is not INF and not cmp_value(exp, truncation) < 0:
                 continue
             coeff = merged[exp]
-            if _is_zero_coeff(coeff):
+            if _scalar_is_zero(coeff):
                 continue
             if mode == "puiseux" and not exp.is_rational:
                 raise UsageError(
@@ -135,7 +124,9 @@ class ValuedSeries:
         return denom
 
     def coefficient(self, exp):
-        exp = _norm_exp(exp)
+        exp = as_value(exp)
+        if exp is INF:
+            raise UsageError("series exponents must be finite")
         for e, c in self.terms:
             if e == exp:
                 return c
@@ -189,7 +180,7 @@ class ValuedSeries:
     def scale(self, c):
         """Multiply by an exact scalar coefficient."""
         c = as_field_element(self.field, c)
-        if _is_zero_coeff(c):
+        if _scalar_is_zero(c):
             return ValuedSeries.zero(self.field, self.truncation, self.mode)
         return ValuedSeries(
             self.field,
@@ -200,7 +191,9 @@ class ValuedSeries:
 
     def shift(self, exp):
         """Multiply by the parameter raised to an exact exponent."""
-        exp = _norm_exp(exp)
+        exp = as_value(exp)
+        if exp is INF:
+            raise UsageError("series exponents must be finite")
         trunc = self.truncation if self.truncation is INF else self.truncation + exp
         return ValuedSeries(
             self.field,
@@ -219,7 +212,7 @@ class ValuedSeries:
 
     def truncate(self, bound):
         """Forget everything at or above the bound."""
-        bound = _norm_trunc(bound)
+        bound = as_value(bound)
         trunc = _min_value(self.truncation, bound)
         return ValuedSeries(self.field, list(self.terms), trunc, self.mode)
 
@@ -262,14 +255,6 @@ def _add_value(a, b):
     return a + b
 
 
-def series_add(a, b):
-    return a + b
-
-
-def series_mul(a, b):
-    return a * b
-
-
 def valuation(a):
     return a.valuation()
 
@@ -309,6 +294,14 @@ def series_str(a):
     return out
 
 
+def _cached_power(powers, assignment, i, e):
+    """assignment[i] ** e, computed once per (i, e) and kept in powers."""
+    key = (i, e)
+    if key not in powers:
+        powers[key] = assignment[i].power(e)
+    return powers[key]
+
+
 def substitute(f, assignment):
     """Evaluate a polynomial at series arguments.
 
@@ -344,21 +337,12 @@ def substitute(f, assignment):
             "no series assigned to variable index %s" % sorted(missing)[0]
         )
     powers = {}
-
-    def var_power(i, e):
-        if e == 0:
-            return ValuedSeries.constant(field, 1, mode)
-        key = (i, e)
-        if key not in powers:
-            powers[key] = assignment[i].power(e)
-        return powers[key]
-
     total = ValuedSeries.zero(field, INF, mode)
     for mono, coeff in sorted(f.coeffs.items()):
         term = ValuedSeries.constant(field, coeff, mode)
         for i, e in enumerate(mono):
             if e:
-                term = term * var_power(i, e)
+                term = term * _cached_power(powers, assignment, i, e)
         total = total + term
     if total.truncation is not INF and total.truncation.sign() <= 0:
         raise InsufficientTruncationError(
@@ -394,13 +378,6 @@ def poly_to_series_coeffs(f, var_index, assignment):
         )
         buckets[k].append((rest, coeff))
     powers = {}
-
-    def var_power(i, e):
-        key = (i, e)
-        if key not in powers:
-            powers[key] = assignment[i].power(e)
-        return powers[key]
-
     out = []
     for bucket in buckets:
         total = ValuedSeries.zero(field, INF, mode)
@@ -412,7 +389,7 @@ def poly_to_series_coeffs(f, var_index, assignment):
                         raise UsageError(
                             "no series assigned to variable index %d" % i
                         )
-                    term = term * var_power(i, e)
+                    term = term * _cached_power(powers, assignment, i, e)
             total = total + term
         out.append(total)
     return out

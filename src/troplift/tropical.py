@@ -17,16 +17,8 @@ from .errors import CapabilityError, UsageError
 from .ideals import IdealPresentation, contains_monomial, presentation
 from .linalg import find_strict_point
 from .polyring import INF, PolyRing, Polynomial, project, substitute_scalars
-from .scalars import ValueScalar, _Infinity
+from .scalars import as_value
 from .valfan import GroebnerCone, InitialData, _cone_rows, groebner_cone, initial_ideal
-
-
-def _norm_entry(x):
-    if isinstance(x, _Infinity):
-        return INF
-    if isinstance(x, ValueScalar):
-        return x
-    return ValueScalar(Fraction(x))
 
 
 @dataclass(frozen=True)
@@ -36,7 +28,7 @@ class TropQuery:
     entries: tuple
 
     def __init__(self, entries):
-        normalized = tuple(_norm_entry(x) for x in entries)
+        normalized = tuple(as_value(x) for x in entries)
         for x in normalized:
             if x is INF:
                 continue
@@ -198,6 +190,18 @@ def _start_weight(n, seed):
     return tuple(Fraction(rng.randint(1, 997)) for _ in range(n))
 
 
+def _step_off(point, direction):
+    """point - eps * direction for the first eps in 1, 1/2, ..., 2^-63 that
+    keeps every entry positive, or None."""
+    eps = Fraction(1)
+    for _ in range(64):
+        moved = tuple(p - eps * c for p, c in zip(point, direction))
+        if all(x > 0 for x in moved):
+            return moved
+        eps /= 2
+    return None
+
+
 def trop_enumerate(I, budget=128, seed=0):
     """Walk the weight fan of I inside the open positive orthant.
 
@@ -210,7 +214,8 @@ def trop_enumerate(I, budget=128, seed=0):
     if not isinstance(I, IdealPresentation):
         raise UsageError("expected an ideal presentation")
     n = I.ring.nvars()
-    queue = [_start_weight(n, seed)]
+    start = _start_weight(n, seed)
+    queue = [start]
     seen = {}
     truncated = False
     while queue:
@@ -227,6 +232,14 @@ def trop_enumerate(I, budget=128, seed=0):
             continue
         result = trop_member(I, TropQuery(sample))
         seen[key] = TropCone(cone, sample, result.member, result.initial)
+        if w is start:
+            # a start on a lower-dimensional cone has no facet leading to
+            # the full-dimensional cones around it: step off each equality
+            for e in cone.eq:
+                for direction in (e, tuple(-c for c in e)):
+                    off = _step_off(sample, direction)
+                    if off is not None:
+                        queue.append(off)
         for h in cone.ineq:
             face_point = find_strict_point(
                 list(cone.eq) + [h],
@@ -239,14 +252,8 @@ def trop_enumerate(I, budget=128, seed=0):
             if any(x <= 0 for x in face_point):
                 continue
             queue.append(face_point)
-            eps = Fraction(1)
-            for _ in range(64):
-                crossing = tuple(
-                    p - eps * c for p, c in zip(face_point, h)
-                )
-                if all(x > 0 for x in crossing):
-                    queue.append(crossing)
-                    break
-                eps /= 2
+            crossing = _step_off(face_point, h)
+            if crossing is not None:
+                queue.append(crossing)
     cones = sorted(seen.values(), key=lambda c: (c.cone.eq, c.cone.ineq))
     return cones, truncated

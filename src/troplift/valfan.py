@@ -16,9 +16,10 @@ from .errors import InternalInvariantError, UsageError
 from .ideals import (
     IdealPresentation,
     contains_monomial,
-    homogeneous_divide,
+    divide,
     ideal_quotient,
     ideals_equal,
+    lead_records,
     normal_form,
     presentation,
 )
@@ -41,10 +42,6 @@ class InitialData:
     weights: tuple
     basis: tuple
     generators: tuple
-
-    @property
-    def w(self):
-        return self.weights
 
     def presentation(self):
         """The initial ideal as a local presentation at the same weight."""
@@ -103,6 +100,7 @@ class CosetValuationHandle:
         self.order = OrderDescriptor(self.data.weights, "local")
         self.basis = self.data.basis
         self.init_forms = [initial_form(b, self.order.weights) for b in self.basis]
+        self._init_records = lead_records(self.init_forms, self.order)
         self.max_rounds = max_rounds
         self.monomial_free = self.data.is_monomial_free()
         self.ring = self.basis[0].ring
@@ -126,7 +124,7 @@ class CosetValuationHandle:
                 raise InternalInvariantError("coset rewriting failed to climb")
             last = current
             phi = initial_form(h, self.order.weights)
-            quotients, remainder = homogeneous_divide(phi, self.init_forms, self.order)
+            quotients, remainder = divide(phi, self._init_records, self.order)
             if not remainder.is_zero:
                 return current
             for q, b in zip(quotients, self.basis):

@@ -6,14 +6,17 @@ from itertools import combinations
 
 import pytest
 
-from troplift.errors import UsageError
+from troplift import ideals
+from troplift.errors import InternalInvariantError, UsageError
 from troplift.ideals import (
     contains_monomial,
     dimension,
+    divide,
     eliminate,
     ideal_member,
     ideal_quotient,
     ideals_equal,
+    lead_records,
     normal_form,
     presentation,
     saturate,
@@ -24,6 +27,7 @@ from troplift.parsing import parse_poly
 from troplift.polyring import (
     OrderDescriptor,
     PolyRing,
+    expo_divides,
     inject,
     leading_term,
     substitute_scalars,
@@ -95,6 +99,74 @@ def test_normal_form_idempotent_and_membership():
         r = normal_form(g, basis, I.order)
         assert normal_form(r, basis, I.order) == r
         assert ideal_member(g - r, I)
+
+
+def _random_poly(R, rng, monomials):
+    terms = [(m, Fraction(rng.randint(-5, 5), rng.randint(1, 3))) for m in monomials]
+    return R.from_terms(terms)
+
+
+def _check_division(f, divisors, order):
+    records = lead_records(divisors, order)
+    quots, rem = divide(f, records, order)
+    assert len(quots) == len(records)
+    total = rem
+    for q, (d, _, _, _) in zip(quots, records):
+        total = total + q * d
+    assert total == f
+    leads = [leading_term(d, order)[0] for d in divisors if not d.is_zero]
+    for m in rem.coeffs:
+        assert not any(expo_divides(lm, m) for lm in leads)
+    return quots, rem
+
+
+def test_divide_random_global():
+    rng = random.Random(71)
+    R = _ring("x", "y", "z")
+    order = OrderDescriptor((ValueScalar(1), ValueScalar(0), ValueScalar(2)), "global")
+    for _ in range(40):
+        def monos(k, top):
+            return [tuple(rng.randint(0, top) for _ in range(3)) for _ in range(k)]
+
+        f = _random_poly(R, rng, monos(rng.randint(1, 6), 4))
+        divisors = [_random_poly(R, rng, monos(rng.randint(1, 3), 2)) for _ in range(3)]
+        _check_division(f, divisors, order)
+
+
+def test_divide_weight_homogeneous_local():
+    rng = random.Random(73)
+    R = _ring("x", "y")
+    w = (ValueScalar(1), ValueScalar(2))
+    order = OrderDescriptor(w, "local")
+
+    def level(k):
+        # the monomials x^a y^b with a + 2b = k
+        return [(k - 2 * b, b) for b in range(k // 2 + 1)]
+
+    for _ in range(40):
+        f = _random_poly(R, rng, level(rng.randint(2, 8)))
+        divisors = [_random_poly(R, rng, level(rng.randint(1, 4))) for _ in range(2)]
+        _check_division(f, divisors, order)
+
+
+def test_divide_exact_returns_quotient():
+    R = _ring("x", "y")
+    order = OrderDescriptor((ValueScalar(0), ValueScalar(0)), "global")
+    d = _p(R, "x^2 - 3*x*y + y")
+    q0 = _p(R, "2*x*y^2 - y + 1/2")
+    (q,), rem = _check_division(q0 * d, [d], order)
+    assert rem.is_zero
+    assert q == q0
+
+
+def test_ideal_quotient_rejects_inexact_division(monkeypatch):
+    R = _ring("x", "y")
+    # an intersection with (x) holding y, which x does not divide
+    monkeypatch.setattr(
+        ideals, "eliminate", lambda ring, gens, idx: [inject(_p(R, "y"), ring, [0, 1])]
+    )
+    with pytest.raises(InternalInvariantError, match="inexact division"):
+        ideal_quotient(_ideal(R, ["x*y"]), _p(R, "x"))
 
 
 def test_saturate_examples():

@@ -87,7 +87,7 @@ def test_descend_three_variable_example():
     assert step.monomial_free_ok
     assert step.dim_before == 2 and step.dim_after == 1
     assert dimension(I2) == 1
-    assert step.w_prime == (1, 1, 1)
+    assert step.integral_weight == (1, 1, 1)
     assert list(step.J) == [_p(R, "x1 + x2 + x3")]
     # the cut is homogeneous for both the integral and the given weight
     wv = tuple(ValueScalar(x) for x in w)

@@ -13,8 +13,6 @@ from troplift.scalars import NumberField, ValueScalar, adjoin_root, cmp_value
 from troplift.series import (
     AtLeast,
     ValuedSeries,
-    series_add,
-    series_mul,
     series_str,
     substitute,
     valuation,
@@ -31,7 +29,7 @@ def _s(terms, truncation=INF, mode="puiseux", field=F):
 def test_addition_examples():
     a = _s([(1, 1), (2, 1)], truncation=5)
     b = _s([(1, -1)], truncation=4)
-    total = series_add(a, b)
+    total = a + b
     assert total.terms == ((ValueScalar(2), Fraction(1)),)
     assert total.truncation == ValueScalar(4)
 
@@ -39,13 +37,13 @@ def test_addition_examples():
 def test_multiplication_examples():
     half = ValueScalar(Fraction(1, 2))
     a = ValuedSeries.monomial(F, half)
-    prod = series_mul(a, a)
+    prod = a * a
     assert prod.terms == ((ValueScalar(1), Fraction(1)),)
     assert prod.truncation is INF
 
     one_plus = _s([(0, 1), (1, 1)])
     one_minus = _s([(0, 1), (1, -1)])
-    diff = series_mul(one_plus, one_minus)
+    diff = one_plus * one_minus
     assert diff == _s([(0, 1), (2, -1)])
 
 
@@ -53,7 +51,7 @@ def test_multiplication_precision_propagation():
     # trunc(a*b) = min(trunc(a) + val(b), trunc(b) + val(a))
     a = _s([(2, 1)], truncation=7)
     b = _s([(3, 5)], truncation=6)
-    prod = series_mul(a, b)
+    prod = a * b
     assert prod.truncation == ValueScalar(min(7 + 3, 6 + 2))
     assert prod.terms == ((ValueScalar(5), Fraction(5)),)
 
@@ -118,9 +116,9 @@ def test_mode_mismatch_rejected():
     a = _s([(1, 1)])
     b = _s([(1, 1)], mode="hahn")
     with pytest.raises(UsageError):
-        series_add(a, b)
+        a + b
     with pytest.raises(UsageError):
-        series_mul(a, b)
+        a * b
 
 
 def test_substitute_precision_collapse():
@@ -163,7 +161,7 @@ def test_valuation_axioms_random():
         va, vb = valuation(a), valuation(b)
         if isinstance(va, AtLeast) or isinstance(vb, AtLeast):
             continue
-        prod = series_mul(a, b)
+        prod = a * b
         vp = valuation(prod)
         if va is INF or vb is INF:
             expected = INF
@@ -177,7 +175,7 @@ def test_valuation_axioms_random():
             raise AssertionError("exact leads must multiply")
         else:
             assert cmp_value(vp, expected) == 0
-        total = series_add(a, b)
+        total = a + b
         vs = valuation(total)
         if va is INF and vb is INF:
             assert vs is INF
@@ -213,7 +211,7 @@ def test_ramification_lcm_closure():
         b = _random_series(rng)
         na, nb = a.ramification(), b.ramification()
         lcm = na * nb // gcd(na, nb)
-        for out in (series_add(a, b), series_mul(a, b)):
+        for out in (a + b, a * b):
             m = out.ramification()
             assert lcm % m == 0
 

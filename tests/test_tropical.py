@@ -116,6 +116,11 @@ def test_trop_enumerate_examples():
     assert members[0].cone.eq == ((1, -1),)
     maximal = [c for c in others if c.cone.dim() == 2]
     assert len(maximal) == 2
+    # seed 141295 starts at (687, 687), on the member ray: the walk steps
+    # off the ray and finds the same cones
+    off_ray, truncated = trop_enumerate(_ideal(R, ["x + y"]), seed=141295)
+    assert not truncated
+    assert [c.to_json_dict() for c in off_ray] == [c.to_json_dict() for c in cones]
 
     cones, truncated = trop_enumerate(_ideal(R, ["x"]))
     assert not truncated
