@@ -34,7 +34,7 @@ from .parsing import (
 )
 from .polyring import INF, PolyRing, initial_form, poly_str, w_order
 from .scalars import NumberField
-from .tropical import TropQuery, trop_enumerate, trop_hypersurface, trop_member
+from .tropical import trop_enumerate, trop_hypersurface, trop_member
 from .valfan import (
     CosetValuationHandle,
     groebner_cone,

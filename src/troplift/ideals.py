@@ -41,9 +41,6 @@ from .polyring import (
     leading_term,
     project,
     substitute_scalars,
-    w_order,
-    w_order_max,
-    wdot,
 )
 from .scalars import (
     ValueScalar,
@@ -58,18 +55,18 @@ from .scalars import (
 _MAX_REDUCTION_STEPS = 50000
 
 
-def ecart(f: Polynomial, order: OrderDescriptor):
-    """Highest minus leading weight; the Mora divisor selection key."""
-    lo = w_order(f, order.weights)
-    hi = w_order_max(f, order.weights)
-    return hi - lo
+def _ecart(f: Polynomial, order: OrderDescriptor):
+    """Highest minus lowest weight level of a nonzero f, in the order's
+    level scale; the Mora divisor selection key."""
+    levels = [order.level(m) for m in f.coeffs]
+    return max(levels) - min(levels)
 
 
 def _record(g, order):
     """(g, leading monomial, leading coefficient, ecart) of a nonzero g; the
     ecart is only used, and only computed, for local orders."""
     m, c = leading_term(g, order)
-    return g, m, c, ecart(g, order) if order.mode == "local" else None
+    return g, m, c, _ecart(g, order) if order.mode == "local" else None
 
 
 def lead_records(polys, order: OrderDescriptor):
@@ -202,22 +199,28 @@ def divide(f: Polynomial, records, order: OrderDescriptor):
                 shift = expo_sub(m, mg)
                 coef = _scalar_div(c, cg)
                 q[shift] = coef
-                # the leading term cancels c exactly; subtract the rest
-                for mo, co in g.coeffs.items():
-                    if mo == mg:
-                        continue
-                    mt = expo_add(mo, shift)
-                    v = h.get(mt)
-                    v = -(co * coef) if v is None else v - co * coef
-                    if _scalar_is_zero(v):
-                        del h[mt]
-                    else:
-                        h[mt] = v
+                _subtract_tail(h, g, mg, shift, coef)
                 break
         else:
             rem[m] = c
     ring = f.ring
     return [Polynomial(ring, q) for q in quots], Polynomial(ring, rem)
+
+
+def _subtract_tail(h, g, mg, shift, coef):
+    """h -= coef * x^shift * (g minus its leading term mg), in place on the
+    coefficient dict h; the caller has removed the term the leading term
+    cancels exactly."""
+    for mo, co in g.coeffs.items():
+        if mo == mg:
+            continue
+        mt = expo_add(mo, shift)
+        v = h.get(mt)
+        v = -(co * coef) if v is None else v - co * coef
+        if _scalar_is_zero(v):
+            del h[mt]
+        else:
+            h[mt] = v
 
 
 def _full_nf(f, records, order):
@@ -238,7 +241,7 @@ def _mora_nf(f, records, order):
         cands = [(rec[3], i) for i, rec in enumerate(T) if expo_divides(rec[1], m)]
         if not cands:
             return h
-        eh = ecart(h, order)
+        eh = _ecart(h, order)
         g, mg, cg, eg = T[min(cands)[1]]
         if eg > eh:
             T.append((h, m, c, eh))
@@ -273,9 +276,10 @@ def _global_pair(order, a, b, i, j):
 
 
 def _local_pair(order, a, b, i, j):
-    """Pair key by weight, then degree, of the lcm; no pair is skipped."""
+    """Pair key by weight level, then degree, of the lcm; no pair is
+    skipped."""
     m = expo_lcm(a[1], b[1])
-    return (wdot(order.weights, m), expo_deg(m), m, i, j), False
+    return (order.level(m), expo_deg(m), m, i, j), False
 
 
 def _spair_loop(gens, order, nf, pair):
@@ -364,29 +368,49 @@ def _minimalize(G):
 
 def _tail_reduce_local(idx, G, order, max_steps=200):
     """Reduce the tail of G[idx] by the other records, in at most max_steps
-    steps.  A tail step subtracts terms below the leading term, so the
-    record keeps its leading monomial and coefficient; nothing reads the
-    ecart after this step, and the returned record carries none."""
+    steps, each at the largest tail monomial divisible by a leading monomial
+    (the first such record reduces it).  A step at m only creates terms
+    below m, so one descending pass over a heap of tail monomials visits
+    each monomial once.  The record keeps its leading monomial and
+    coefficient; nothing reads the ecart after this step, and the returned
+    record carries none."""
     g, lead_m, lead_c, _ = G[idx]
     others = G[:idx] + G[idx + 1 :]
     if not others:
         return g, lead_m, lead_c, None
-    for _ in range(max_steps):
-        target = None
-        for m in sorted(g.coeffs, key=order.key, reverse=True):
-            if m == lead_m:
-                continue
-            for og, om, oc, _ in others:
-                if expo_divides(om, m):
-                    target = (m, og, om, oc)
-                    break
-            if target:
+    h = dict(g.coeffs)
+    heap = []
+    queued = set()
+
+    def push(m):
+        # negated keys: heapq pops the largest monomial of the order first
+        k0, k1, rev = order.key(m)
+        heapq.heappush(heap, ((-k0, -k1, tuple([-e for e in rev])), m))
+        queued.add(m)
+
+    for m in h:
+        if m != lead_m:
+            push(m)
+    steps = 0
+    while heap and steps < max_steps:
+        m = heapq.heappop(heap)[1]
+        c = h.get(m)
+        if c is None:
+            continue
+        for og, om, oc, _ in others:
+            if expo_divides(om, m):
                 break
-        if target is None:
-            break
-        m, og, om, oc = target
-        g = g - og.mul_term(expo_sub(m, om), _scalar_div(g.coeffs[m], oc))
-    return g, lead_m, lead_c, None
+        else:
+            continue
+        steps += 1
+        shift = expo_sub(m, om)
+        del h[m]
+        _subtract_tail(h, og, om, shift, _scalar_div(c, oc))
+        for mo in og.coeffs:
+            mt = expo_add(mo, shift)
+            if mt not in queued and mt in h:
+                push(mt)
+    return Polynomial(g.ring, h), lead_m, lead_c, None
 
 
 def _is_reduced(G):

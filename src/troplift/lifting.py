@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, isqrt
+from math import comb, isqrt, lcm
 
 from .errors import (
     CapabilityError,
@@ -34,7 +34,7 @@ from .ideals import (
     presentation,
     torus_point,
 )
-from .linalg import mat_rank, solve_linear
+from .linalg import mat_rank, primitive_row, solve_linear
 from .polyring import (
     INF,
     PolyRing,
@@ -55,10 +55,6 @@ from .series import (
 )
 from .tropical import TropQuery, trop_member
 from .valfan import initial_ideal
-
-
-def _lcm(a, b):
-    return a * b // gcd(a, b)
 
 
 # -- rational span of the weight values -------------------------------------
@@ -107,15 +103,15 @@ def rational_span(w):
                 coords.append(b / base[1])
         denom = 1
         for c in coords:
-            denom = _lcm(denom, c.denominator)
+            denom = lcm(denom, c.denominator)
         gamma = (ValueScalar(base[0] / denom, base[1] / denom, d),)
         matrix = tuple((int(c * denom),) for c in coords)
     else:
         d1 = 1
         d2 = 1
         for a, b in pairs:
-            d1 = _lcm(d1, a.denominator)
-            d2 = _lcm(d2, b.denominator)
+            d1 = lcm(d1, a.denominator)
+            d2 = lcm(d2, b.denominator)
         gamma = (ValueScalar(Fraction(1, d1)), ValueScalar(0, Fraction(1, d2), d))
         matrix = tuple((int(a * d1), int(b * d2)) for a, b in pairs)
     for entry, row in zip(entries, matrix):
@@ -184,17 +180,9 @@ def _integral_weight(I, w, span):
         ]
         if any(c <= 0 for c in cand):
             continue
-        denom = 1
-        for c in cand:
-            denom = _lcm(denom, c.denominator)
-        ints = [int(c * denom) for c in cand]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        if _same_initial(I, w, tuple(ints)):
-            return tuple(ints)
+        ints = primitive_row(cand)
+        if _same_initial(I, w, ints):
+            return ints
     raise DescentWitnessError(
         "no integral weight with the same initial ideal was found"
     )
@@ -302,7 +290,7 @@ def _try_cut(
             raise InternalInvariantError("slice rows stopped spanning")
         k0 = 1
         for v in z:
-            k0 = _lcm(k0, v.denominator)
+            k0 = lcm(k0, v.denominator)
         c = x0[j]
         for s in range(1, 7):
             k = k0 * s

@@ -9,12 +9,25 @@ works on tuples of Fraction and never leaves exact arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import InternalInvariantError
 
 
 def _frac_row(row):
     return [Fraction(x) for x in row]
+
+
+def primitive_row(row):
+    """The primitive integer row on the ray of a rational row: scaled by the
+    lcm of its denominators, then divided by the gcd of its entries.  A
+    zero row stays zero."""
+    den = lcm(*(v.denominator for v in row))
+    ints = [int(v * den) for v in row]
+    g = gcd(*ints)
+    if g > 1:
+        ints = [v // g for v in ints]
+    return tuple(ints)
 
 
 def rref(rows, ncols):

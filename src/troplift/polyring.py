@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import UsageError
+from .linalg import primitive_row
 from .scalars import (
     INF,
     AlgebraicNumber,
@@ -277,10 +278,12 @@ class OrderDescriptor:
 
     The leading monomial of a polynomial is the maximum under ``key``.  In
     local mode that is the monomial of smallest weight, so leading parts
-    coincide with min-convention initial forms.
+    coincide with min-convention initial forms.  Keys, and the weight levels
+    in them, are memoized per order object, so they depend on the order
+    alone.
     """
 
-    __slots__ = ("weights", "mode")
+    __slots__ = ("weights", "mode", "_int_weights", "_keys")
 
     def __init__(self, weights, mode):
         if mode not in ("local", "global"):
@@ -292,12 +295,37 @@ class OrderDescriptor:
             raise UsageError("global orders need nonnegative weights")
         self.weights = ws
         self.mode = mode
+        # rational weights as a primitive integer row: a positive multiple of
+        # w, so integer levels compare, and differ, as <w, m> does
+        self._int_weights = (
+            primitive_row([w.a for w in ws]) if all(w.is_rational for w in ws) else None
+        )
+        self._keys = {}
+
+    def level(self, m):
+        """The weight level of m: <w, m> times a fixed positive scale of the
+        order, an int for rational weights and the exact value scalar
+        otherwise.  Only levels of one order are comparable."""
+        k = (self._keys.get(m) or self.key(m))[0]
+        return -k if self.mode == "local" else k
 
     def key(self, m):
-        w = wdot(self.weights, m)
-        if self.mode == "local":
-            return (-w, -expo_deg(m), tuple(-e for e in reversed(m)))
-        return (w, expo_deg(m), tuple(-e for e in reversed(m)))
+        """Sort key of the exponent tuple m, memoized per order; the leading
+        monomial is the maximum."""
+        k = self._keys.get(m)
+        if k is None:
+            ws = self._int_weights
+            if ws is None:
+                lvl = wdot(self.weights, m)
+            else:
+                lvl = sum([w * e for w, e in zip(ws, m)])
+            rev = tuple([-e for e in reversed(m)])
+            if self.mode == "local":
+                k = (-lvl, -expo_deg(m), rev)
+            else:
+                k = (lvl, expo_deg(m), rev)
+            self._keys[m] = k
+        return k
 
     def cmp(self, m1, m2) -> int:
         if m1 == m2:

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import sympy
-
 from .errors import ExtensionUnsupportedError, UsageError
 
 
@@ -722,13 +720,14 @@ def _poly_sort_key(cs):
     return (len(cs), tuple(scalar_str(c) for c in cs))
 
 
-_SYMPY_Z = sympy.Symbol("z")
-
-
 def _factor_rational_squarefree(cs):
-    """Irreducible factors of a squarefree polynomial over Q (monic output)."""
+    """Irreducible factors of a squarefree polynomial over Q (monic output).
+    sympy is imported here, on first use, so that paths that never factor
+    do not pay for its import."""
+    import sympy
+
     sy = [sympy.Rational(c.numerator, c.denominator) for c in reversed(cs)]
-    poly = sympy.Poly(sy, _SYMPY_Z, domain="QQ")
+    poly = sympy.Poly(sy, sympy.Symbol("z"), domain="QQ")
     out = []
     for fac, mult in poly.factor_list()[1]:
         assert mult == 1

@@ -18,7 +18,7 @@ from .ideals import IdealPresentation, contains_monomial, presentation
 from .linalg import find_strict_point
 from .polyring import INF, PolyRing, Polynomial, project, substitute_scalars
 from .scalars import as_value
-from .valfan import GroebnerCone, InitialData, _cone_rows, groebner_cone, initial_ideal
+from .valfan import GroebnerCone, InitialData, groebner_cone, initial_ideal
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ of weights sharing a given initial ideal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InternalInvariantError, UsageError
 from .ideals import (
@@ -23,7 +22,7 @@ from .ideals import (
     normal_form,
     presentation,
 )
-from .linalg import find_strict_point
+from .linalg import find_strict_point, primitive_row
 from .polyring import (
     INF,
     OrderDescriptor,
@@ -147,17 +146,6 @@ def coset_valuation(g, handle):
     return handle.value(g)
 
 
-def _primitive(row):
-    from math import gcd
-
-    g = 0
-    for v in row:
-        g = gcd(g, abs(v))
-    if g > 1:
-        row = tuple(v // g for v in row)
-    return tuple(row)
-
-
 def _sign_normalize(row):
     for v in row:
         if v != 0:
@@ -228,14 +216,14 @@ def _cone_rows(basis, weights):
         anchor = support[0]
         for mono in support[1:]:
             row = tuple(a - b for a, b in zip(anchor, mono))
-            row = _sign_normalize(_primitive(row))
+            row = _sign_normalize(primitive_row(row))
             if any(v != 0 for v in row):
                 eq_rows.add(row)
         for mono in g.support():
             if mono in form.coeffs:
                 continue
             row = tuple(b - a for a, b in zip(anchor, mono))
-            row = _primitive(row)
+            row = primitive_row(row)
             if any(v != 0 for v in row):
                 ineq_rows.add(row)
     for i in range(n):

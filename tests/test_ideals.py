@@ -28,11 +28,12 @@ from troplift.polyring import (
     OrderDescriptor,
     PolyRing,
     expo_divides,
+    expo_sub,
     inject,
     leading_term,
     substitute_scalars,
 )
-from troplift.scalars import NumberField, ValueScalar, as_field_element
+from troplift.scalars import NumberField, ValueScalar, _scalar_div, as_field_element
 
 
 def _ring(*names):
@@ -167,6 +168,83 @@ def test_ideal_quotient_rejects_inexact_division(monkeypatch):
     )
     with pytest.raises(InternalInvariantError, match="inexact division"):
         ideal_quotient(_ideal(R, ["x*y"]), _p(R, "x"))
+
+
+def _tail_reduce_by_resorting(idx, G, order, max_steps=200):
+    """Reference tail reduction: each step re-sorts the whole element and
+    reduces its largest tail monomial divisible by a leading monomial."""
+    g, lead_m, lead_c, _ = G[idx]
+    others = G[:idx] + G[idx + 1 :]
+    if not others:
+        return g, lead_m, lead_c, None
+    for _ in range(max_steps):
+        target = None
+        for m in sorted(g.coeffs, key=order.key, reverse=True):
+            if m == lead_m:
+                continue
+            for og, om, oc, _ in others:
+                if expo_divides(om, m):
+                    target = (m, og, om, oc)
+                    break
+            if target:
+                break
+        if target is None:
+            break
+        m, og, om, oc = target
+        g = g - og.mul_term(expo_sub(m, om), _scalar_div(g.coeffs[m], oc))
+    return g, lead_m, lead_c, None
+
+
+def _assert_same_tail_reduction(G, order):
+    for idx in range(len(G)):
+        got = ideals._tail_reduce_local(idx, G, order)
+        want = _tail_reduce_by_resorting(idx, G, order)
+        assert got[0].coeffs == want[0].coeffs, (idx, str(got[0]), str(want[0]))
+        assert got[1:] == want[1:]
+
+
+def _random_local_gens(R, rng, count, terms, deg):
+    gens = []
+    for _ in range(count):
+        monos = {tuple(rng.randint(0, deg) for _ in range(R.nvars())) for _ in range(terms)}
+        monos.discard((0,) * R.nvars())
+        f = _random_poly(R, rng, sorted(monos))
+        if not f.is_zero:
+            gens.append(f)
+    return gens
+
+
+def _random_local_order(rng, n):
+    w = tuple(ValueScalar(Fraction(rng.randint(1, 6), rng.randint(1, 2))) for _ in range(n))
+    return OrderDescriptor(w, "local")
+
+
+def test_tail_reduction_matches_resorting_loop():
+    rng = random.Random(89)
+    # records of raw generators: long reductions, some up to the step cap
+    R3 = _ring("x", "y", "z")
+    for _ in range(20):
+        order = _random_local_order(rng, 3)
+        gens = _random_local_gens(R3, rng, rng.randint(2, 4), rng.randint(2, 5), 3)
+        _assert_same_tail_reduction([ideals._entry(g, order) for g in gens], order)
+    # the records Mora's algorithm hands to the tail reduction
+    R2 = _ring("x", "y")
+    for _ in range(20):
+        order = _random_local_order(rng, 2)
+        gens = _random_local_gens(R2, rng, 2, 3, 3)
+        G, _ = ideals._spair_loop(gens, order, ideals._mora_nf, ideals._local_pair)
+        _assert_same_tail_reduction(G, order)
+
+
+def test_tail_reduction_step_cap():
+    """x + y; x - y^2 at (1,1) reduces until the 200-step cap stops it."""
+    R = _ring("x", "y")
+    order = OrderDescriptor((ValueScalar(1), ValueScalar(1)), "local")
+    gens = [_p(R, "x + y"), _p(R, "x - y^2")]
+    G, _ = ideals._spair_loop(gens, order, ideals._mora_nf, ideals._local_pair)
+    _assert_same_tail_reduction(G, order)
+    reduced = [str(ideals._tail_reduce_local(i, G, order)[0]) for i in range(len(G))]
+    assert "y^201 + x" in reduced
 
 
 def test_saturate_examples():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from troplift.errors import UsageError
+from troplift.linalg import primitive_row
 from troplift.parsing import parse_poly
 from troplift.polyring import (
     INF,
@@ -16,6 +17,7 @@ from troplift.polyring import (
     initial_form,
     poly_str,
     w_order,
+    wdot,
 )
 from troplift.scalars import NumberField, ValueScalar
 
@@ -92,6 +94,71 @@ def test_compare_monomials_total_order():
                         and compare_monomials(b, c, order) < 0
                     ):
                         assert compare_monomials(a, c, order) < 0
+
+
+def _reference_key(order, m):
+    """The order key spelled out with the exact weight dot product."""
+    w = wdot(order.weights, m)
+    rev = tuple(-e for e in reversed(m))
+    if order.mode == "local":
+        return (-w, -sum(m), rev)
+    return (w, sum(m), rev)
+
+
+def _random_weight(rng, kind, mode):
+    while True:
+        if kind == "int":
+            w = ValueScalar(rng.randint(0, 4))
+        elif kind == "fraction":
+            w = ValueScalar(Fraction(rng.randint(0, 9), rng.randint(1, 6)))
+        else:
+            w = ValueScalar(
+                Fraction(rng.randint(-3, 4), rng.randint(1, 3)),
+                Fraction(rng.randint(-2, 3), rng.randint(1, 2)),
+                kind,
+            )
+        if w.sign() > 0 or (mode == "global" and w.sign() == 0):
+            return w
+
+
+def test_order_key_sorts_as_exact_weight_dot():
+    """Integer weight levels sort monomials exactly as the value-scalar dot
+    product does, for rational and for a+b*sqrt(d) weights, in both modes."""
+    rng = random.Random(83)
+    for trial in range(120):
+        n = rng.randint(1, 4)
+        mode = ("local", "global")[trial % 2]
+        kind = ("int", "fraction", 2, 3, 5)[trial % 5]
+        # mixed vectors: some entries rational, the rest of the chosen kind
+        weights = [
+            _random_weight(rng, kind if rng.random() < 0.7 else "fraction", mode)
+            for _ in range(n)
+        ]
+        if trial % 10 == 1:
+            weights = [ValueScalar(0)] * n
+        monos = {tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(40)}
+        order = OrderDescriptor(weights, mode)
+        expected = sorted(monos, key=lambda m: _reference_key(order, m))
+        assert sorted(monos, key=order.key) == expected, (weights, mode)
+        # the memo answers the same on a second pass and for a fresh order
+        assert sorted(monos, key=order.key) == expected
+        fresh = OrderDescriptor(weights, mode)
+        assert sorted(reversed(expected), key=fresh.key) == expected
+        # levels are a positive multiple of <w, m>: same signs of differences
+        for a, b in zip(expected, expected[1:]):
+            d_level = fresh.level(a) - fresh.level(b)
+            d_exact = wdot(weights, a) - wdot(weights, b)
+            assert ValueScalar.of(d_level).sign() == d_exact.sign()
+
+
+def test_primitive_row_and_integer_levels():
+    assert primitive_row((Fraction(1, 2), Fraction(3, 4), 1)) == (2, 3, 4)
+    assert primitive_row((-4, 6, 0)) == (-2, 3, 0)
+    assert primitive_row((0, 0, 0)) == (0, 0, 0)
+    # the default global order keeps all-zero weights: every level is 0
+    assert OrderDescriptor((0, 0, 0), "global").level((3, 1, 2)) == 0
+    half = OrderDescriptor((Fraction(1, 2), Fraction(3, 2)), "local")
+    assert half.level((1, 1)) == 4  # <(1, 3), (1, 1)>
 
 
 def test_homogenize_examples():
