@@ -21,7 +21,7 @@ import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count, islice
 
 from .errors import (
     InternalInvariantError,
@@ -50,6 +50,7 @@ from .scalars import (
     _scalar_is_zero,
     adjoin_root,
     factor_univariate,
+    scalar_str,
 )
 
 _MAX_REDUCTION_STEPS = 50000
@@ -155,6 +156,15 @@ class IdealPresentation:
         return IdealPresentation(
             self.ring, list(self.generators) + list(extra), self.order
         )
+
+    def local_at(self, w):
+        """The same generators under the local order at w: self when this
+        presentation's order is already that order (equal weights, so a
+        proportional weight still gets a new presentation)."""
+        order = OrderDescriptor(w, "local")
+        if self.order.mode == "local" and self.order.weights == order.weights:
+            return self
+        return IdealPresentation(self.ring, self.generators, order)
 
     def __repr__(self):
         gens = "; ".join(str(g) for g in self.generators) or "0"
@@ -663,50 +673,49 @@ def _solve_zero_dim(ring, gens, remaining, assignment):
 
 
 def _fac_str(fac):
-    from .scalars import scalar_str
-
     return tuple(scalar_str(c) for c in fac)
 
 
-def torus_point(
-    J: IdealPresentation, seed=0, max_attempts=16, start_attempt=0
-) -> TorusWitness:
+def torus_point(J: IdealPresentation, seed=0) -> TorusWitness:
     """A point with all coordinates nonzero in the vanishing locus.
 
-    The ideal must be monomial-free.  Generic rational values are substituted
-    for a maximal independent variable set (deterministic, seeded), the rest
-    is solved by elimination and root adjunction, rejecting zero coordinates;
-    bounded retries with fresh slice values.  start_attempt skips the first
-    few value choices, which is how callers ask for a different point.
+    The ideal must be monomial-free.  The first of the first 16 seeded
+    attempts of torus_attempts that finds a point gives it.
     """
     flag, wit = contains_monomial(J)
     if flag:
         raise UsageError(f"ideal contains the monomial {wit}; no torus point")
+    for attempt, point in islice(torus_attempts(J, seed), 16):
+        if point is not None:
+            return TorusWitness(point, J.ring.field, seed, attempt + 1)
+    raise WitnessSearchError(f"no torus point found in 16 attempts (seed {seed})")
+
+
+def torus_attempts(J: IdealPresentation, seed=0, start=0):
+    """The seeded torus point attempts on a monomial-free ideal, from
+    attempt start on: (attempt, point), with point None where the attempt
+    finds no point with all coordinates nonzero.
+
+    Attempt a substitutes its seeded rational values for a maximal
+    independent variable set and solves for the rest by elimination and
+    root adjunction.  The ideal is not checked for monomials here; its
+    basis and independent set are computed once for the whole sequence.
+    """
     ring = J.ring
     n = ring.nvars()
     Jg = _as_global(J)
-    basis = Jg.standard_basis()
-    if not basis:
-        values = _slice_values(seed, start_attempt, n)
-        return TorusWitness(tuple(values), ring.field, seed, start_attempt)
+    basis = list(Jg.standard_basis())
     indep = _independent_set(basis, Jg.order, n)
-    for attempt in range(start_attempt, start_attempt + max_attempts):
+    for attempt in count(start):
         values = _slice_values(seed, attempt, len(indep))
-        assignment = {i: v for i, v in zip(indep, values)}
+        assignment = dict(zip(indep, values))
         remaining = [i for i in range(n) if i not in assignment]
-        found = _solve_zero_dim(ring, list(basis), remaining, assignment)
-        if found is None:
-            continue
-        point = tuple(found[i] for i in range(n))
-        if any(_scalar_is_zero(x) for x in point):
-            continue
-        ok = True
-        for g in J.generators:
-            if not substitute_scalars(g, found).is_zero:
-                ok = False
-                break
-        if ok:
-            return TorusWitness(point, ring.field, seed, attempt + 1)
-    raise WitnessSearchError(
-        f"no torus point found in {max_attempts} attempts (seed {seed})"
-    )
+        found = _solve_zero_dim(ring, basis, remaining, assignment)
+        point = None
+        if found is not None:
+            point = tuple(found[i] for i in range(n))
+            if any(_scalar_is_zero(x) for x in point) or any(
+                not substitute_scalars(g, found).is_zero for g in J.generators
+            ):
+                point = None
+        yield attempt, point

@@ -11,6 +11,7 @@ final point comes with residual bounds.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -32,6 +33,7 @@ from .ideals import (
     ideal_quotient,
     ideals_equal,
     presentation,
+    torus_attempts,
     torus_point,
 )
 from .linalg import mat_rank, primitive_row, solve_linear
@@ -153,20 +155,15 @@ class DescentStep:
         )
 
 
-def _same_initial(I, w1, w2):
-    A = initial_ideal(I, w1)
-    B = initial_ideal(I, w2)
-    PA = presentation(I.ring, list(A.generators), "local", A.weights)
-    PB = presentation(I.ring, list(B.generators), "local", B.weights)
-    return ideals_equal(PA, PB)
-
-
 def _sqrt_floor(dd, k):
     return Fraction(isqrt(dd << (2 * k)), 1 << k)
 
 
-def _integral_weight(I, w, span):
-    """A positive integer vector in the span with the same initial ideal."""
+def _integral_weight(I, data, span):
+    """A positive integer vector in the span with the same initial ideal as
+    I at data.weights, where data is that initial ideal."""
+    w = data.weights
+    initial = data.presentation()
     for k in range(64):
         approx = []
         for g in span.gamma:
@@ -181,7 +178,10 @@ def _integral_weight(I, w, span):
         if any(c <= 0 for c in cand):
             continue
         ints = primitive_row(cand)
-        if _same_initial(I, w, ints):
+        if w == tuple(cand):
+            # ints is a positive multiple of w, so it orders monomials as w
+            return ints
+        if ideals_equal(initial, initial_ideal(I, ints).presentation()):
             return ints
     raise DescentWitnessError(
         "no integral weight with the same initial ideal was found"
@@ -202,16 +202,16 @@ def descend(I, w, seed=0):
     n = ring.nvars()
     w = tuple(as_value(x) for x in w)
     span = rational_span(w)
-    Iw = presentation(ring, list(I.generators), "local", w)
+    Iw = I.local_at(w)
     dim_before = dimension(Iw)
     if dim_before <= span.rank:
         raise UsageError(
             "dimension %d does not exceed the weight rank %d; nothing to cut"
             % (dim_before, span.rank)
         )
-    wp = _integral_weight(Iw, w, span)
     data = initial_ideal(Iw, w)
-    Jp = presentation(ring, list(data.generators), "global")
+    wp = _integral_weight(Iw, data, span)
+    Jp = data.polynomial_presentation()
 
     slice_idx = []
     rows = []
@@ -244,13 +244,12 @@ def descend(I, w, seed=0):
     x0_rest = tuple(wit_x.point)
 
     failures = []
-    for a in range(1, 25):
-        try:
-            wit_y = torus_point(Js, seed=seed, max_attempts=1, start_attempt=a)
-        except WitnessSearchError:
-            continue
-        y0_rest = tuple(wit_y.point)
-        if y0_rest == x0_rest:
+    # y0 from the attempts after x0's, up to attempt 24; the attempts
+    # before it found no point
+    for attempt, y0_rest in torus_attempts(Js, seed, start=wit_x.attempts):
+        if attempt > 24:
+            break
+        if y0_rest is None or y0_rest == x0_rest:
             continue
         step = _try_cut(
             I, Iw, Jp, data, w, wp, span, slice_idx, rest_idx,
@@ -317,13 +316,11 @@ def _try_cut(
             if not nzd_ok:
                 failures.append("%s is a zerodivisor" % poly_str(f))
                 continue
-            I2 = presentation(ring, list(Iw.generators) + [f], "local", w)
+            I2 = Iw.with_extra([f])
             lhs = initial_ideal(I2, w)
-            left = presentation(ring, list(lhs.generators), "local", w)
-            right = presentation(
-                ring, list(data.generators) + [f], "local", w
+            additivity_ok = ideals_equal(
+                lhs.presentation(), data.presentation().with_extra([f])
             )
-            additivity_ok = ideals_equal(left, right)
             monomial_free_ok = lhs.is_monomial_free()
             dim_after = dimension(I2)
             record = DescentStep(
@@ -570,7 +567,8 @@ def lift_point(problem, seed=0):
     ring = I.ring
     n = ring.nvars()
     w = problem.weights
-    membership = trop_member(I, TropQuery(w))
+    I_cur = I.local_at(w)
+    membership = trop_member(I_cur, TropQuery(w))
     if not membership.member:
         raise NonMemberError(
             "the initial ideal contains the monomial %s"
@@ -579,7 +577,6 @@ def lift_point(problem, seed=0):
         )
     span = rational_span(w)
     r = span.rank
-    I_cur = presentation(ring, list(I.generators), "local", w)
     descents = []
     for _ in range(n + 1):
         if dimension(I_cur) <= r:
@@ -598,12 +595,7 @@ def lift_point(problem, seed=0):
     for combo in combinations(range(n), r):
         if mat_rank([span.matrix[i] for i in combo], r) < r:
             continue
-        test = presentation(
-            ring,
-            list(I_cur.generators) + [ring.var(i) for i in combo],
-            "local",
-            w,
-        )
+        test = I_cur.with_extra([ring.var(i) for i in combo])
         if test.is_unit_ideal():
             continue
         if dimension(test) == 0:
@@ -659,8 +651,6 @@ def lift_point(problem, seed=0):
 def _parameter_scalars(seed, variant, count):
     if variant == 0:
         return [Fraction(1)] * count
-    import random
-
     rng = random.Random(f"lift:{seed}:{variant}")
     out = []
     for _ in range(count):

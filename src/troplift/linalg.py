@@ -167,8 +167,6 @@ def find_strict_point(eq_rows, strict_rows, ncols, drop_degenerate=True):
             for i in range(ncols)
         ]
     if not basis:
-        if stricts and not drop_degenerate:
-            return None
         if stricts:
             return None
         return tuple(Fraction(0) for _ in range(ncols))

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import UsageError
 from .polyring import INF, PolyRing
-from .scalars import NumberField, ValueScalar, as_field_element
+from .scalars import NumberField, ValueScalar, adjoin_root, as_field_element
 from .series import ValuedSeries
 from .tropical import TropQuery
 
@@ -79,8 +79,6 @@ def parse_rational(text):
 
 def _field_sqrt(field, d):
     """The square root of d as a field element, adjoining if needed."""
-    from .scalars import adjoin_root
-
     target = as_field_element(field, Fraction(d))
     for level in range(1, field.height() + 1):
         if field.levels[level - 1].degree == 2:
@@ -437,30 +435,10 @@ def _parse_t_power(toks, d):
     if toks.peek() == "^":
         toks.next()
         toks.expect("(")
-        value = _ScalarExpr(_TokView(toks), field=None, d=d).expr()
+        value = _ScalarExpr(toks, field=None, d=d).expr()
         toks.expect(")")
         return value
     return ValueScalar(1)
-
-
-class _TokView:
-    """Adapter so the scalar parser consumes from an outer stream."""
-
-    def __init__(self, toks):
-        self.toks = toks
-        self.text = toks.text
-
-    def peek(self):
-        return self.toks.peek()
-
-    def next(self):
-        return self.toks.next()
-
-    def expect(self, want):
-        return self.toks.expect(want)
-
-    def done(self):
-        return self.toks.done()
 
 
 def _parse_series_term(toks, field, d):
@@ -472,7 +450,7 @@ def _parse_series_term(toks, field, d):
         return exp, as_field_element(field, Fraction(1))
     if tok == "(":
         toks.next()
-        coeff = _ScalarExpr(_TokView(toks), field=field).expr()
+        coeff = _ScalarExpr(toks, field=field).expr()
         toks.expect(")")
     elif tok is not None and tok.isdigit():
         toks.next()

@@ -374,13 +374,6 @@ def w_order(f: Polynomial, weights) -> ValueScalar:
     return min(wdot(ws, m) for m in f.coeffs)
 
 
-def w_order_max(f: Polynomial, weights):
-    if f.is_zero:
-        return INF
-    ws = tuple(ValueScalar.of(w) for w in weights)
-    return max(wdot(ws, m) for m in f.coeffs)
-
-
 def initial_form(f: Polynomial, weights) -> Polynomial:
     """Sum of the terms attaining the minimal weight (min convention)."""
     ws = tuple(ValueScalar.of(w) for w in weights)

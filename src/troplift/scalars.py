@@ -317,9 +317,6 @@ class NumberField:
         coeffs[1] = _lift_to(self, level - 1, Fraction(1))
         return AlgebraicNumber(self, level, tuple(coeffs))
 
-    def generators(self) -> list["AlgebraicNumber"]:
-        return [self.generator(k) for k in range(1, self.height() + 1)]
-
     def generator_names(self) -> list[str]:
         return [lv.name for lv in self.levels]
 
@@ -527,7 +524,7 @@ def scalar_str(x) -> str:
     """Canonical text form: polynomial in the tower generators."""
     if isinstance(x, (ValueScalar, _Infinity)):
         return str(x)
-    x = _demote(x) if isinstance(x, AlgebraicNumber) else x
+    x = _demote(x)
     if isinstance(x, int):
         x = Fraction(x)
     if isinstance(x, Fraction):
@@ -713,7 +710,7 @@ def _reduce_mod_minpoly(field, level, cs):
 
 def _scalar_sort_key(x):
     # rational values sort before proper algebraic ones
-    x = _demote(x) if isinstance(x, AlgebraicNumber) else x
+    x = _demote(x)
     return (isinstance(x, AlgebraicNumber), scalar_str(x))
 
 def _poly_sort_key(cs):
@@ -878,7 +875,7 @@ def factor_univariate(field, coeffs):
         for irr in _factor_squarefree(field, level, sf):
             out.append(([_demote(c) for c in irr], mult))
     out.sort(key=lambda t: _poly_sort_key(t[0]))
-    return _demote(lc) if isinstance(lc, AlgebraicNumber) else lc, out
+    return _demote(lc), out
 
 
 def adjoin_root(field, coeffs, name=None):
@@ -901,7 +898,7 @@ def adjoin_root(field, coeffs, name=None):
     _, factors = factor_univariate(field, cs)
     linear = [f for f, _ in factors if len(f) == 2]
     if linear:
-        roots = sorted((_demote0(-f[0]) for f in linear), key=_scalar_sort_key)
+        roots = sorted((_demote(-f[0]) for f in linear), key=_scalar_sort_key)
         return field, roots[0]
     if field.height() >= _MAX_TOWER_HEIGHT:
         raise ExtensionUnsupportedError(
@@ -913,10 +910,6 @@ def adjoin_root(field, coeffs, name=None):
         name = f"a{field.height() + 1}"
     root = field.adjoin(name, fac)
     return field, root
-
-
-def _demote0(x):
-    return _demote(x) if isinstance(x, AlgebraicNumber) else x
 
 
 def roots_in_extension(field, coeffs):
@@ -942,7 +935,7 @@ def roots_in_extension(field, coeffs):
         nonlinear = [(f, m) for f, m in factors if len(f) > 2]
         for f, m in factors:
             if len(f) == 2:
-                out.append((_demote0(-f[0]), mult * m))
+                out.append((_demote(-f[0]), mult * m))
         if nonlinear:
             field, _ = adjoin_root(field, nonlinear[0][0])
             for f, m in nonlinear:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import InsufficientTruncationError, UsageError
+from .polyring import Polynomial
 from .scalars import (
     INF,
     ValueScalar,
@@ -101,10 +102,6 @@ class ValuedSeries:
     @property
     def is_exact_zero(self):
         return not self.terms and self.truncation is INF
-
-    def lead(self):
-        """Lowest term as (exponent, coefficient), or None."""
-        return self.terms[0] if self.terms else None
 
     def valuation(self):
         """Exact valuation, an AtLeast bound, or INF for the exact zero."""
@@ -310,8 +307,6 @@ def substitute(f, assignment):
     variable appearing in f must be assigned.  Raises when the tracked
     precision of the result collapses to or below zero.
     """
-    from .polyring import Polynomial
-
     if not isinstance(f, Polynomial):
         raise UsageError("expected a polynomial")
     if not isinstance(assignment, dict):
@@ -358,8 +353,6 @@ def poly_to_series_coeffs(f, var_index, assignment):
     result is the list c_0..c_d with f = sum c_k * x^k after
     substitution, each c_k a ValuedSeries.
     """
-    from .polyring import Polynomial
-
     if not isinstance(f, Polynomial):
         raise UsageError("expected a polynomial")
     series_list = list(assignment.values())

@@ -10,13 +10,21 @@ breadth-first walk through the weight fan of a general ideal.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapabilityError, UsageError
 from .ideals import IdealPresentation, contains_monomial, presentation
 from .linalg import find_strict_point
-from .polyring import INF, PolyRing, Polynomial, project, substitute_scalars
+from .polyring import (
+    INF,
+    PolyRing,
+    Polynomial,
+    poly_str,
+    project,
+    substitute_scalars,
+)
 from .scalars import as_value
 from .valfan import GroebnerCone, InitialData, groebner_cone, initial_ideal
 
@@ -53,8 +61,6 @@ class TropMembership:
     witness_monomial: Polynomial | None
 
     def to_json_dict(self):
-        from .polyring import poly_str
-
         out = {"member": self.member}
         out["query"] = [str(x) for x in self.query.entries]
         if self.initial is not None:
@@ -82,25 +88,21 @@ def trop_member(I, query):
     fin_idx = query.finite_indices()
     if not fin_idx:
         return TropMembership(True, query, None, None)
+    weights = tuple(query.entries[i] for i in fin_idx)
+    J = I
     if inf_idx:
         zeroed = {i: Fraction(0) for i in inf_idx}
         small = PolyRing(I.ring.field, tuple(I.ring.vars[i] for i in fin_idx))
         var_map = [None] * n
         for pos, i in enumerate(fin_idx):
             var_map[i] = pos
-        gens = []
-        for g in I.generators:
-            h = substitute_scalars(g, zeroed)
-            gens.append(project(h, small, var_map))
-        ring = small
-    else:
-        gens = list(I.generators)
-        ring = I.ring
-    gens = [g for g in gens if not g.is_zero]
-    weights = tuple(query.entries[i] for i in fin_idx)
-    if not gens:
+        gens = [
+            project(substitute_scalars(g, zeroed), small, var_map)
+            for g in I.generators
+        ]
+        J = presentation(small, gens, "local", weights)
+    if J.is_zero_ideal():
         return TropMembership(True, query, None, None)
-    J = presentation(ring, gens, "local", weights)
     data = initial_ideal(J, weights)
     flag, witness = contains_monomial(data.polynomial_presentation())
     return TropMembership(not flag, query, data, witness if flag else None)
@@ -116,8 +118,6 @@ class TropCone:
     witness: InitialData | None
 
     def to_json_dict(self):
-        from .polyring import poly_str
-
         out = self.cone.to_json_dict()
         out["sample"] = [str(x) for x in self.sample]
         out["member"] = self.member
@@ -184,8 +184,6 @@ def trop_hypersurface(f):
 
 
 def _start_weight(n, seed):
-    import random
-
     rng = random.Random(f"fan:{seed}")
     return tuple(Fraction(rng.randint(1, 997)) for _ in range(n))
 
@@ -216,11 +214,17 @@ def trop_enumerate(I, budget=128, seed=0):
     n = I.ring.nvars()
     start = _start_weight(n, seed)
     queue = [start]
+    popped = set()
     seen = {}
     truncated = False
     while queue:
         w = queue.pop(0)
-        cone = groebner_cone(I, w)
+        # a weight met before has its cone in seen already, or rejected
+        if w in popped:
+            continue
+        popped.add(w)
+        Iw = I.local_at(w)
+        cone = groebner_cone(Iw, w)
         key = (cone.eq, cone.ineq)
         if key in seen:
             continue
@@ -230,7 +234,8 @@ def trop_enumerate(I, budget=128, seed=0):
         sample = cone.interior_point()
         if sample is None or any(x <= 0 for x in sample):
             continue
-        result = trop_member(I, TropQuery(sample))
+        # a sample equal to w reuses the basis of the cone
+        result = trop_member(Iw, TropQuery(sample))
         seen[key] = TropCone(cone, sample, result.member, result.initial)
         if w is start:
             # a start on a lower-dimensional cone has no facet leading to

@@ -22,11 +22,12 @@ from .ideals import (
     normal_form,
     presentation,
 )
-from .linalg import find_strict_point, primitive_row
+from .linalg import find_strict_point, mat_rank, primitive_row
 from .polyring import (
     INF,
     OrderDescriptor,
     Polynomial,
+    PolyRing,
     initial_form,
     inject,
     w_order,
@@ -60,20 +61,22 @@ class InitialData:
 def initial_ideal(I, w):
     """Initial data of I at the positive weight vector w.
 
-    A standard basis of I under the weight-first local order is computed;
-    the initial forms of its elements generate the initial ideal.
+    A standard basis of I under the weight-first local order is computed,
+    or reused when I is already presented under that order; the initial
+    forms of its elements generate the initial ideal.
     """
     if not isinstance(I, IdealPresentation):
         raise UsageError("expected an ideal presentation")
-    order = OrderDescriptor(tuple(w), "local")
-    if len(order.weights) != len(I.ring.vars):
+    w = tuple(w)
+    if len(w) != len(I.ring.vars):
         raise UsageError("weight length does not match the ring")
-    local = IdealPresentation(I.ring, I.generators, order)
+    local = I.local_at(w)
+    weights = local.order.weights
     basis = local.standard_basis()
     inits = []
     seen = set()
     for g in basis:
-        form = initial_form(g, order.weights)
+        form = initial_form(g, weights)
         key = tuple(sorted(form.coeffs))
         if key not in seen:
             seen.add(key)
@@ -81,7 +84,7 @@ def initial_ideal(I, w):
     if not inits:
         inits = [I.ring.zero()]
         basis = (I.ring.zero(),)
-    return InitialData(order.weights, tuple(basis), tuple(inits))
+    return InitialData(weights, tuple(basis), tuple(inits))
 
 
 class CosetValuationHandle:
@@ -195,8 +198,6 @@ class GroebnerCone:
         return find_strict_point(self.eq, self.ineq, self.ncols(), drop_degenerate=True)
 
     def dim(self):
-        from .linalg import mat_rank
-
         n = self.ncols()
         if self.interior_point() is None:
             return -1
@@ -278,8 +279,6 @@ def tensor_combine(I, J, w1, w2):
         ring1.field.height() > 0 or ring2.field.height() > 0
     ):
         raise UsageError("blocks must share a coefficient field")
-    from .polyring import PolyRing
-
     big = PolyRing(ring1.field, ring1.vars + ring2.vars)
     map1 = {i: i for i in range(len(ring1.vars))}
     off = len(ring1.vars)
@@ -294,10 +293,9 @@ def tensor_combine(I, J, w1, w2):
     block_inits = [inject(g, big, map1) for g in left.generators]
     block_inits += [inject(g, big, map2) for g in right.generators]
     total = initial_ideal(combined, w)
-    lhs = presentation(big, list(total.generators), "local", w)
     rhs = presentation(big, block_inits, "local", w)
     certificate = TensorCertificate(
-        initial_match=ideals_equal(lhs, rhs),
+        initial_match=ideals_equal(total.presentation(), rhs),
         left_monomial_free=left.is_monomial_free(),
         right_monomial_free=right.is_monomial_free(),
         combined_monomial_free=total.is_monomial_free(),
@@ -325,8 +323,4 @@ def init_additivity_check(I, f, w):
     if not ideals_equal(quotient, init_poly):
         raise UsageError("polynomial is a zerodivisor modulo the initial ideal")
     lhs = initial_ideal(I.with_extra([f]), weights)
-    left = presentation(I.ring, list(lhs.generators), "local", weights)
-    right = presentation(
-        I.ring, list(data.generators) + [f], "local", weights
-    )
-    return ideals_equal(left, right)
+    return ideals_equal(lhs.presentation(), data.presentation().with_extra([f]))

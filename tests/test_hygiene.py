@@ -1,4 +1,6 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+defines a top-level function or class nothing references, or imports inside
+a function body."""
 
 import ast
 from pathlib import Path
@@ -6,6 +8,7 @@ from pathlib import Path
 import troplift
 
 PACKAGE = Path(troplift.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def _imported_names(tree):
@@ -57,3 +60,83 @@ def test_no_unused_imports():
         for name, line in unused_imports(path.read_text()):
             found.append(f"{path.name}:{line}: {name}")
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def _names_in(node):
+    """Every name node uses: plain names, attributes, imported names."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            for alias in sub.names:
+                yield alias.name.split(".")[-1]
+
+
+def unreferenced_definitions(sources):
+    """(file, name) of each top-level function or class of the files in
+    sources ({file: (source, defines)}) that no file references outside
+    the definition itself; only files with defines set are checked."""
+    defined = []
+    uses = []  # (file, owner definition or None, names used)
+    for file, (source, defines) in sources.items():
+        for node in ast.parse(source).body:
+            owner = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = node.name
+                if defines:
+                    defined.append((file, node.name))
+            uses.append((file, owner, set(_names_in(node))))
+    return [
+        (file, name)
+        for file, name in defined
+        if not any(name in names and (f, o) != (file, name) for f, o, names in uses)
+    ]
+
+
+def test_scan_finds_an_unreferenced_definition():
+    sources = {
+        "a.py": ("def used():\n    pass\n\ndef dead():\n    dead()\n\nclass C:\n    pass\n", True),
+        "b.py": ("from a import C\nused()\n", False),
+    }
+    assert unreferenced_definitions(sources) == [("a.py", "dead")]
+
+
+def test_no_unreferenced_definitions():
+    sources = {p.name: (p.read_text(), True) for p in PACKAGE.glob("*.py")}
+    for p in TESTS.glob("*.py"):
+        sources["tests/" + p.name] = (p.read_text(), False)
+    found = [f"{file}: {name}" for file, name in unreferenced_definitions(sources)]
+    assert not found, "unreferenced definitions:\n" + "\n".join(found)
+
+
+# the one deferred import: sympy loads on first factorization
+_LOCAL_IMPORTS_ALLOWED = {("scalars.py", "_factor_rational_squarefree", "sympy")}
+
+
+def local_imports(source):
+    """(function, imported module) for each import inside a function body."""
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Import):
+                    out += [(fn.name, alias.name) for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    out.append((fn.name, "." * node.level + (node.module or "")))
+    return out
+
+
+def test_scan_finds_a_local_import():
+    src = "import os\ndef f():\n    import random\n    from .x import y\n"
+    assert local_imports(src) == [("f", "random"), ("f", ".x")]
+
+
+def test_no_function_local_imports():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn, module in local_imports(path.read_text()):
+            if (path.name, fn, module) not in _LOCAL_IMPORTS_ALLOWED:
+                found.append(f"{path.name}: {fn} imports {module}")
+    assert not found, "function-local imports:\n" + "\n".join(found)

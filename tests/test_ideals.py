@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from troplift import ideals
-from troplift.errors import InternalInvariantError, UsageError
+from troplift.errors import InternalInvariantError, UsageError, WitnessSearchError
 from troplift.ideals import (
     contains_monomial,
     dimension,
@@ -33,7 +33,14 @@ from troplift.polyring import (
     leading_term,
     substitute_scalars,
 )
-from troplift.scalars import NumberField, ValueScalar, _scalar_div, as_field_element
+from troplift.scalars import (
+    NumberField,
+    ValueScalar,
+    _scalar_div,
+    _scalar_is_zero,
+    as_field_element,
+    scalar_str,
+)
 
 
 def _ring(*names):
@@ -389,6 +396,86 @@ def test_torus_point_respects_monomial_freeness():
     R = _ring("x", "y")
     with pytest.raises(UsageError):
         torus_point(_ideal(R, ["x*y"]))
+
+
+def _old_torus_point(J, seed=0, max_attempts=16, start_attempt=0):
+    """torus_point as it was with max_attempts and start_attempt: the
+    reference for torus_attempts."""
+    flag, wit = contains_monomial(J)
+    if flag:
+        raise UsageError(f"ideal contains the monomial {wit}; no torus point")
+    ring = J.ring
+    n = ring.nvars()
+    Jg = ideals._as_global(J)
+    basis = Jg.standard_basis()
+    if not basis:
+        values = ideals._slice_values(seed, start_attempt, n)
+        return ideals.TorusWitness(tuple(values), ring.field, seed, start_attempt)
+    indep = ideals._independent_set(basis, Jg.order, n)
+    for attempt in range(start_attempt, start_attempt + max_attempts):
+        values = ideals._slice_values(seed, attempt, len(indep))
+        assignment = {i: v for i, v in zip(indep, values)}
+        remaining = [i for i in range(n) if i not in assignment]
+        found = ideals._solve_zero_dim(ring, list(basis), remaining, assignment)
+        if found is None:
+            continue
+        point = tuple(found[i] for i in range(n))
+        if any(_scalar_is_zero(x) for x in point):
+            continue
+        ok = True
+        for g in J.generators:
+            if not substitute_scalars(g, found).is_zero:
+                ok = False
+                break
+        if ok:
+            return ideals.TorusWitness(point, ring.field, seed, attempt + 1)
+    raise WitnessSearchError(
+        f"no torus point found in {max_attempts} attempts (seed {seed})"
+    )
+
+
+def _point_text(point):
+    return None if point is None else tuple(scalar_str(c) for c in point)
+
+
+def test_torus_attempts_match_the_old_restarted_search():
+    rng = random.Random(20261018)
+    # the all-ones attempt 0 gives z = 0 on x - y + z: no point there
+    texts = [["x*y - z^2", "x + y + z"], ["x^2 - 2*y^2"], ["x - y + z"]]
+    for _ in range(3):
+        a, b, c = (rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(3))
+        texts.append([f"{a}*x*y {b:+d}*z^2 {c:+d}*x*z"])
+        texts.append([f"x*y {a:+d}*z^2", f"{b}*x {c:+d}*y + z"])
+    for gens in texts:
+        seed = rng.randint(0, 50)
+        # separate fields: root adjunction extends the field of the ring
+        J_old = _ideal(_ring("x", "y", "z"), gens)
+        J_new = _ideal(_ring("x", "y", "z"), gens)
+        if contains_monomial(J_old)[0]:
+            continue
+        old = []
+        for a in range(25):
+            try:
+                wit = _old_torus_point(J_old, seed, max_attempts=1, start_attempt=a)
+                old.append(_point_text(wit.point))
+            except WitnessSearchError:
+                old.append(None)
+        new = []
+        for attempt, point in ideals.torus_attempts(J_new, seed):
+            new.append(_point_text(point))
+            if attempt == 24:
+                break
+        assert new == old, gens
+        first = next((k for k, p in enumerate(old[:16]) if p is not None), None)
+        if first is None:
+            with pytest.raises(WitnessSearchError):
+                torus_point(J_new, seed)
+        else:
+            wit = torus_point(J_new, seed)
+            assert _point_text(wit.point) == old[first]
+            assert wit.attempts == first + 1
+            later = ideals.torus_attempts(J_new, seed, start=wit.attempts)
+            assert next(later)[0] == first + 1
 
 
 def _random_ideal(R, rng, count=2, terms=3, deg=2):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from troplift import ideals
 from troplift.errors import NonMemberError, UsageError
 from troplift.ideals import dimension, ideal_member, presentation
 from troplift.lifting import (
@@ -312,3 +313,36 @@ def test_lift_deterministic():
     a = lift_point(LiftProblem(I, (1, 1), 5))
     b = lift_point(LiftProblem(I, (1, 1), 5))
     assert tuple(str(s) for s in a.point) == tuple(str(s) for s in b.point)
+
+
+def test_lift_computes_each_local_basis_once(monkeypatch):
+    """Membership, descent and parameter choice share the presentation
+    local at w, and the torus points of each sliced ideal come from one
+    sequence with one monomial check."""
+    keys = []
+    mora = ideals._mora_std
+
+    def counting_mora(gens, order):
+        gens = list(gens)
+        keys.append(
+            (order.weights, tuple(tuple(sorted(g.coeffs.items())) for g in gens))
+        )
+        return mora(gens, order)
+
+    checked = []
+    contains = ideals.contains_monomial
+
+    def counting_contains(J):
+        checked.append((J.ring.vars, J.generators))
+        return contains(J)
+
+    monkeypatch.setattr(ideals, "_mora_std", counting_mora)
+    monkeypatch.setattr(ideals, "contains_monomial", counting_contains)
+    R = _ring("x", "y", "z")
+    problem = LiftProblem(presentation(R, [_p(R, "x + y + z")]), (1, 1, 2), 3)
+    res = lift_point(problem)
+    assert verify_lift(res).ok()
+    assert len(res.descents) == 1
+    assert keys and len(set(keys)) == len(keys)
+    # torus_point is the only caller inside troplift.ideals
+    assert len(checked) == len(res.descents) == len(set(checked))

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from troplift import ideals
 from troplift.errors import UsageError
 from troplift.ideals import ideal_member, ideals_equal, presentation
 from troplift.parsing import parse_poly
@@ -297,3 +298,30 @@ def test_init_additivity_rejects_inhomogeneous():
     I = _ideal(R, ["x + y"], (1, 1))
     with pytest.raises(UsageError):
         init_additivity_check(I, _p(R, "x + y^2"), (1, 1))
+
+
+def test_initial_ideal_reuses_a_presentation_local_at_the_weight(monkeypatch):
+    R = _ring("x", "y")
+    I = _ideal(R, ["y^2 - x^3", "x*y^2 + y^3"], (2, 3))
+    weights = []
+    mora = ideals._mora_std
+
+    def counting(gens, order):
+        weights.append(order.weights)
+        return mora(gens, order)
+
+    monkeypatch.setattr(ideals, "_mora_std", counting)
+    basis = I.standard_basis()
+    assert len(weights) == 1
+    assert I.local_at((2, 3)) is I
+    data = initial_ideal(I, (2, 3))
+    assert len(weights) == 1
+    assert data.basis == basis
+    # a proportional weight orders alike but is presented anew
+    J = I.local_at((4, 6))
+    assert J is not I and J.generators == I.generators
+    initial_ideal(I, (4, 6))
+    assert weights[1:] == [(ValueScalar(4), ValueScalar(6))]
+    # so is a global presentation of the same generators
+    G = _as_global(R, I.generators)
+    assert G.local_at((2, 3)) is not G
