@@ -381,17 +381,27 @@ def _hull_at(hull, i):
     raise InternalInvariantError("abscissa outside the polygon")
 
 
-def _taylor_shift(coeffs, shift, field, mode):
+def _taylor_shift(coeffs, c, omega, field, mode):
+    """Coefficients of p(z + c*t^omega) for p = sum coeffs[i] z^i.
+
+    Coefficient j is the sum over i >= j of
+    comb(i, j) * c^(i-j) * t^((i-j)*omega) * coeffs[i], built in one pass
+    from the terms of the coeffs[i]; it is known below the least
+    coeffs[i].truncation + (i-j)*omega.
+    """
     d = len(coeffs) - 1
-    powers = [ValuedSeries.constant(field, 1, mode)]
+    c_pows, w_pows = [Fraction(1)], [ValueScalar(0)]
     for _ in range(d):
-        powers.append(powers[-1] * shift)
+        c_pows.append(c_pows[-1] * c)
+        w_pows.append(w_pows[-1] + omega)
     out = []
     for j in range(d + 1):
-        acc = ValuedSeries.zero(field, INF, mode)
+        terms, trunc = [], INF
         for i in range(j, d + 1):
-            acc = acc + coeffs[i].scale(comb(i, j)) * powers[i - j]
-        out.append(acc)
+            scale, offset = comb(i, j) * c_pows[i - j], w_pows[i - j]
+            terms.extend((e + offset, a * scale) for e, a in coeffs[i].terms)
+            trunc = min(trunc, coeffs[i].truncation + offset)
+        out.append(ValuedSeries(field, terms, trunc, mode))
     return out
 
 
@@ -416,7 +426,9 @@ def newton_puiseux(coeffs, N, mode="puiseux"):
             raise UsageError("coefficient mode does not match")
     N = as_value(N)
     if N is INF:
-        raise UsageError("weights must be finite here")
+        raise UsageError("the precision target must be finite")
+    if N.sign() <= 0:
+        raise UsageError("the precision target must be positive")
     budget = [_NP_NODE_LIMIT]
     acc = ValuedSeries.zero(field, INF, mode)
     return _np_rec(coeffs, N, mode, field, acc, None, budget)
@@ -487,7 +499,7 @@ def _np_rec(coeffs, N, mode, field, acc, slope_bound, budget):
         _, phi_roots = roots_in_extension(field, phi)
         for root_c, mult in phi_roots:
             shift = ValuedSeries.monomial(field, omega, root_c, mode)
-            new_coeffs = _taylor_shift(coeffs, shift, field, mode)
+            new_coeffs = _taylor_shift(coeffs, root_c, omega, field, mode)
             branch = _np_rec(
                 new_coeffs, N, mode, field, acc + shift, omega, budget
             )

@@ -209,7 +209,10 @@ class ValueScalar:
     def _cmp(self, other) -> int:
         if other is INF:
             return -1
-        return (self - ValueScalar.of(other)).sign()
+        other = ValueScalar.of(other)
+        if self.d == 1 and other.d == 1:  # both rational: b is folded into a
+            return (self.a > other.a) - (self.a < other.a)
+        return (self - other).sign()
 
     def __eq__(self, other):
         if other is INF:

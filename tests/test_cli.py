@@ -162,6 +162,31 @@ def test_np_solve_insufficient_truncation():
     assert err.startswith("capability limit:")
 
 
+def test_np_solve_goldens():
+    for argv, want in (
+        (["np-solve", "--coeffs=-2*t^(2);0;1", "--N", "4"],
+         "root=-a1*t^(1)\nroot=a1*t^(1)\nroots=2\n"),
+        (["np-solve", "--mode", "hahn", "--d", "2",
+          "--coeffs=-t^(2*sqrt(2));0;1", "--N", "4"],
+         "root=-t^(sqrt(2))\nroot=t^(sqrt(2))\nroots=2\n"),
+        (["np-solve", "--coeffs=-t^(2)+O(t^(9));t^(3);1", "--N", "4"],
+         "root=-t^(1) - 1/2*t^(3) + O(t^(5))\n"
+         "root=t^(1) - 1/2*t^(3) + O(t^(5))\nroots=2\n"),
+    ):
+        assert cap(argv) == (0, want, ""), argv
+
+
+def test_np_solve_precision_target_checks():
+    base = ["np-solve", "--coeffs=-t^(2);0;1", "--N"]
+    assert cap(base + ["inf"]) == (
+        2, "", "usage error: the precision target must be finite\n"
+    )
+    for N in ("0", "-1"):
+        assert cap(base + [N]) == (
+            2, "", "usage error: the precision target must be positive\n"
+        )
+
+
 def test_verify_pass_and_fail():
     base = ["verify", "--vars", "x,y", "--ideal", "y^2-x^3",
             "--w", "2,3", "--N", "10"]

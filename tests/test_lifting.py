@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -10,6 +11,7 @@ from troplift.errors import NonMemberError, UsageError
 from troplift.ideals import dimension, ideal_member, presentation
 from troplift.lifting import (
     LiftProblem,
+    _taylor_shift,
     descend,
     lift_point,
     newton_puiseux,
@@ -18,7 +20,7 @@ from troplift.lifting import (
 )
 from troplift.parsing import parse_poly
 from troplift.polyring import INF, PolyRing, initial_form
-from troplift.scalars import NumberField, ValueScalar, cmp_value
+from troplift.scalars import NumberField, ValueScalar, adjoin_root, cmp_value
 from troplift.series import AtLeast, ValuedSeries, substitute, valuation
 from troplift.tropical import trop_member
 
@@ -205,6 +207,104 @@ def test_newton_puiseux_multiple_root():
     roots = newton_puiseux(coeffs, 8)
     assert len(roots) == 2
     assert all(r.coefficient(1) == 1 for r in roots)
+
+
+def _taylor_shift_by_products(coeffs, shift, field, mode):
+    """p(z + shift) from series powers and products: the reference."""
+    d = len(coeffs) - 1
+    powers = [ValuedSeries.constant(field, 1, mode)]
+    for _ in range(d):
+        powers.append(powers[-1] * shift)
+    out = []
+    for j in range(d + 1):
+        acc = ValuedSeries.zero(field, INF, mode)
+        for i in range(j, d + 1):
+            acc = acc + coeffs[i].scale(comb(i, j)) * powers[i - j]
+        out.append(acc)
+    return out
+
+
+def _random_exponent(rng, mode):
+    a = Fraction(rng.randint(0, 6), rng.choice([1, 2, 3]))
+    if mode == "hahn" and rng.random() < 0.5:
+        return ValueScalar(a, Fraction(rng.randint(0, 3), rng.choice([1, 2])), 2)
+    return ValueScalar(a)
+
+
+def _random_coefficient(rng, field, mode, scalars):
+    kind = rng.random()
+    if kind < 0.15:
+        return ValuedSeries.zero(field, INF, mode)
+    trunc = INF
+    if kind < 0.5:
+        trunc = _random_exponent(rng, mode) + rng.randint(1, 4)
+    if kind < 0.25:
+        return ValuedSeries(field, [], trunc, mode)
+    terms = [
+        (_random_exponent(rng, mode), rng.choice(scalars))
+        for _ in range(rng.randint(1, 4))
+    ]
+    return ValuedSeries(field, terms, trunc, mode)
+
+
+def test_taylor_shift_matches_series_products():
+    """The one-pass monomial shift equals p(z + c*t^omega) built from
+    series products, terms and truncations alike."""
+    rng = random.Random(2013)
+    for mode in ("puiseux", "hahn"):
+        for _ in range(60):
+            field = NumberField()
+            scalars = [Fraction(k, rng.choice([1, 2])) for k in (-3, -1, 1, 2)]
+            if rng.random() < 0.5:
+                field, a1 = adjoin_root(field, [Fraction(-2), 0, Fraction(1)])
+                scalars += [a1, 1 - 2 * a1]
+            coeffs = [
+                _random_coefficient(rng, field, mode, scalars)
+                for _ in range(rng.randint(1, 5))
+            ]
+            c = rng.choice(scalars)
+            omega = _random_exponent(rng, mode) + Fraction(1, rng.randint(1, 3))
+            shift = ValuedSeries.monomial(field, omega, c, mode)
+            got = _taylor_shift(coeffs, c, omega, field, mode)
+            want = _taylor_shift_by_products(coeffs, shift, field, mode)
+            assert len(got) == len(want)
+            for g, h in zip(got, want):
+                assert g == h, (coeffs, c, omega)
+                assert cmp_value(g.truncation, h.truncation) == 0
+                assert str(g) == str(h)
+
+
+def test_newton_puiseux_hahn_product_of_known_factors():
+    """Hahn mode: the roots of a product of known factors with exponents
+    in Q + Q*sqrt(2) are those factors, one root per factor."""
+    rng = random.Random(42)
+    N = ValueScalar(6)
+    for _ in range(20):
+        field = NumberField()
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            lead = ValueScalar(rng.randint(0, 2), rng.randint(1, 2), 2)
+            terms = [(lead, Fraction(rng.choice([-3, -2, -1, 1, 2, 3])))]
+            if rng.random() < 0.6:
+                step = ValueScalar(rng.randint(0, 2), 1, 2)
+                terms.append((lead + step, Fraction(rng.randint(1, 4))))
+            factors.append(ValuedSeries(field, terms, INF, "hahn"))
+        coeffs = [ValuedSeries.constant(field, 1, "hahn")]
+        for s in factors:
+            nxt = [ValuedSeries.zero(field, INF, "hahn")] * (len(coeffs) + 1)
+            for i, c in enumerate(coeffs):
+                nxt[i + 1] = nxt[i + 1] + c
+                nxt[i] = nxt[i] + c * (-s)
+            coeffs = nxt
+        roots = newton_puiseux(coeffs, N, "hahn")
+        assert len(roots) == len(factors)
+        free = list(roots)
+        for f in factors:
+            want = f.truncate(N).terms
+            hits = [r for r in free if r.truncate(N).terms == want]
+            assert hits, (f, roots)
+            assert cmp_value(hits[0].truncation, N) >= 0
+            free.remove(hits[0])
 
 
 def test_lift_cusp_exact():

@@ -69,6 +69,51 @@ def test_order_compatible_with_addition():
             assert cmp_value(a + c, b + c) < 0
 
 
+def _cmp_by_difference(x, y):
+    """Three-way comparison from the sign of x - y: the reference."""
+    if y is INF:
+        return -1
+    return (x - ValueScalar.of(y)).sign()
+
+
+def test_cmp_fast_path_agrees_with_difference_sign():
+    rng = random.Random(2013)
+
+    def rational():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+    def pair():
+        kind = rng.randrange(5)
+        x = ValueScalar(rational())
+        if kind == 0:  # both rational, b folded into a
+            return x, ValueScalar(rational(), rational(), 1)
+        if kind == 1:  # both in sqrt(2)
+            return ValueScalar(rational(), rational(), 2), ValueScalar(
+                rational(), rational(), 2
+            )
+        if kind == 2:  # rational against sqrt(3)
+            y = ValueScalar(rational(), rng.randint(-2, 2), 3)
+            return (x, y) if rng.random() < 0.5 else (y, x)
+        if kind == 3:  # int and Fraction operands
+            return x, rng.choice([rng.randint(-3, 3), rational()])
+        return ValueScalar(rational(), rational(), rng.choice([1, 2])), INF
+
+    for _ in range(2000):
+        x, y = pair()
+        want = _cmp_by_difference(x, y)
+        assert x._cmp(y) == want, (x, y)
+        assert (x == y) == (want == 0), (x, y)
+        assert (x < y) == (want < 0), (x, y)
+        if want == 0:
+            assert hash(x) == hash(y), (x, y)
+    with pytest.raises(UsageError):
+        ValueScalar(0, 1, 2)._cmp(ValueScalar(0, 1, 3))
+    with pytest.raises(UsageError):
+        ValueScalar(1, 1, 2) == ValueScalar(1, 1, 3)
+    with pytest.raises(UsageError):
+        ValueScalar(1, 1, 2) < ValueScalar(1, 1, 3)
+
+
 def test_mixed_radicals_rejected():
     with pytest.raises(UsageError):
         ValueScalar(0, 1, 2) + ValueScalar(0, 1, 3)
