@@ -1,18 +1,19 @@
 """Ideal presentations and standard basis computations.
 
 One standard basis engine, the S-pair loop, serves both kinds of order;
-only its normal form, its pair selection and its finishing step change
-(Greuel-Pfister, *A Singular Introduction to Commutative Algebra*, 1.7 and
-2.3).  Global orders use full division by the basis and end with a full
-interreduction (Buchberger's algorithm).  Local orders use Mora's
-tangent-cone normal form with the smallest-ecart divisor rule, which
+only its normal form and its pair selection change (Greuel-Pfister, *A
+Singular Introduction to Commutative Algebra*, 1.7 and 2.3).  Global orders
+use full division by the basis (Buchberger's algorithm).  Local orders use
+Mora's tangent-cone normal form with the smallest-ecart divisor rule, which
 terminates on polynomial input and decides membership in the power series
-ring, and end with a capped tail reduction.  Basis elements are carried as
+ring.  Both finish alike: each tail is divided once by the other minimal
+basis elements, fully for global orders, which gives the reduced basis, and
+for at most 200 reductions for local ones.  Basis elements are carried as
 records of the element and its leading data, computed once.  One division
-routine, ``divide``, tracks quotients and serves global normal forms,
-exact division and w-homogeneous division alike.  Everything downstream
-(saturation, quotients, dimension, monomial detection, torus points)
-reduces to this engine.
+routine, ``divide``, a descending heap pass that tracks quotients, serves
+global normal forms, exact division, w-homogeneous division and the tail
+reductions alike.  Everything downstream (saturation, quotients, dimension,
+monomial detection, torus points) reduces to this engine.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .scalars import (
 )
 
 _MAX_REDUCTION_STEPS = 50000
+_TAIL_STEP_CAP = 200
 
 
 def _ecart(f: Polynomial, order: OrderDescriptor):
@@ -182,55 +184,69 @@ def presentation(ring, gens, mode="global", weights=None):
 # -- division ---------------------------------------------------------------
 
 
-def divide(f: Polynomial, records, order: OrderDescriptor):
-    """Full division of f by the polynomials of the records (see
-    lead_records): (quotients, remainder) with f = sum q_i g_i + remainder
-    and no remainder monomial divisible by a leading monomial.
+def divide(f: Polynomial, records, order: OrderDescriptor, max_steps=None):
+    """Division of f by the polynomials of the records (see lead_records):
+    (quotients, remainder) with f = sum q_i g_i + remainder.
 
-    Each step uses the first divisor whose leading monomial divides the
-    leading monomial of the running polynomial.  Terminates for global
-    orders, and for w-homogeneous input under a local order, since a fixed
-    weight level carries finitely many monomials.  Leading monomials
-    strictly decrease, so every quotient and remainder monomial is written
-    once.
+    One descending pass: the monomials of the running polynomial pop from a
+    heap, largest first under the order's key, and each is reduced by the
+    first record whose leading monomial divides it, or else moves to the
+    remainder.  A reduction at m only creates terms below m, so each
+    monomial pops once, and every quotient and remainder monomial is written
+    once.  The pass ends for global orders, and for w-homogeneous input
+    under a local order, since a fixed weight level carries finitely many
+    monomials; then no remainder monomial is divisible by a leading
+    monomial.  With max_steps the pass stops silently after that many
+    reductions and the unreduced rest joins the remainder; without it, more
+    than _MAX_REDUCTION_STEPS reductions raise.
     """
     quots = [{} for _ in records]
     rem = {}
     h = dict(f.coeffs)
+    heap = []
+
+    def push(m):
+        # negated keys: heapq pops the largest monomial of the order first
+        k0, k1, rev = order.key(m)
+        heapq.heappush(heap, ((-k0, -k1, tuple([-e for e in rev])), m))
+
+    for m in h:
+        push(m)
     steps = 0
-    while h:
-        steps += 1
-        if steps > _MAX_REDUCTION_STEPS:
-            raise InternalInvariantError("division did not terminate")
-        m = max(h, key=order.key)
-        c = h.pop(m)
+    while heap and steps != max_steps:
+        m = heapq.heappop(heap)[1]
+        c = h.pop(m, None)
+        if c is None:
+            continue
         for q, (g, mg, cg, _) in zip(quots, records):
             if expo_divides(mg, m):
-                shift = expo_sub(m, mg)
-                coef = _scalar_div(c, cg)
-                q[shift] = coef
-                _subtract_tail(h, g, mg, shift, coef)
                 break
         else:
             rem[m] = c
+            continue
+        steps += 1
+        if steps > _MAX_REDUCTION_STEPS:
+            raise InternalInvariantError("division did not terminate")
+        shift = expo_sub(m, mg)
+        coef = q[shift] = _scalar_div(c, cg)
+        # h -= coef * x^shift * (g minus its leading term)
+        for mo, co in g.coeffs.items():
+            if mo == mg:
+                continue
+            mt = expo_add(mo, shift)
+            v = h.get(mt)
+            if v is None:
+                push(mt)
+                h[mt] = -(co * coef)
+            else:
+                v = v - co * coef
+                if _scalar_is_zero(v):
+                    del h[mt]
+                else:
+                    h[mt] = v
+    rem.update(h)
     ring = f.ring
     return [Polynomial(ring, q) for q in quots], Polynomial(ring, rem)
-
-
-def _subtract_tail(h, g, mg, shift, coef):
-    """h -= coef * x^shift * (g minus its leading term mg), in place on the
-    coefficient dict h; the caller has removed the term the leading term
-    cancels exactly."""
-    for mo, co in g.coeffs.items():
-        if mo == mg:
-            continue
-        mt = expo_add(mo, shift)
-        v = h.get(mt)
-        v = -(co * coef) if v is None else v - co * coef
-        if _scalar_is_zero(v):
-            del h[mt]
-        else:
-            h[mt] = v
 
 
 def _full_nf(f, records, order):
@@ -331,36 +347,15 @@ def _spair_loop(gens, order, nf, pair):
 
 
 def _buchberger(gens, order):
-    """Buchberger's algorithm: full division, coprime pairs skipped, and a
-    fully interreduced basis in ascending order."""
-    G, reductions = _spair_loop(gens, order, _full_nf, _global_pair)
-    # full interreduction (terminates for global orders)
-    changed = True
-    rounds = 0
-    while changed and rounds < 100:
-        changed = False
-        rounds += 1
-        for i in range(len(G)):
-            r = _full_nf(G[i][0], G[:i] + G[i + 1 :], order)
-            if r.is_zero:
-                G.pop(i)
-                changed = True
-                break
-            rec = _entry(r, order)
-            if rec[0] != G[i][0]:
-                G[i] = rec
-                changed = True
-    G.sort(key=lambda r: order.key(r[1]))
-    return [r[0] for r in G], reductions, _is_reduced(G)
+    """Buchberger's algorithm: full division, coprime pairs skipped, and the
+    reduced basis in ascending order."""
+    return _finish(*_spair_loop(gens, order, _full_nf, _global_pair), order)
 
 
 def _mora_std(gens, order):
-    """Mora's algorithm: tangent-cone normal form, every pair reduced, and
-    a capped tail reduction; the basis is in descending order."""
-    G, reductions = _spair_loop(gens, order, _mora_nf, _local_pair)
-    G = [_tail_reduce_local(i, G, order) for i in range(len(G))]
-    G.sort(key=lambda r: order.key(r[1]), reverse=True)
-    return [r[0] for r in G], reductions, _is_reduced(G)
+    """Mora's algorithm: tangent-cone normal form, every pair reduced, and a
+    capped tail reduction; the basis is in descending order."""
+    return _finish(*_spair_loop(gens, order, _mora_nf, _local_pair), order)
 
 
 def _minimalize(G):
@@ -376,51 +371,30 @@ def _minimalize(G):
     return out
 
 
-def _tail_reduce_local(idx, G, order, max_steps=200):
-    """Reduce the tail of G[idx] by the other records, in at most max_steps
-    steps, each at the largest tail monomial divisible by a leading monomial
-    (the first such record reduces it).  A step at m only creates terms
-    below m, so one descending pass over a heap of tail monomials visits
-    each monomial once.  The record keeps its leading monomial and
-    coefficient; nothing reads the ecart after this step, and the returned
-    record carries none."""
+def _finish(G, reductions, order):
+    """The last step of both algorithms, on the minimalized records: every
+    tail is divided once by the other records, and the records are sorted,
+    ascending for global orders and descending for local ones.  For a
+    global order the result is the reduced basis: the leading monomials do
+    not change, so each tail's remainder is its unique normal form.
+    Returns (basis, reductions, whether the basis is reduced)."""
+    G = [_tail_reduce(i, G, order) for i in range(len(G))]
+    G.sort(key=lambda r: order.key(r[1]), reverse=order.mode == "local")
+    return [r[0] for r in G], reductions, _is_reduced(G)
+
+
+def _tail_reduce(idx, G, order):
+    """The record G[idx] with its tail replaced by the remainder of its
+    division by the other records.  A local tail need not reduce in
+    finitely many steps, so its division stops after _TAIL_STEP_CAP
+    reductions.  The leading term stays; nothing reads the ecart after this
+    step, and the returned record carries none."""
     g, lead_m, lead_c, _ = G[idx]
-    others = G[:idx] + G[idx + 1 :]
-    if not others:
-        return g, lead_m, lead_c, None
-    h = dict(g.coeffs)
-    heap = []
-    queued = set()
-
-    def push(m):
-        # negated keys: heapq pops the largest monomial of the order first
-        k0, k1, rev = order.key(m)
-        heapq.heappush(heap, ((-k0, -k1, tuple([-e for e in rev])), m))
-        queued.add(m)
-
-    for m in h:
-        if m != lead_m:
-            push(m)
-    steps = 0
-    while heap and steps < max_steps:
-        m = heapq.heappop(heap)[1]
-        c = h.get(m)
-        if c is None:
-            continue
-        for og, om, oc, _ in others:
-            if expo_divides(om, m):
-                break
-        else:
-            continue
-        steps += 1
-        shift = expo_sub(m, om)
-        del h[m]
-        _subtract_tail(h, og, om, shift, _scalar_div(c, oc))
-        for mo in og.coeffs:
-            mt = expo_add(mo, shift)
-            if mt not in queued and mt in h:
-                push(mt)
-    return Polynomial(g.ring, h), lead_m, lead_c, None
+    tail = dict(g.coeffs)
+    del tail[lead_m]
+    cap = _TAIL_STEP_CAP if order.mode == "local" else None
+    _, r = divide(Polynomial(g.ring, tail), G[:idx] + G[idx + 1 :], order, cap)
+    return Polynomial(g.ring, {lead_m: lead_c, **r.coeffs}), lead_m, lead_c, None
 
 
 def _is_reduced(G):

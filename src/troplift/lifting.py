@@ -429,15 +429,31 @@ def newton_puiseux(coeffs, N, mode="puiseux"):
         raise UsageError("the precision target must be finite")
     if N.sign() <= 0:
         raise UsageError("the precision target must be positive")
-    budget = [_NP_NODE_LIMIT]
-    acc = ValuedSeries.zero(field, INF, mode)
-    return _np_rec(coeffs, N, mode, field, acc, None, budget)
+    # depth-first walk of the Newton polygon tree on an explicit stack of
+    # node generators, so the depth is bounded by the node budget alone
+    budget = _NP_NODE_LIMIT
+    stack, roots = [], None
+    child = (coeffs, ValuedSeries.zero(field, INF, mode), None)
+    while True:
+        if child is not None:
+            budget -= 1
+            if budget < 0:
+                raise CapabilityError("root search exceeded its node budget")
+            stack.append(_np_node(*child, N, mode, field))
+            roots = None
+        try:
+            child = stack[-1].send(roots)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            child, roots = None, done.value
 
 
-def _np_rec(coeffs, N, mode, field, acc, slope_bound, budget):
-    budget[0] -= 1
-    if budget[0] < 0:
-        raise CapabilityError("root search exceeded its node budget")
+def _np_node(coeffs, acc, slope_bound, N, mode, field):
+    """One node of the Newton polygon tree, as a generator: it yields
+    (coeffs, acc, slope bound) for each child branch in turn, is sent that
+    branch's roots, and returns the roots of the node."""
     certain = [i for i, c in enumerate(coeffs) if c.terms]
     if not certain:
         if all(c.is_exact_zero for c in coeffs):
@@ -500,9 +516,7 @@ def _np_rec(coeffs, N, mode, field, acc, slope_bound, budget):
         for root_c, mult in phi_roots:
             shift = ValuedSeries.monomial(field, omega, root_c, mode)
             new_coeffs = _taylor_shift(coeffs, root_c, omega, field, mode)
-            branch = _np_rec(
-                new_coeffs, N, mode, field, acc + shift, omega, budget
-            )
+            branch = yield new_coeffs, acc + shift, omega
             if len(branch) != mult:
                 raise InternalInvariantError(
                     "edge branch returned %d roots, expected %d"

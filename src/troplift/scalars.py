@@ -903,16 +903,20 @@ def adjoin_root(field, coeffs, name=None):
     if linear:
         roots = sorted((_demote(-f[0]) for f in linear), key=_scalar_sort_key)
         return field, roots[0]
+    return field, _adjoin_factor(field, factors[0][0], name)
+
+
+def _adjoin_factor(field, fac, name=None):
+    """A root of the monic irreducible factor fac, adjoined as the next
+    tower level (named a<level> by default) within the height bound."""
     if field.height() >= _MAX_TOWER_HEIGHT:
         raise ExtensionUnsupportedError(
             f"extension unsupported: tower height {_MAX_TOWER_HEIGHT} reached; "
-            f"cannot adjoin a root of degree {_pdeg(factors[0][0])} factor"
+            f"cannot adjoin a root of degree {_pdeg(fac)} factor"
         )
-    fac = factors[0][0]
     if name is None:
         name = f"a{field.height() + 1}"
-    root = field.adjoin(name, fac)
-    return field, root
+    return field.adjoin(name, fac)
 
 
 def roots_in_extension(field, coeffs):
@@ -940,7 +944,7 @@ def roots_in_extension(field, coeffs):
             if len(f) == 2:
                 out.append((_demote(-f[0]), mult * m))
         if nonlinear:
-            field, _ = adjoin_root(field, nonlinear[0][0])
+            _adjoin_factor(field, nonlinear[0][0])
             for f, m in nonlinear:
                 pending.append((f, mult * m))
     merged: list[list] = []

@@ -331,14 +331,7 @@ def substitute(f, assignment):
         raise UsageError(
             "no series assigned to variable index %s" % sorted(missing)[0]
         )
-    powers = {}
-    total = ValuedSeries.zero(field, INF, mode)
-    for mono, coeff in sorted(f.coeffs.items()):
-        term = ValuedSeries.constant(field, coeff, mode)
-        for i, e in enumerate(mono):
-            if e:
-                term = term * _cached_power(powers, assignment, i, e)
-        total = total + term
+    total = _evaluate(field, mode, sorted(f.coeffs.items()), assignment, {})
     if total.truncation is not INF and total.truncation.sign() <= 0:
         raise InsufficientTruncationError(
             "substitution result is only known up to t^(%s)" % total.truncation
@@ -365,24 +358,24 @@ def poly_to_series_coeffs(f, var_index, assignment):
         degree = max(degree, mono[var_index])
     buckets = [[] for _ in range(degree + 1)]
     for mono, coeff in sorted(f.coeffs.items()):
-        k = mono[var_index]
-        rest = tuple(
-            0 if i == var_index else e for i, e in enumerate(mono)
-        )
-        buckets[k].append((rest, coeff))
+        rest = tuple(0 if i == var_index else e for i, e in enumerate(mono))
+        buckets[mono[var_index]].append((rest, coeff))
     powers = {}
-    out = []
-    for bucket in buckets:
-        total = ValuedSeries.zero(field, INF, mode)
-        for rest, coeff in bucket:
-            term = ValuedSeries.constant(field, coeff, mode)
-            for i, e in enumerate(rest):
-                if e:
-                    if i not in assignment:
-                        raise UsageError(
-                            "no series assigned to variable index %d" % i
-                        )
-                    term = term * _cached_power(powers, assignment, i, e)
-            total = total + term
-        out.append(total)
-    return out
+    return [_evaluate(field, mode, bucket, assignment, powers) for bucket in buckets]
+
+
+def _evaluate(field, mode, items, assignment, powers):
+    """The sum of coeff * prod assignment[i]^e over the (exponents, coeff)
+    items: one series from the terms of all the products, cut at their
+    least truncation.  Raises on an unassigned variable."""
+    terms, trunc = [], INF
+    for mono, coeff in items:
+        term = ValuedSeries.constant(field, coeff, mode)
+        for i, e in enumerate(mono):
+            if e:
+                if i not in assignment:
+                    raise UsageError("no series assigned to variable index %d" % i)
+                term = term * _cached_power(powers, assignment, i, e)
+        terms.extend(term.terms)
+        trunc = _min_value(trunc, term.truncation)
+    return ValuedSeries(field, terms, trunc, mode)

@@ -2,8 +2,14 @@
 
 import io
 import json
+from pathlib import Path
 
+from test_acceptance import _GOLDEN_ARGVS
 from troplift.cli import run
+
+# the cone at w=(1,1) whose ineq=-1,201 row, like init-ideal's y^201 + x,
+# comes from the 200-reduction cap on local tails
+_CAP_ARGV = ["cone", "--vars", "x,y", "--ideal", "x+y;x-y^2", "--w", "1,1"]
 
 
 def cap(argv):
@@ -323,3 +329,13 @@ def test_malformed_inputs_never_crash():
         ):
             code, _, _ = cap(argv)
             assert code in (1, 2, 3), (argv, code)
+
+
+def test_recorded_goldens_byte_identical():
+    """Exit code, stdout and stderr of criterion 11's argvs and _CAP_ARGV,
+    byte for byte as recorded in golden_cli.json."""
+    recorded = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
+    assert [entry["argv"] for entry in recorded] == _GOLDEN_ARGVS + [_CAP_ARGV]
+    for entry in recorded:
+        got = cap(entry["argv"])
+        assert got == (entry["exit"], entry["stdout"], entry["stderr"]), entry["argv"]

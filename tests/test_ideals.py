@@ -26,6 +26,7 @@ from troplift.ideals import (
 from troplift.parsing import parse_poly
 from troplift.polyring import (
     OrderDescriptor,
+    Polynomial,
     PolyRing,
     expo_divides,
     expo_sub,
@@ -167,6 +168,122 @@ def test_divide_exact_returns_quotient():
     assert q == q0
 
 
+def _divide_by_max_scan(f, records, order):
+    """divide as it was, the reference for the heap pass: each step rescans
+    the running polynomial for its largest monomial and reduces it by the
+    first record whose leading monomial divides it."""
+    quots = [{} for _ in records]
+    rem = {}
+    h = f
+    while not h.is_zero:
+        m = max(h.coeffs, key=order.key)
+        c = h.coeffs[m]
+        for q, (g, mg, cg, _) in zip(quots, records):
+            if expo_divides(mg, m):
+                q[expo_sub(m, mg)] = _scalar_div(c, cg)
+                h = h - g.mul_term(expo_sub(m, mg), _scalar_div(c, cg))
+                break
+        else:
+            rem[m] = c
+            h = h - Polynomial(f.ring, {m: c})
+    return [Polynomial(f.ring, q) for q in quots], Polynomial(f.ring, rem)
+
+
+def _assert_same_division(f, divisors, order):
+    records = lead_records(divisors, order)
+    quots, rem = divide(f, records, order)
+    want_quots, want_rem = _divide_by_max_scan(f, records, order)
+    assert [q.coeffs for q in quots] == [q.coeffs for q in want_quots], str(f)
+    assert rem.coeffs == want_rem.coeffs, str(f)
+
+
+_SQRT2 = ValueScalar(0, 1, 2)
+
+
+def test_divide_matches_max_scan_global():
+    rng = random.Random(2026)
+    R = _ring("x", "y", "z")
+    weights = [(0, 0, 0), (1, 0, 2), (2, 1, 1), (1, _SQRT2, 0)]
+
+    def monos(k, top):
+        return [tuple(rng.randint(0, top) for _ in range(3)) for _ in range(k)]
+
+    for _ in range(150):
+        w = rng.choice(weights)
+        order = OrderDescriptor([ValueScalar.of(x) for x in w], "global")
+        f = _random_poly(R, rng, monos(rng.randint(1, 8), 5))
+        k = rng.randint(1, 4)
+        divisors = [_random_poly(R, rng, monos(rng.randint(1, 3), 2)) for _ in range(k)]
+        _assert_same_division(f, divisors, order)
+
+
+def test_divide_matches_max_scan_weight_homogeneous_local():
+    rng = random.Random(2027)
+    R = _ring("x", "y", "z")
+    w = (1, 2, 3)
+    order = OrderDescriptor([ValueScalar(x) for x in w], "local")
+
+    def level(k):
+        # the monomials x^a y^b z^c with a + 2b + 3c = k
+        return [(k - 2 * b - 3 * c, b, c)
+                for c in range(k // 3 + 1) for b in range((k - 3 * c) // 2 + 1)]
+
+    def sample(k, most):
+        monos = level(k)
+        return rng.sample(monos, min(len(monos), rng.randint(1, most)))
+
+    for _ in range(150):
+        f = _random_poly(R, rng, sample(rng.randint(3, 9), 6))
+        divisors = [
+            _random_poly(R, rng, sample(rng.randint(1, 4), 3))
+            for _ in range(rng.randint(1, 4))
+        ]
+        _assert_same_division(f, divisors, order)
+
+
+def _buchberger_by_rounds(gens, order):
+    """_buchberger as it was, the reference for the one-pass finish: S-pairs
+    by max-scan division, then whole interreduction rounds until nothing
+    changes, then the basis in ascending order."""
+    def nf(f, records, order):
+        return _divide_by_max_scan(f, records, order)[1]
+
+    G, reductions = ideals._spair_loop(gens, order, nf, ideals._global_pair)
+    changed = True
+    rounds = 0
+    while changed and rounds < 100:
+        changed = False
+        rounds += 1
+        for i in range(len(G)):
+            r = nf(G[i][0], G[:i] + G[i + 1 :], order)
+            if r.is_zero:
+                G.pop(i)
+                changed = True
+                break
+            rec = ideals._entry(r, order)
+            if rec[0] != G[i][0]:
+                G[i] = rec
+                changed = True
+    G.sort(key=lambda r: order.key(r[1]))
+    return [r[0] for r in G], reductions, ideals._is_reduced(G)
+
+
+def test_buchberger_matches_round_interreduction():
+    rng = random.Random(2028)
+    rings = [(_ring("x", "y"), 3), (_ring("x", "y", "z"), 2)]
+    weights = [(0, 0, 0), (1, 0, 2), (0, 1, 1), (1, _SQRT2, 0)]
+    for _ in range(80):
+        R, count = rng.choice(rings)
+        w = rng.choice(weights)[: R.nvars()]
+        order = OrderDescriptor([ValueScalar.of(x) for x in w], "global")
+        gens = list(_random_ideal(R, rng, count, 3, 2).generators)
+        basis, reductions, reduced = ideals._buchberger(gens, order)
+        want, want_reductions, want_reduced = _buchberger_by_rounds(gens, order)
+        assert [g.coeffs for g in basis] == [g.coeffs for g in want], [str(g) for g in gens]
+        assert (reductions, reduced) == (want_reductions, want_reduced)
+        assert reduced
+
+
 def test_ideal_quotient_rejects_inexact_division(monkeypatch):
     R = _ring("x", "y")
     # an intersection with (x) holding y, which x does not divide
@@ -204,7 +321,7 @@ def _tail_reduce_by_resorting(idx, G, order, max_steps=200):
 
 def _assert_same_tail_reduction(G, order):
     for idx in range(len(G)):
-        got = ideals._tail_reduce_local(idx, G, order)
+        got = ideals._tail_reduce(idx, G, order)
         want = _tail_reduce_by_resorting(idx, G, order)
         assert got[0].coeffs == want[0].coeffs, (idx, str(got[0]), str(want[0]))
         assert got[1:] == want[1:]
@@ -250,7 +367,7 @@ def test_tail_reduction_step_cap():
     gens = [_p(R, "x + y"), _p(R, "x - y^2")]
     G, _ = ideals._spair_loop(gens, order, ideals._mora_nf, ideals._local_pair)
     _assert_same_tail_reduction(G, order)
-    reduced = [str(ideals._tail_reduce_local(i, G, order)[0]) for i in range(len(G))]
+    reduced = [str(ideals._tail_reduce(i, G, order)[0]) for i in range(len(G))]
     assert "y^201 + x" in reduced
 
 

@@ -1,6 +1,7 @@
 """Weight-span decomposition, descent steps, Newton polygon roots, lifting."""
 
 import random
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -170,6 +171,28 @@ def test_newton_puiseux_linear():
     roots = newton_puiseux(coeffs, 8)
     assert len(roots) == 1
     assert roots[0].terms == ((ValueScalar(1), Fraction(1)),)
+
+
+def _stack_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_newton_puiseux_depth_is_not_bounded_by_the_interpreter():
+    """1/(1-t) known below t^300 takes 300 nested Newton nodes; the walk
+    runs within 100 frames of the caller."""
+    field = NumberField()
+    coeffs = _coeffs(field, [[(0, -1)], [(0, 1), (1, -1)]])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        roots = newton_puiseux(coeffs, 300)
+    finally:
+        sys.setrecursionlimit(limit)
+    want = "1 + " + " + ".join(f"t^({k})" for k in range(1, 300)) + " + O(t^(300))"
+    assert [str(r) for r in roots] == [want]
 
 
 def test_newton_puiseux_root_count_and_valuation_sum():
