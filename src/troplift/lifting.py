@@ -11,7 +11,6 @@ final point comes with residual bounds.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -30,9 +29,11 @@ from .ideals import (
     IdealPresentation,
     dimension,
     eliminate,
+    ideal_member,
     ideal_quotient,
     ideals_equal,
     presentation,
+    saturate,
     torus_attempts,
     torus_point,
 )
@@ -163,7 +164,7 @@ def _integral_weight(I, data, span):
     """A positive integer vector in the span with the same initial ideal as
     I at data.weights, where data is that initial ideal."""
     w = data.weights
-    initial = data.presentation()
+    initial = data.polynomial_presentation()
     for k in range(64):
         approx = []
         for g in span.gamma:
@@ -181,7 +182,7 @@ def _integral_weight(I, data, span):
         if w == tuple(cand):
             # ints is a positive multiple of w, so it orders monomials as w
             return ints
-        if ideals_equal(initial, initial_ideal(I, ints).presentation()):
+        if ideals_equal(initial, initial_ideal(I, ints).polynomial_presentation()):
             return ints
     raise DescentWitnessError(
         "no integral weight with the same initial ideal was found"
@@ -319,7 +320,7 @@ def _try_cut(
             I2 = Iw.with_extra([f])
             lhs = initial_ideal(I2, w)
             additivity_ok = ideals_equal(
-                lhs.presentation(), data.presentation().with_extra([f])
+                lhs.polynomial_presentation(), Jp.with_extra([f])
             )
             monomial_free_ok = lhs.is_monomial_free()
             dim_after = dimension(I2)
@@ -433,7 +434,7 @@ def newton_puiseux(coeffs, N, mode="puiseux"):
     # node generators, so the depth is bounded by the node budget alone
     budget = _NP_NODE_LIMIT
     stack, roots = [], None
-    child = (coeffs, ValuedSeries.zero(field, INF, mode), None)
+    child = (coeffs, (), None)
     while True:
         if child is not None:
             budget -= 1
@@ -453,7 +454,11 @@ def newton_puiseux(coeffs, N, mode="puiseux"):
 def _np_node(coeffs, acc, slope_bound, N, mode, field):
     """One node of the Newton polygon tree, as a generator: it yields
     (coeffs, acc, slope bound) for each child branch in turn, is sent that
-    branch's roots, and returns the roots of the node."""
+    branch's roots, and returns the roots of the node.
+
+    acc holds the (exponent, coefficient) terms chosen above the node.
+    Slopes strictly increase along a branch and edge roots are nonzero, so
+    appending keeps it sorted, and each root is built from it once."""
     certain = [i for i, c in enumerate(coeffs) if c.terms]
     if not certain:
         if all(c.is_exact_zero for c in coeffs):
@@ -467,8 +472,7 @@ def _np_node(coeffs, acc, slope_bound, N, mode, field):
     if i_min > 0:
         low = coeffs[:i_min]
         if all(c.is_exact_zero for c in low):
-            for _ in range(i_min):
-                roots.append(acc)
+            bound = INF
         else:
             v_min = vals[i_min]
             bound = None
@@ -483,9 +487,7 @@ def _np_node(coeffs, acc, slope_bound, N, mode, field):
                     "roots near the accumulator are only separated up to t^(%s)"
                     % bound
                 )
-            capped = acc.truncate(bound)
-            for _ in range(i_min):
-                roots.append(capped)
+        roots.extend([ValuedSeries(field, acc, bound, mode)] * i_min)
     if i_min == top:
         return roots
     hull = _lower_hull([(i, vals[i]) for i in certain])
@@ -502,9 +504,7 @@ def _np_node(coeffs, acc, slope_bound, N, mode, field):
         if slope_bound is not None and not cmp_value(omega, slope_bound) > 0:
             continue
         if not cmp_value(omega, N) < 0:
-            capped = acc.truncate(omega)
-            for _ in range(i2 - i1):
-                roots.append(capped)
+            roots.extend([ValuedSeries(field, acc, omega, mode)] * (i2 - i1))
             continue
         phi = []
         for i in range(i1, i2 + 1):
@@ -514,9 +514,8 @@ def _np_node(coeffs, acc, slope_bound, N, mode, field):
                 phi.append(Fraction(0))
         _, phi_roots = roots_in_extension(field, phi)
         for root_c, mult in phi_roots:
-            shift = ValuedSeries.monomial(field, omega, root_c, mode)
             new_coeffs = _taylor_shift(coeffs, root_c, omega, field, mode)
-            branch = yield new_coeffs, acc + shift, omega
+            branch = yield new_coeffs, acc + ((omega, root_c),), omega
             if len(branch) != mult:
                 raise InternalInvariantError(
                     "edge branch returned %d roots, expected %d"
@@ -582,12 +581,19 @@ def lift_point(problem, seed=0):
     """Lift a tropical membership to a truncated series point.
 
     The returned point has one series per variable: parameter
-    coordinates are exact monomials c * t^w, the others are found by
+    coordinates are the exact monomials t^w, the others are found by
     eliminating down to relations and running the Newton polygon.  All
     coordinate valuations match the weights exactly and every generator
     has residual valuation at least N (exactly zero when the iteration
     terminated).  Raises NonMemberError when the weight point is outside
     the tropical variety.
+
+    The lift runs in the saturation of the ideal by the product of the
+    variables when that is larger: it has the same torus points and
+    tropical variety, without the components inside coordinate
+    hyperplanes.  Each parameter set is solved once, with unit
+    parameters: the initial ideal is homogeneous for the grading of w, so
+    its torus points can be moved to any parameter values.
     """
     I = problem.ideal
     ring = I.ring
@@ -601,6 +607,9 @@ def lift_point(problem, seed=0):
             % poly_str(membership.witness_monomial),
             witness=poly_str(membership.witness_monomial),
         )
+    sat = saturate(I_cur, ring.monomial((1,) * n))
+    if not all(ideal_member(g, I_cur) for g in sat.generators):
+        I_cur = presentation(ring, sat.generators, "local", w)
     span = rational_span(w)
     r = span.rank
     descents = []
@@ -633,73 +642,33 @@ def lift_point(problem, seed=0):
     for x in w:
         if cmp_value(x, slack) > 0:
             slack = x
-    base_target = problem.N + slack + 1
+    target = problem.N + slack + 1
     failures = []
-    for attempt in range(3):
-        target = base_target * (2**attempt)
-        for combo in param_sets[:6]:
-            for variant in range(3):
-                try:
-                    point = _solve_with_parameters(
-                        I_cur, w, combo, target, problem.mode, seed, variant
-                    )
-                except (
-                    InsufficientTruncationError,
-                    WitnessSearchError,
-                    DescentWitnessError,
-                    CapabilityError,
-                ) as exc:
-                    failures.append(str(exc))
-                    continue
-                if point is not None:
-                    achieved = tuple(s.valuation() for s in point)
-                    residuals = tuple(
-                        series_valuation(substitute(g, point))
-                        for g in I.generators
-                    )
-                    return LiftResult(
-                        problem,
-                        tuple(point),
-                        combo,
-                        tuple(descents),
-                        achieved,
-                        residuals,
-                    )
-                failures.append(
-                    "no consistent roots for parameters %s" % (combo,)
-                )
-    raise DescentWitnessError(
-        "lifting failed"
-        + ("; tried: " + "; ".join(failures[:4]) if failures else "")
-    )
+    for combo in param_sets[:6]:
+        assignment = {
+            i: ValuedSeries.monomial(ring.field, w[i], 1, problem.mode)
+            for i in combo
+        }
+        remaining = [i for i in range(n) if i not in assignment]
+        try:
+            point = _dfs_solve(I_cur, w, assignment, remaining, target, problem.mode)
+        except CapabilityError as exc:
+            failures.append(str(exc))
+            continue
+        if point is None:
+            failures.append("no consistent roots for parameters %s" % (combo,))
+            continue
+        achieved = tuple(s.valuation() for s in point)
+        residuals = tuple(
+            series_valuation(substitute(g, point)) for g in I.generators
+        )
+        return LiftResult(
+            problem, tuple(point), combo, tuple(descents), achieved, residuals
+        )
+    raise DescentWitnessError("lifting failed; tried: " + "; ".join(failures))
 
 
-def _parameter_scalars(seed, variant, count):
-    if variant == 0:
-        return [Fraction(1)] * count
-    rng = random.Random(f"lift:{seed}:{variant}")
-    out = []
-    for _ in range(count):
-        v = 0
-        while v == 0:
-            v = rng.randint(-3, 3)
-        out.append(Fraction(v))
-    return out
-
-
-def _solve_with_parameters(I_cur, w, combo, target, mode, seed, variant):
-    ring = I_cur.ring
-    n = ring.nvars()
-    field = ring.field
-    scalars = _parameter_scalars(seed, variant, len(combo))
-    assignment = {}
-    for i, c in zip(combo, scalars):
-        assignment[i] = ValuedSeries.monomial(field, w[i], c, mode)
-    remaining = [i for i in range(n) if i not in assignment]
-    return _dfs_solve(I_cur, w, assignment, remaining, target, mode, set(combo))
-
-
-def _dfs_solve(I_cur, w, assignment, remaining, target, mode, params):
+def _dfs_solve(I_cur, w, assignment, remaining, target, mode):
     ring = I_cur.ring
     n = ring.nvars()
     if not remaining:
@@ -711,7 +680,7 @@ def _dfs_solve(I_cur, w, assignment, remaining, target, mode, params):
     m = remaining[0]
     rest = remaining[1:]
     assigned = set(assignment)
-    relation = _coordinate_relation(I_cur, m, assigned, params)
+    relation = _coordinate_relation(I_cur, m, assigned)
     if relation is None:
         return None
     coeffs = poly_to_series_coeffs(
@@ -730,7 +699,7 @@ def _dfs_solve(I_cur, w, assignment, remaining, target, mode, params):
         seen.add(key)
         assignment2 = dict(assignment)
         assignment2[m] = root
-        found = _dfs_solve(I_cur, w, assignment2, rest, target, mode, params)
+        found = _dfs_solve(I_cur, w, assignment2, rest, target, mode)
         if found is not None:
             return found
     return None
@@ -743,21 +712,20 @@ def _root_order_key(root):
     return (text.startswith("-"), text)
 
 
-def _coordinate_relation(I_cur, m, assigned, params):
-    """A generator relating coordinate m to already assigned coordinates."""
+def _coordinate_relation(I_cur, m, assigned):
+    """The simplest generator relating coordinate m to the assigned ones:
+    an element of the elimination ideal onto them and m that involves m,
+    least in degree in m, then in length, then in text."""
     ring = I_cur.ring
-    n = ring.nvars()
-    for keep in (assigned | {m}, params | {m}):
-        drop = [i for i in range(n) if i not in keep]
-        candidates = []
-        for g in eliminate(ring, list(I_cur.generators), drop):
-            deg = max((mono[m] for mono in g.coeffs), default=0)
-            if deg >= 1:
-                candidates.append((deg, len(g.coeffs), poly_str(g), g))
-        if candidates:
-            candidates.sort(key=lambda t: (t[0], t[1], t[2]))
-            return candidates[0][3]
-    return None
+    drop = [i for i in range(ring.nvars()) if i != m and i not in assigned]
+    candidates = []
+    for g in eliminate(ring, list(I_cur.generators), drop):
+        deg = max((mono[m] for mono in g.coeffs), default=0)
+        if deg >= 1:
+            candidates.append((deg, len(g.coeffs), poly_str(g), g))
+    if not candidates:
+        return None
+    return min(candidates, key=lambda c: c[:3])[3]
 
 
 # -- verification -----------------------------------------------------------

@@ -43,13 +43,12 @@ class InitialData:
     basis: tuple
     generators: tuple
 
-    def presentation(self):
-        """The initial ideal as a local presentation at the same weight."""
-        ring = self.generators[0].ring if self.generators else self.basis[0].ring
-        return presentation(ring, list(self.generators), "local", self.weights)
-
     def polynomial_presentation(self):
-        """The initial ideal viewed in the polynomial ring (global order)."""
+        """The initial ideal viewed in the polynomial ring (global order).
+
+        It is homogeneous for the positive weight, so localisation gains
+        nothing: two such ideals are equal in the power series ring iff
+        they are equal here."""
         ring = self.generators[0].ring if self.generators else self.basis[0].ring
         return presentation(ring, list(self.generators), "global")
 
@@ -293,9 +292,9 @@ def tensor_combine(I, J, w1, w2):
     block_inits = [inject(g, big, map1) for g in left.generators]
     block_inits += [inject(g, big, map2) for g in right.generators]
     total = initial_ideal(combined, w)
-    rhs = presentation(big, block_inits, "local", w)
+    rhs = presentation(big, block_inits, "global")
     certificate = TensorCertificate(
-        initial_match=ideals_equal(total.presentation(), rhs),
+        initial_match=ideals_equal(total.polynomial_presentation(), rhs),
         left_monomial_free=left.is_monomial_free(),
         right_monomial_free=right.is_monomial_free(),
         combined_monomial_free=total.is_monomial_free(),
@@ -323,4 +322,4 @@ def init_additivity_check(I, f, w):
     if not ideals_equal(quotient, init_poly):
         raise UsageError("polynomial is a zerodivisor modulo the initial ideal")
     lhs = initial_ideal(I.with_extra([f]), weights)
-    return ideals_equal(lhs.presentation(), data.presentation().with_extra([f]))
+    return ideals_equal(lhs.polynomial_presentation(), init_poly.with_extra([f]))

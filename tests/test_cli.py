@@ -11,6 +11,19 @@ from troplift.cli import run
 # comes from the 200-reduction cap on local tails
 _CAP_ARGV = ["cone", "--vars", "x,y", "--ideal", "x+y;x-y^2", "--w", "1,1"]
 
+# lift paths: an algebraic coefficient, a descent with a rank-one quadric,
+# two descents, a 300-node Newton chain, and a lift beyond the extension
+# bounds (one failure per parameter set)
+_LIFT_ARGVS = [
+    ["lift", "--vars", "x,y", "--ideal", "y^2-2*x^2", "--w", "1,1", "--N", "5"],
+    ["lift", "--vars", "x,y,z", "--ideal", "x*y-z^2", "--w", "1,3,2",
+     "--N", "6", "--json"],
+    ["lift", "--vars", "x1,x2,x3,x4", "--ideal", "x1+x2+x3+x4",
+     "--w", "1,1,1,1", "--N", "4", "--json"],
+    ["np-solve", "--coeffs=-1;1-t", "--N", "300"],
+    ["lift", "--vars", "x,y", "--ideal", "y^3-2*x^3", "--w", "1,1", "--N", "5"],
+]
+
 
 def cap(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -332,10 +345,11 @@ def test_malformed_inputs_never_crash():
 
 
 def test_recorded_goldens_byte_identical():
-    """Exit code, stdout and stderr of criterion 11's argvs and _CAP_ARGV,
-    byte for byte as recorded in golden_cli.json."""
+    """Exit code, stdout and stderr of criterion 11's argvs, _CAP_ARGV and
+    _LIFT_ARGVS, byte for byte as recorded in golden_cli.json."""
     recorded = json.loads(Path(__file__).with_name("golden_cli.json").read_text())
-    assert [entry["argv"] for entry in recorded] == _GOLDEN_ARGVS + [_CAP_ARGV]
+    argvs = _GOLDEN_ARGVS + [_CAP_ARGV] + _LIFT_ARGVS
+    assert [entry["argv"] for entry in recorded] == argvs
     for entry in recorded:
         got = cap(entry["argv"])
         assert got == (entry["exit"], entry["stdout"], entry["stderr"]), entry["argv"]

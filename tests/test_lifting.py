@@ -1,14 +1,16 @@
 """Weight-span decomposition, descent steps, Newton polygon roots, lifting."""
 
+import json
 import random
 import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
-from troplift import ideals
-from troplift.errors import NonMemberError, UsageError
+from troplift import ideals, lifting
+from troplift.errors import DescentWitnessError, NonMemberError, UsageError
 from troplift.ideals import dimension, ideal_member, presentation
 from troplift.lifting import (
     LiftProblem,
@@ -180,9 +182,18 @@ def _stack_depth():
     return depth
 
 
-def test_newton_puiseux_depth_is_not_bounded_by_the_interpreter():
+def test_newton_puiseux_depth_is_not_bounded_by_the_interpreter(monkeypatch):
     """1/(1-t) known below t^300 takes 300 nested Newton nodes; the walk
-    runs within 100 frames of the caller."""
+    runs within 100 frames of the caller, and the root is built once from
+    the terms chosen along its branch, with no series sums on the way."""
+    adds = []
+    add = ValuedSeries.__add__
+
+    def counting_add(a, b):
+        adds.append(1)
+        return add(a, b)
+
+    monkeypatch.setattr(ValuedSeries, "__add__", counting_add)
     field = NumberField()
     coeffs = _coeffs(field, [[(0, -1)], [(0, 1), (1, -1)]])
     limit = sys.getrecursionlimit()
@@ -193,6 +204,7 @@ def test_newton_puiseux_depth_is_not_bounded_by_the_interpreter():
         sys.setrecursionlimit(limit)
     want = "1 + " + " + ".join(f"t^({k})" for k in range(1, 300)) + " + O(t^(300))"
     assert [str(r) for r in roots] == [want]
+    assert adds == []
 
 
 def test_newton_puiseux_root_count_and_valuation_sum():
@@ -469,3 +481,60 @@ def test_lift_computes_each_local_basis_once(monkeypatch):
     assert keys and len(set(keys)) == len(keys)
     # torus_point is the only caller inside troplift.ideals
     assert len(checked) == len(res.descents) == len(set(checked))
+
+
+def test_lift_solves_each_parameter_set_once(monkeypatch):
+    """y^3 - 2x^3 at (1,1) needs a cube root of 2 and then a degree-9 norm,
+    beyond the extension bounds: each of its two parameter sets is solved
+    once, with one Newton polygon run, and reports one failure."""
+    calls = []
+    solve = lifting.newton_puiseux
+
+    def counting_solve(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(lifting, "newton_puiseux", counting_solve)
+    R = _ring("x", "y")
+    problem = LiftProblem(_local(R, ["y^3 - 2*x^3"], (1, 1)), (1, 1), 5)
+    with pytest.raises(DescentWitnessError) as info:
+        lift_point(problem)
+    assert len(calls) == 2
+    message = str(info.value)
+    assert message.startswith("lifting failed; tried: ")
+    assert message.count("extension unsupported") == 2
+
+
+def test_lifts_match_recorded_points():
+    """A seeded sample of member lifts of principal binomials and
+    trinomials in two and three variables, none divisible by a variable:
+    point, parameter set and descent count as recorded in
+    golden_lifts.json."""
+    recorded = json.loads(Path(__file__).with_name("golden_lifts.json").read_text())
+    assert len(recorded) >= 30
+    for entry in recorded:
+        R = _ring(*entry["vars"])
+        w = tuple(entry["w"])
+        res = lift_point(LiftProblem(_local(R, [entry["ideal"]], w), w, entry["N"]))
+        got = (list(res.point_strings()), list(res.parameters), len(res.descents))
+        assert got == (entry["point"], entry["parameters"], entry["descents"]), entry
+
+
+@pytest.mark.parametrize(
+    "text, w, point",
+    [
+        ("x^2*y^2/2 - 2*x^3*y", (2, 2), ("t^(2)", "4*t^(2)")),
+        ("2*x^3*y - 3*x*y^3", (1, 1), ("t^(1)", "a1*t^(1)")),
+    ],
+)
+def test_lift_through_a_coordinate_hyperplane_component(text, w, point):
+    """x y divides the generator, so the ideal has components inside the
+    coordinate axes; the lift runs in the saturation by x*y and verifies
+    against the generator itself."""
+    R = _ring("x", "y")
+    I = _local(R, [text], w)
+    assert trop_member(I, w).member
+    res = lift_point(LiftProblem(I, w, 3))
+    assert res.point_strings() == point
+    assert res.residuals == (INF,)
+    assert verify_lift(res).ok()
