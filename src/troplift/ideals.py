@@ -1,19 +1,19 @@
 """Ideal presentations and standard basis computations.
 
-One standard basis engine, the S-pair loop, serves both kinds of order;
-only its normal form and its pair selection change (Greuel-Pfister, *A
-Singular Introduction to Commutative Algebra*, 1.7 and 2.3).  Global orders
-use full division by the basis (Buchberger's algorithm).  Local orders use
-Mora's tangent-cone normal form with the smallest-ecart divisor rule, which
-terminates on polynomial input and decides membership in the power series
-ring.  Both finish alike: each tail is divided once by the other minimal
-basis elements, fully for global orders, which gives the reduced basis, and
-for at most 200 reductions for local ones.  Basis elements are carried as
-records of the element and its leading data, computed once.  One division
-routine, ``divide``, a descending heap pass that tracks quotients, serves
-global normal forms, exact division, w-homogeneous division and the tail
-reductions alike.  Everything downstream (saturation, quotients, dimension,
-monomial detection, torus points) reduces to this engine.
+One standard basis engine, Buchberger's S-pair loop with full division, the
+coprime skip and the chain criterion, serves both kinds of order.  Local
+orders reach it by Lazard's method (Greuel-Pfister, *A Singular Introduction
+to Commutative Algebra*, 1.7): the generators are homogenized by total degree
+with a fresh variable, their Groebner basis is taken under total degree, then
+the local order, and the fresh variable is set to 1.  Both finish alike: each
+tail is divided once by the other minimal basis elements, fully for global
+orders, which gives the reduced basis, and for at most 200 reductions for
+local ones.  One division routine, ``divide``, a descending heap pass that
+tracks quotients, serves normal forms, exact division, w-homogeneous
+division and the tail reductions alike.  Mora's weak normal form remains
+only behind the local ``normal_form``, where it decides membership in the
+power series ring.  Everything downstream (saturation, quotients,
+dimension, monomial detection, torus points) reduces to this engine.
 """
 
 from __future__ import annotations
@@ -91,13 +91,6 @@ def spoly(f: Polynomial, g: Polynomial, order: OrderDescriptor) -> Polynomial:
     return _spoly(_record(f, order), _record(g, order))
 
 
-@dataclass(frozen=True)
-class BasisCertificate:
-    order_text: str
-    spair_reductions: int
-    reduced: bool
-
-
 class IdealPresentation:
     """Finite generating set plus the order used for its standard basis.
 
@@ -125,25 +118,12 @@ class IdealPresentation:
         self.generators = tuple(gens)
         self.order = order
         self._basis = None
-        self._certificate = None
 
     def standard_basis(self):
         if self._basis is None:
-            if self.order.mode == "global":
-                basis, reds, reduced = _buchberger(self.generators, self.order)
-            else:
-                basis, reds, reduced = _mora_std(self.generators, self.order)
-            self._basis = tuple(basis)
-            self._certificate = BasisCertificate(
-                order_text=self.order.describe(),
-                spair_reductions=reds,
-                reduced=reduced,
-            )
+            std = _buchberger if self.order.mode == "global" else _mora_std
+            self._basis = tuple(std(self.generators, self.order)[0])
         return self._basis
-
-    def certificate(self) -> BasisCertificate:
-        self.standard_basis()
-        return self._certificate
 
     def is_zero_ideal(self):
         return not self.generators
@@ -249,10 +229,6 @@ def divide(f: Polynomial, records, order: OrderDescriptor, max_steps=None):
     return [Polynomial(ring, q) for q in quots], Polynomial(ring, rem)
 
 
-def _full_nf(f, records, order):
-    return divide(f, records, order)[1]
-
-
 def _mora_nf(f, records, order):
     """Mora weak normal form: u*f = sum q_i g_i + r with u a local unit and
     the leading term of r not divisible by any basis leading term."""
@@ -278,8 +254,10 @@ def _mora_nf(f, records, order):
 def normal_form(f: Polynomial, basis, order: OrderDescriptor) -> Polynomial:
     """Remainder of f on division by the basis (weak normal form in local
     mode); zero exactly for ideal members when the basis is standard."""
-    nf = _full_nf if order.mode == "global" else _mora_nf
-    return nf(f, lead_records(basis, order), order)
+    records = lead_records(basis, order)
+    if order.mode == "local":
+        return _mora_nf(f, records, order)
+    return divide(f, records, order)[1]
 
 
 # -- standard bases ---------------------------------------------------------
@@ -294,26 +272,28 @@ def _entry(g, order):
     return g, m, c, e
 
 
-def _global_pair(order, a, b, i, j):
-    """Pair key by degree of the lcm, and whether the pair is skipped:
-    coprime leading monomials give an S-polynomial reducing to zero."""
-    m = expo_lcm(a[1], b[1])
-    return (expo_deg(m), m, i, j), m == expo_add(a[1], b[1])
+class _Homogenized:
+    """Lazard's order on a ring whose last variable homogenizes: total degree
+    first, then the local order on the other variables, whose degree entry
+    the last exponent replaces within one total degree."""
+
+    mode = "global"
+
+    def __init__(self, order):
+        self.order = order
+
+    def key(self, m):
+        k, _, rev = self.order.key(m[:-1])
+        return expo_deg(m), k, (m[-1],) + rev
 
 
-def _local_pair(order, a, b, i, j):
-    """Pair key by weight level, then degree, of the lcm; no pair is
-    skipped."""
-    m = expo_lcm(a[1], b[1])
-    return (order.level(m), expo_deg(m), m, i, j), False
-
-
-def _spair_loop(gens, order, nf, pair):
-    """The standard basis algorithm, with the normal form and the pair
-    selection as its parameters (Greuel-Pfister, 1.7).  Returns the
-    minimalized basis records and the number of S-pair reductions.  A
-    pair's key is computed once, when the pair is formed; pairs pop in key
-    order, and keys end with (i, j)."""
+def _spair_loop(gens, order):
+    """Buchberger's S-pair loop under a global order (Greuel-Pfister, 1.7).
+    Returns the minimalized basis records and the number of S-pair
+    reductions.  Pairs pop by the degree of their lcm, then the lcm, then
+    (i, j).  A pair is skipped when its leading monomials are coprime, or by
+    the chain criterion: another leading monomial divides the lcm and both
+    pairs it forms with the two are no longer pending."""
     G = []
     for g in gens:
         if not g.is_zero:
@@ -321,10 +301,13 @@ def _spair_loop(gens, order, nf, pair):
             if all(rec[0] != r[0] for r in G):
                 G.append(rec)
     pairs = []
+    pending = set()
 
     def add_pairs(k):
         for i in range(k):
-            heapq.heappush(pairs, pair(order, G[i], G[k], i, k))
+            m = expo_lcm(G[i][1], G[k][1])
+            heapq.heappush(pairs, (expo_deg(m), m, i, k))
+            pending.add((i, k))
 
     for k in range(len(G)):
         add_pairs(k)
@@ -334,11 +317,15 @@ def _spair_loop(gens, order, nf, pair):
         guard += 1
         if guard > 20000:
             raise InternalInvariantError("standard basis computation did not terminate")
-        key, skip = heapq.heappop(pairs)
-        if skip:
+        _, m, i, j = heapq.heappop(pairs)
+        pending.discard((i, j))
+        if m == expo_add(G[i][1], G[j][1]) or any(
+            k != i and k != j and expo_divides(G[k][1], m)
+            and pending.isdisjoint(((min(i, k), max(i, k)), (min(j, k), max(j, k))))
+            for k in range(len(G))
+        ):
             continue
-        i, j = key[-2:]
-        h = nf(_spoly(G[i], G[j]), G, order)
+        h = divide(_spoly(G[i], G[j]), G, order)[1]
         reductions += 1
         if not h.is_zero:
             G.append(_entry(h, order))
@@ -347,15 +334,28 @@ def _spair_loop(gens, order, nf, pair):
 
 
 def _buchberger(gens, order):
-    """Buchberger's algorithm: full division, coprime pairs skipped, and the
-    reduced basis in ascending order."""
-    return _finish(*_spair_loop(gens, order, _full_nf, _global_pair), order)
+    """Buchberger's algorithm: the S-pair loop, then the reduced basis in
+    ascending order."""
+    return _finish(*_spair_loop(gens, order), order)
 
 
 def _mora_std(gens, order):
-    """Mora's algorithm: tangent-cone normal form, every pair reduced, and a
-    capped tail reduction; the basis is in descending order."""
-    return _finish(*_spair_loop(gens, order, _mora_nf, _local_pair), order)
+    """A local standard basis by Lazard's method: the generators homogenized
+    by total degree with a fresh last variable, the S-pair loop under
+    _Homogenized(order), that variable set to 1 in the minimal basis; then a
+    capped tail reduction, and the basis in descending order."""
+    gens = [g for g in gens if not g.is_zero]
+    if not gens:
+        return [], 0, True
+    ring = gens[0].ring
+    big = PolyRing(ring.field, ring.vars + (_fresh_name(ring, "h_"),))
+    hom = []
+    for g in gens:
+        d = g.total_degree()
+        hom.append(Polynomial(big, {m + (d - sum(m),): c for m, c in g.coeffs.items()}))
+    H, reductions = _spair_loop(hom, _Homogenized(order))
+    flat = [Polynomial(ring, {m[:-1]: c for m, c in h.coeffs.items()}) for h, *_ in H]
+    return _finish(_minimalize([_entry(g, order) for g in flat]), reductions, order)
 
 
 def _minimalize(G):

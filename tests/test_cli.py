@@ -2,6 +2,7 @@
 
 import io
 import json
+import signal
 from pathlib import Path
 
 from test_acceptance import _GOLDEN_ARGVS
@@ -46,6 +47,26 @@ def test_member_false_example():
     )
     assert code == 1
     assert out == "w=1,2: member=false witness=x\n"
+
+
+def test_member_false_within_seconds():
+    """A local standard basis that Mora's algorithm did not finish in 40 s;
+    the alarm turns a hang into a failure."""
+
+    def hang(signum, frame):
+        raise TimeoutError("trop-member ran past 20 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(20)
+    try:
+        code, out, err = cap(
+            ["trop-member", "--vars", "x,y", "--w", "2,5",
+             "--ideal=-3*x^3*y-x^2*y^2+1/3*x*y^3-3*x^3;-x^2*y^2+2*x-y"]
+        )
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (code, out, err) == (1, "w=2,5: member=false witness=x\n", "")
 
 
 def test_lift_cusp_json_example():

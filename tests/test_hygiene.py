@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses,
 defines a top-level function or class nothing references, or imports inside
-a function body."""
+a function body; every name the benchmark tracer wraps exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import troplift
@@ -140,3 +141,46 @@ def test_no_function_local_imports():
             if (path.name, fn, module) not in _LOCAL_IMPORTS_ALLOWED:
                 found.append(f"{path.name}: {fn} imports {module}")
     assert not found, "function-local imports:\n" + "\n".join(found)
+
+
+# -- the benchmark tracer wraps troplift functions by name
+
+TRACING = TESTS.parent / "bench" / "tracing.py"
+
+
+def traced_names(source):
+    """(module, dotted name) of every function and method the tracer wraps:
+    the entries of SPANS and COUNTS and the names its install methods patch
+    directly."""
+    tree = ast.parse(source)
+    out = []
+    for node in tree.body:
+        target = node.targets[0] if isinstance(node, ast.Assign) else None
+        if isinstance(target, ast.Name) and target.id in ("SPANS", "COUNTS"):
+            out += [(module, name) for module, name, _ in ast.literal_eval(node.value)]
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("function", "method")
+            and len(node.args) >= 2
+            and all(isinstance(a, ast.Constant) for a in node.args[:2])
+        ):
+            out.append((node.args[0].value, node.args[1].value))
+    return out
+
+
+def _resolves(module, dotted):
+    owner = importlib.import_module(module)
+    *path, last = dotted.split(".")
+    for name in path:
+        owner = getattr(owner, name, None)
+    return owner is not None and last in vars(owner)
+
+
+def test_tracer_names_resolve():
+    names = traced_names(TRACING.read_text())
+    assert ("troplift.ideals", "_mora_std") in names
+    assert ("troplift.polyring", "OrderDescriptor.key") in names
+    missing = [f"{m}.{n}" for m, n in names if not _resolves(m, n)]
+    assert not missing, "tracer names not found in troplift:\n" + "\n".join(missing)

@@ -1,11 +1,13 @@
 """Standard and Groebner bases, ideal predicates, torus witness points."""
 
+import heapq
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from test_acceptance import _CORPUS, _grid
 from troplift import ideals
 from troplift.errors import InternalInvariantError, UsageError, WitnessSearchError
 from troplift.ideals import (
@@ -28,10 +30,14 @@ from troplift.polyring import (
     OrderDescriptor,
     Polynomial,
     PolyRing,
+    expo_add,
+    expo_deg,
     expo_divides,
+    expo_lcm,
     expo_sub,
     inject,
     leading_term,
+    poly_str,
     substitute_scalars,
 )
 from troplift.scalars import (
@@ -42,6 +48,8 @@ from troplift.scalars import (
     as_field_element,
     scalar_str,
 )
+from troplift.tropical import trop_member
+from troplift.valfan import initial_ideal
 
 
 def _ring(*names):
@@ -241,14 +249,72 @@ def test_divide_matches_max_scan_weight_homogeneous_local():
         _assert_same_division(f, divisors, order)
 
 
+def _old_spair_loop(gens, order, nf, pair):
+    """The S-pair loop as it was before Lazard's method, the reference for
+    both engines: the normal form and the pair selection are parameters, and
+    no chain criterion skips a pair."""
+    G = []
+    for g in gens:
+        if not g.is_zero:
+            rec = ideals._entry(g, order)
+            if all(rec[0] != r[0] for r in G):
+                G.append(rec)
+    pairs = []
+
+    def add_pairs(k):
+        for i in range(k):
+            heapq.heappush(pairs, pair(order, G[i], G[k], i, k))
+
+    for k in range(len(G)):
+        add_pairs(k)
+    reductions = 0
+    guard = 0
+    while pairs:
+        guard += 1
+        if guard > 20000:
+            raise InternalInvariantError("standard basis computation did not terminate")
+        key, skip = heapq.heappop(pairs)
+        if skip:
+            continue
+        i, j = key[-2:]
+        h = nf(ideals._spoly(G[i], G[j]), G, order)
+        reductions += 1
+        if not h.is_zero:
+            G.append(ideals._entry(h, order))
+            add_pairs(len(G) - 1)
+    return ideals._minimalize(G), reductions
+
+
+def _global_pair(order, a, b, i, j):
+    """Pair key by degree of the lcm, and whether the pair is skipped:
+    coprime leading monomials give an S-polynomial reducing to zero."""
+    m = expo_lcm(a[1], b[1])
+    return (expo_deg(m), m, i, j), m == expo_add(a[1], b[1])
+
+
+def _local_pair(order, a, b, i, j):
+    """Pair key by weight level, then degree, of the lcm; no pair is
+    skipped."""
+    m = expo_lcm(a[1], b[1])
+    return (order.level(m), expo_deg(m), m, i, j), False
+
+
+def _mora_std_by_mora(gens, order):
+    """Mora's algorithm, the local engine before Lazard's method: the
+    tangent-cone normal form inside the loop and every pair reduced."""
+    G, reductions = _old_spair_loop(gens, order, ideals._mora_nf, _local_pair)
+    return ideals._finish(G, reductions, order)
+
+
 def _buchberger_by_rounds(gens, order):
-    """_buchberger as it was, the reference for the one-pass finish: S-pairs
-    by max-scan division, then whole interreduction rounds until nothing
-    changes, then the basis in ascending order."""
+    """_buchberger as it was, the reference for the one-pass finish and the
+    chain criterion: S-pairs by max-scan division, no chain criterion, then
+    whole interreduction rounds until nothing changes, then the basis in
+    ascending order."""
     def nf(f, records, order):
         return _divide_by_max_scan(f, records, order)[1]
 
-    G, reductions = ideals._spair_loop(gens, order, nf, ideals._global_pair)
+    G, reductions = _old_spair_loop(gens, order, nf, _global_pair)
     changed = True
     rounds = 0
     while changed and rounds < 100:
@@ -280,8 +346,9 @@ def test_buchberger_matches_round_interreduction():
         basis, reductions, reduced = ideals._buchberger(gens, order)
         want, want_reductions, want_reduced = _buchberger_by_rounds(gens, order)
         assert [g.coeffs for g in basis] == [g.coeffs for g in want], [str(g) for g in gens]
-        assert (reductions, reduced) == (want_reductions, want_reduced)
+        assert reduced == want_reduced
         assert reduced
+        assert reductions <= want_reductions
 
 
 def test_ideal_quotient_rejects_inexact_division(monkeypatch):
@@ -343,7 +410,16 @@ def _random_local_order(rng, n):
     return OrderDescriptor(w, "local")
 
 
-def test_tail_reduction_matches_resorting_loop():
+def _lazard_records(monkeypatch, gens, order):
+    """The records Lazard's method hands to the tail reduction."""
+    handed = []
+    monkeypatch.setattr(ideals, "_finish", lambda G, reductions, order: handed.append(G))
+    ideals._mora_std(gens, order)
+    monkeypatch.undo()
+    return handed[0]
+
+
+def test_tail_reduction_matches_resorting_loop(monkeypatch):
     rng = random.Random(89)
     # records of raw generators: long reductions, some up to the step cap
     R3 = _ring("x", "y", "z")
@@ -351,24 +427,83 @@ def test_tail_reduction_matches_resorting_loop():
         order = _random_local_order(rng, 3)
         gens = _random_local_gens(R3, rng, rng.randint(2, 4), rng.randint(2, 5), 3)
         _assert_same_tail_reduction([ideals._entry(g, order) for g in gens], order)
-    # the records Mora's algorithm hands to the tail reduction
+    # the records Lazard's method hands to the tail reduction
     R2 = _ring("x", "y")
     for _ in range(20):
         order = _random_local_order(rng, 2)
         gens = _random_local_gens(R2, rng, 2, 3, 3)
-        G, _ = ideals._spair_loop(gens, order, ideals._mora_nf, ideals._local_pair)
-        _assert_same_tail_reduction(G, order)
+        if gens:
+            _assert_same_tail_reduction(_lazard_records(monkeypatch, gens, order), order)
 
 
-def test_tail_reduction_step_cap():
+def test_tail_reduction_step_cap(monkeypatch):
     """x + y; x - y^2 at (1,1) reduces until the 200-step cap stops it."""
     R = _ring("x", "y")
     order = OrderDescriptor((ValueScalar(1), ValueScalar(1)), "local")
     gens = [_p(R, "x + y"), _p(R, "x - y^2")]
-    G, _ = ideals._spair_loop(gens, order, ideals._mora_nf, ideals._local_pair)
+    G = _lazard_records(monkeypatch, gens, order)
     _assert_same_tail_reduction(G, order)
     reduced = [str(ideals._tail_reduce(i, G, order)[0]) for i in range(len(G))]
     assert "y^201 + x" in reduced
+
+
+def _local_observations(ring, gens, w):
+    """Leading monomials of the local standard basis at w, the initial
+    ideal's generators as printed, and tropical membership of w."""
+    I = presentation(ring, gens, "local", w)
+    lms = [leading_term(g, I.order)[0] for g in I.standard_basis()]
+    inits = [poly_str(g) for g in initial_ideal(I, w).generators]
+    return lms, inits, trop_member(I, w).member
+
+
+def _random_local_pair(R, rng):
+    """Two random polynomials in the maximal ideal of k[x, y] and a local
+    weight, rational or with sqrt(2) in its first entry."""
+    gens = []
+    for _ in range(2):
+        terms = {}
+        for _ in range(rng.randint(2, 4)):
+            m = (rng.randint(0, 3), rng.randint(0, 3))
+            if m != (0, 0):
+                terms[m] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        f = R.from_terms(list(terms.items()))
+        if not f.is_zero:
+            gens.append(f)
+    if rng.random() < 0.25:
+        w = (ValueScalar(rng.randint(1, 3), rng.randint(0, 1), 2), ValueScalar(rng.randint(1, 3)))
+    else:
+        w = tuple(ValueScalar(Fraction(rng.randint(1, 6), rng.randint(1, 2))) for _ in range(2))
+    return gens, w
+
+
+# draws of _random_local_pair (seed 7) on which Mora's algorithm, the
+# reference, runs for more than 0.5 s
+_SLOW_FOR_MORA = {39}
+
+
+def _lazard_mora_inputs():
+    for names, texts in _CORPUS:
+        ring = _ring(*names)
+        gens = [_p(ring, t) for t in texts]
+        for w in _grid(len(names)):
+            yield ring, gens, tuple(ValueScalar(x) for x in w)
+    rng = random.Random(7)
+    R = _ring("x", "y")
+    for draw in range(100):
+        gens, w = _random_local_pair(R, rng)
+        if gens and draw not in _SLOW_FOR_MORA:
+            yield R, gens, w
+
+
+def test_lazard_matches_mora(monkeypatch):
+    """Local bases by Lazard's method against Mora's algorithm: the same
+    leading monomials, initial ideals and membership."""
+    for ring, gens, w in _lazard_mora_inputs():
+        got = _local_observations(ring, gens, w)
+        with monkeypatch.context() as m:
+            m.setattr(ideals, "_mora_std", _mora_std_by_mora)
+            want = _local_observations(ring, gens, w)
+        assert got == want, ([str(g) for g in gens], [str(x) for x in w])
 
 
 def test_saturate_examples():
