@@ -30,6 +30,7 @@ from .parsing import (
     parse_query,
     parse_scalar,
     parse_series,
+    parse_vars,
     parse_weights,
 )
 from .polyring import INF, PolyRing, initial_form, poly_str, w_order
@@ -120,22 +121,12 @@ def _load_ideal(args, field):
     text, from_file = _read_arg(args.ideal)
     if from_file:
         ring, gens, _mode, weights = parse_ideal_text(text, field, d=args.d)
-        if args.vars is not None:
-            names = tuple(v.strip() for v in args.vars.split(","))
-            if names != ring.vars:
-                raise UsageError("--vars disagrees with the fixture header")
+        if args.vars is not None and parse_vars(args.vars) != ring.vars:
+            raise UsageError("--vars disagrees with the fixture header")
         return ring, gens, weights
     if args.vars is None:
         raise UsageError("--vars is required with an inline ideal")
-    names = tuple(v.strip() for v in args.vars.split(",") if v.strip())
-    if not names:
-        raise UsageError("empty variable list")
-    for name in names:
-        if not name.isidentifier():
-            raise UsageError("bad variable name %r" % name)
-    if len(set(names)) != len(names):
-        raise UsageError("repeated variable name")
-    ring = PolyRing(field, names)
+    ring = PolyRing(field, parse_vars(args.vars))
     gens = parse_generators(text, ring)
     return ring, gens, None
 
@@ -343,8 +334,7 @@ def _cmd_tensor(args, out):
     w1 = _need_w(args, fixture_w)
     if args.vars2 is None:
         raise UsageError("--vars2 is required")
-    names2 = tuple(v.strip() for v in args.vars2.split(",") if v.strip())
-    ring2 = PolyRing(field, names2)
+    ring2 = PolyRing(field, parse_vars(args.vars2))
     gens2 = parse_generators(args.ideal2, ring2)
     w2 = parse_weights(args.w2, d=args.d)
     I = presentation(ring, gens, "local", w1)

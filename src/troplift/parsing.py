@@ -1,13 +1,25 @@
 """Text forms shared by the command line and the test fixtures.
 
-One grammar, one parser: rationals are "p/q"; scalar expressions add
-sqrt(d) and parentheses, e.g. "1/2+1/2*sqrt(2)" or "(1+sqrt(2))/2";
-weight and query lists are comma separated with "inf" for +infinity;
-polynomials are terms joined by + and -, each term an optional
-coefficient times a product of powered variables, e.g. "y^2 - x^3" or
-"2/3*x*y - z^2"; series are terms "c*t^(e)" by increasing exponent with
-an optional "O(t^(T))" tail.  Every printer in the package is inverted
-by the matching parser bit for bit.
+One grammar, one parser.  An expression is a sum of signed products:
+"+" and "-" bind loosest, then "*" and "/", then a unary sign; atoms are
+integers, "sqrt(n)" for a positive integer n, names, and parenthesized
+expressions.  Division is by nonzero constants only.  What the atoms mean
+depends on the text form:
+
+- weights, queries and exponents are scalars a + b*sqrt(d), such as
+  "1/2+1/2*sqrt(2)" or "(1+sqrt(2))/2"; they take no names, and weight and
+  query lists are comma separated with "inf" for +infinity in queries;
+- polynomials, such as "y^2 - x^3" or "2/3*x*y - z^2", read names as ring
+  variables, then as tower generators of the coefficient field, each with
+  an optional "^n" for an integer n >= 0; sqrt(n) adjoins a square root to
+  the field when it has none; here alone a product may omit its "*", as
+  in "2x" or "x y";
+- series, such as "a1*t^(1/2) - sqrt(3)*t + O(t^(4))", read "t" as the
+  parameter, "t^(e)" as its power with e a scalar expression, other names
+  as tower generators, and an "O(t^(T))" tail that must come last.
+
+Every printer in the package is inverted by the matching parser bit for
+bit.
 """
 
 from __future__ import annotations
@@ -17,11 +29,20 @@ from fractions import Fraction
 
 from .errors import UsageError
 from .polyring import INF, PolyRing
-from .scalars import NumberField, ValueScalar, adjoin_root, as_field_element
+from .scalars import (
+    NumberField,
+    ValueScalar,
+    _scalar_div,
+    _scalar_is_zero,
+    adjoin_root,
+    as_field_element,
+)
 from .series import ValuedSeries
 from .tropical import TropQuery
 
-_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z0-9_]*|[-+*/^(),;]|\S)")
+# -- the grammar ------------------------------------------------------------
+
+_TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|\S")
 
 
 class _Tokens:
@@ -29,23 +50,11 @@ class _Tokens:
 
     def __init__(self, text):
         self.text = text
-        self.items = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None:
-                break
-            tok = m.group(1)
-            self.items.append(tok)
-            pos = m.end()
-        if text[pos:].strip():
-            raise UsageError("cannot tokenize %r" % text[pos:].strip())
+        self.items = _TOKEN.findall(text) + [None]
         self.at = 0
 
     def peek(self):
-        if self.at < len(self.items):
-            return self.items[self.at]
-        return None
+        return self.items[self.at]
 
     def next(self):
         tok = self.peek()
@@ -57,289 +66,328 @@ class _Tokens:
     def expect(self, want):
         tok = self.next()
         if tok != want:
+            raise UsageError("expected %r but found %r in %r" % (want, tok, self.text))
+
+
+class _Parser:
+    """Recursive descent over a token stream; the domain makes the values."""
+
+    def __init__(self, toks, domain):
+        self.toks = toks
+        self.domain = domain
+        self.depth = 0
+
+    def sum(self):
+        """Terms joined by + and -, added at once so long sums stay linear."""
+        terms = [self.product()]
+        while self.toks.peek() in ("+", "-"):
+            op = self.toks.next()
+            term = self.product()
+            terms.append(-term if op == "-" else term)
+        return terms[0] if len(terms) == 1 else self.domain.total(terms)
+
+    def product(self):
+        toks = self.toks
+        value = self.unary()
+        while True:
+            op = toks.peek()
+            if op in ("*", "/"):
+                toks.next()
+                if op == "*" and toks.peek() is None:
+                    raise UsageError("dangling * at end of input")
+            elif not self.domain.implicit or op is None or not (
+                op == "(" or op.isidentifier() or op.isdigit()
+            ):
+                return value
+            start = toks.peek()
+            rhs = self.unary()
+            if op == "/":
+                value = self.domain.divide(value, rhs, start)
+            else:
+                value = value * rhs
+
+    def unary(self):
+        tok = self.toks.peek()
+        if tok in ("+", "-"):
+            self.toks.next()
+            value = self.unary()
+            return -value if tok == "-" else value
+        return self.atom()
+
+    def atom(self):
+        toks, domain = self.toks, self.domain
+        tok = toks.peek()
+        if tok == "(":
+            toks.next()
+            self.depth += 1
+            value = self.sum()
+            self.depth -= 1
+            toks.expect(")")
+            return value
+        if tok is not None and tok.isdigit():
+            toks.next()
+            return domain.number(int(tok))
+        if tok == "sqrt":
+            toks.next()
+            toks.expect("(")
+            value = domain.sqrt(toks.next())
+            toks.expect(")")
+            return value
+        if tok is not None and tok.isidentifier():
+            toks.next()
+            return domain.name(tok, toks)
+        if tok is None and (domain.noun is None or self.depth):
+            toks.next()  # input that ends in a scalar or inside parentheses
+        if domain.noun is None:
+            raise UsageError("unexpected token %r" % tok)
+        raise UsageError("expected %s but found %r" % (domain.noun, tok))
+
+
+def _parse(text, domain):
+    toks = _Tokens(text.strip())
+    value = _Parser(toks, domain).sum()
+    if toks.peek() is not None:
+        raise UsageError("expected + or - but found %r" % toks.peek())
+    return value
+
+
+# -- domains: the values of numbers, sqrt(n), names, sums and quotients ----
+
+
+class _Scalars:
+    """Weights, queries and exponents: ValueScalars, with no names."""
+
+    noun = None
+    implicit = False
+
+    def __init__(self, d):
+        self.d = d
+
+    def number(self, n):
+        return ValueScalar(n)
+
+    def sqrt(self, arg):
+        if not arg.isdigit() or int(arg) == 0:
+            raise UsageError("sqrt needs a positive integer, got %r" % arg)
+        n = int(arg)
+        if self.d is not None and n != self.d:
             raise UsageError(
-                "expected %r but found %r in %r" % (want, tok, self.text)
+                "sqrt(%d) conflicts with the session constant d=%d" % (n, self.d)
             )
-        return tok
+        return ValueScalar(0, 1, n)
 
-    def done(self):
-        return self.at >= len(self.items)
+    def name(self, tok, toks):
+        raise UsageError("unexpected token %r" % tok)
 
+    def total(self, terms):
+        return sum(terms[1:], terms[0])
 
-def parse_rational(text):
-    """Strict "p/q" or integer form, no floats."""
-    text = text.strip()
-    if not re.fullmatch(r"[-+]?\d+(/\d+)?", text):
-        raise UsageError("not a rational number: %r" % text)
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise UsageError("zero denominator in %r" % text) from None
+    def divide(self, a, b, start):
+        try:
+            return a / b
+        except ZeroDivisionError:
+            raise UsageError("division by zero") from None
 
 
 def _field_sqrt(field, d):
     """The square root of d as a field element, adjoining if needed."""
     target = as_field_element(field, Fraction(d))
     for level in range(1, field.height() + 1):
-        if field.levels[level - 1].degree == 2:
-            gen = field.generator(level)
-            if gen * gen == target:
-                return gen
+        gen = field.generator(level)
+        if gen * gen == target:
+            return gen
     _, root = adjoin_root(field, [Fraction(-d), Fraction(0), Fraction(1)])
     return root
 
 
-class _ScalarExpr:
-    """Recursive descent over +, -, *, /, sqrt(), parentheses.
+class _FieldValues:
+    """Coefficients in a number field; subclasses wrap them as constants."""
 
-    Two value domains share the grammar: weight entries become
-    ValueScalar, polynomial and series coefficients become elements of
-    a number field (identifiers then name tower generators).
-    """
+    implicit = False
 
-    def __init__(self, toks, field=None, d=None):
-        self.toks = toks
-        self.field = field
-        self.d = d
+    def number(self, n):
+        return self.constant(Fraction(n))
 
-    def expr(self):
-        value = self.term()
-        while self.toks.peek() in ("+", "-"):
-            op = self.toks.next()
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def term(self):
-        value = self.factor()
-        while self.toks.peek() in ("*", "/"):
-            op = self.toks.next()
-            rhs = self.factor()
-            if op == "*":
-                value = value * rhs
-            else:
-                try:
-                    value = value / rhs
-                except ZeroDivisionError:
-                    raise UsageError("division by zero") from None
-        return value
-
-    def factor(self):
-        tok = self.toks.peek()
-        if tok in ("+", "-"):
-            self.toks.next()
-            inner = self.factor()
-            return inner if tok == "+" else -inner
-        return self.atom()
-
-    def atom(self):
-        tok = self.toks.next()
-        if tok == "(":
-            value = self.expr()
-            self.toks.expect(")")
-            return value
-        if tok.isdigit():
-            return self._number(Fraction(int(tok)))
-        if tok == "sqrt":
-            self.toks.expect("(")
-            inner = self.toks.next()
-            if not inner.isdigit():
-                raise UsageError("sqrt needs a positive integer, got %r" % inner)
-            self.toks.expect(")")
-            return self._sqrt(int(inner))
-        if tok.isidentifier() and self.field is not None:
-            names = self.field.generator_names()
-            if tok in names:
-                return self.field.generator(names.index(tok) + 1)
-        raise UsageError("unexpected token %r" % tok)
-
-    def _number(self, q):
-        if self.field is None:
-            return ValueScalar(q)
-        return as_field_element(self.field, q)
-
-    def _sqrt(self, d):
-        if d <= 0:
+    def sqrt(self, arg):
+        if not arg.isdigit():
             raise UsageError("sqrt needs a positive integer")
-        if self.field is None:
-            if self.d is not None and d != self.d:
-                raise UsageError(
-                    "sqrt(%d) conflicts with the session constant d=%d"
-                    % (d, self.d)
-                )
-            return ValueScalar(0, 1, d)
-        return _field_sqrt(self.field, d)
+        return self.constant(_field_sqrt(self.field, int(arg)))
+
+    def power(self, toks):
+        """The n of a "^n" after a name; 1 when there is none."""
+        if toks.peek() != "^":
+            return 1
+        toks.next()
+        power = toks.next()
+        if not power.isdigit():
+            raise UsageError("exponent must be a nonnegative integer")
+        return int(power)
+
+    def generator(self, tok):
+        names = self.field.generator_names()
+        if tok not in names:
+            raise UsageError("unknown symbol %r" % tok)
+        return self.field.generator(names.index(tok) + 1)
+
+    def divide(self, a, b, start):
+        c = self.constant_value(b)
+        if c is None or _scalar_is_zero(c):
+            raise UsageError("bad denominator %r" % start)
+        return a * self.constant(_scalar_div(Fraction(1), c))
+
+
+class _Polys(_FieldValues):
+    """Polynomials over a ring; a product may omit its "*"."""
+
+    noun = "a term"
+    implicit = True
+
+    def __init__(self, ring):
+        self.field, self.ring = ring.field, ring
+
+    def constant(self, c):
+        return self.ring.constant(c)
+
+    def total(self, terms):
+        return self.ring.from_terms(t for f in terms for t in f.coeffs.items())
+
+    def constant_value(self, f):
+        if not any(any(m) for m in f.coeffs):
+            return f.constant_term()
+        return None
+
+    def name(self, tok, toks):
+        e = self.power(toks)
+        i = self.ring.index.get(tok)
+        if i is None:
+            return self.constant(self.generator(tok) ** e)
+        expo = [0] * self.ring.nvars()
+        expo[i] = e
+        return self.ring.monomial(expo)
+
+
+class _Series(_FieldValues):
+    """Truncated series in t: "t^(e)" powers and a last "O(t^(T))" tail."""
+
+    noun = "a series term"
+
+    def __init__(self, field, mode, d):
+        self.field, self.mode, self.d = field, mode, d
+
+    def constant(self, c):
+        return ValuedSeries.constant(self.field, c, self.mode)
+
+    def total(self, terms):
+        items = [t for s in terms for t in s.terms]
+        trunc = min(s.truncation for s in terms)
+        return ValuedSeries(self.field, items, trunc, self.mode)
+
+    def constant_value(self, s):
+        if s.truncation is INF and all(e == 0 for e, _ in s.terms):
+            return s.coefficient(0)
+        return None
+
+    def name(self, tok, toks):
+        if tok not in ("t", "O"):
+            return self.constant(self.generator(tok) ** self.power(toks))
+        if tok == "O":
+            toks.expect("(")
+            toks.expect("t")
+        e = ValueScalar(1)
+        if toks.peek() == "^":
+            toks.next()
+            toks.expect("(")
+            e = _Parser(toks, _Scalars(self.d)).sum()
+            toks.expect(")")
+        if tok == "t":
+            return ValuedSeries.monomial(self.field, e, 1, self.mode)
+        toks.expect(")")
+        if toks.peek() is not None:
+            raise UsageError("the O-term must come last")
+        return ValuedSeries.zero(self.field, e, self.mode)
+
+
+# -- weights and queries ----------------------------------------------------
 
 
 def parse_scalar(text, d=None):
     """A ValueScalar from expression text; "inf" gives +infinity."""
-    stripped = text.strip()
-    if stripped in ("inf", "+inf", "Inf", "INF"):
+    if text.strip() in ("inf", "+inf", "Inf", "INF"):
         return INF
-    toks = _Tokens(stripped)
-    value = _ScalarExpr(toks, field=None, d=d).expr()
-    if not toks.done():
-        raise UsageError("trailing input %r in %r" % (toks.peek(), text))
-    return value
+    return _parse(text, _Scalars(d))
+
+
+def parse_rational(text):
+    """A rational number, such as "-7/2", in the scalar grammar."""
+    value = parse_scalar(text)
+    if value is INF or not value.is_rational:
+        raise UsageError("not a rational number: %r" % text.strip())
+    return value.to_fraction()
 
 
 def parse_weights(text, d=None):
     """A comma separated list of positive scalars (no infinities)."""
-    entries = _split_top(text, ",")
-    if not entries or entries == [""]:
-        raise UsageError("empty weight list")
-    out = []
-    for part in entries:
-        value = parse_scalar(part, d=d)
-        if value is INF:
-            raise UsageError("infinite entries are only allowed in queries")
-        out.append(value)
-    return tuple(out)
+    entries = _scalar_list(text, d, "empty weight list")
+    if any(v is INF for v in entries):
+        raise UsageError("infinite entries are only allowed in queries")
+    return entries
 
 
 def parse_query(text, d=None):
     """A tropical membership query; entries may be "inf"."""
-    entries = _split_top(text, ",")
-    if not entries or entries == [""]:
-        raise UsageError("empty query")
-    return TropQuery(tuple(parse_scalar(part, d=d) for part in entries))
+    return TropQuery(_scalar_list(text, d, "empty query"))
 
 
-def _split_top(text, sep):
-    """Split on sep outside parentheses."""
-    parts = []
+def _scalar_list(text, d, empty):
+    parts = _split(text, ",")
+    if parts == [""]:
+        raise UsageError(empty)
+    return tuple(parse_scalar(part, d=d) for part in parts)
+
+
+def _split(text, sep):
+    """Split on sep once the parentheses are known to balance."""
     depth = 0
-    current = []
     for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise UsageError("unbalanced parentheses in %r" % text)
-        if ch == sep and depth == 0:
-            parts.append("".join(current).strip())
-            current = []
-        else:
-            current.append(ch)
+        depth += (ch == "(") - (ch == ")")
+        if depth < 0:
+            break
     if depth != 0:
         raise UsageError("unbalanced parentheses in %r" % text)
-    parts.append("".join(current).strip())
-    return parts
+    return [part.strip() for part in text.split(sep)]
 
 
-# -- polynomials ------------------------------------------------------------
+# -- polynomials and ideal fixture files ------------------------------------
 
 
 def parse_poly(text, ring):
-    """A polynomial over ring from the term grammar."""
+    """A polynomial over ring."""
     if not isinstance(ring, PolyRing):
         raise UsageError("expected a polynomial ring")
-    toks = _Tokens(text.strip())
-    if toks.done():
+    if not text.strip():
         raise UsageError("empty polynomial text")
-    terms = []
-    sign = 1
-    tok = toks.peek()
-    if tok in ("+", "-"):
-        toks.next()
-        sign = -1 if tok == "-" else 1
-    while True:
-        coeff, expo = _parse_term(toks, ring)
-        terms.append((expo, coeff * sign))
-        if toks.done():
-            break
-        op = toks.next()
-        if op == "+":
-            sign = 1
-        elif op == "-":
-            sign = -1
-        else:
-            raise UsageError("expected + or - but found %r" % op)
-    return ring.from_terms(terms)
-
-
-def _parse_term(toks, ring):
-    """One product of coefficient atoms and powered variables."""
-    names = list(ring.vars)
-    coeff = as_field_element(ring.field, Fraction(1))
-    expo = [0] * len(names)
-    saw_atom = False
-    while True:
-        tok = toks.peek()
-        if tok is None:
-            break
-        if tok == "(":
-            toks.next()
-            inner = _ScalarExpr(toks, field=ring.field).expr()
-            toks.expect(")")
-            coeff = coeff * inner
-        elif tok.isdigit():
-            toks.next()
-            value = Fraction(int(tok))
-            while toks.peek() == "/":
-                toks.next()
-                den = toks.next()
-                if not den.isdigit() or int(den) == 0:
-                    raise UsageError("bad denominator %r" % den)
-                value = value / int(den)
-            coeff = coeff * as_field_element(ring.field, value)
-        elif tok == "sqrt":
-            toks.next()
-            toks.expect("(")
-            inner = toks.next()
-            if not inner.isdigit():
-                raise UsageError("sqrt needs a positive integer")
-            toks.expect(")")
-            coeff = coeff * _field_sqrt(ring.field, int(inner))
-        elif tok.isidentifier():
-            toks.next()
-            e = 1
-            if toks.peek() == "^":
-                toks.next()
-                power = toks.next()
-                if not power.isdigit():
-                    raise UsageError("exponent must be a nonnegative integer")
-                e = int(power)
-            if tok in names:
-                expo[names.index(tok)] += e
-            else:
-                gens = ring.field.generator_names()
-                if tok in gens:
-                    g = ring.field.generator(gens.index(tok) + 1)
-                    coeff = coeff * g**e
-                else:
-                    raise UsageError("unknown symbol %r" % tok)
-        else:
-            break
-        saw_atom = True
-        while toks.peek() == "/":
-            toks.next()
-            den = toks.next()
-            if den is None or not den.isdigit() or int(den) == 0:
-                raise UsageError("bad denominator %r" % den)
-            coeff = coeff * as_field_element(ring.field, Fraction(1, int(den)))
-        if toks.peek() == "*":
-            toks.next()
-            if toks.peek() is None:
-                raise UsageError("dangling * at end of input")
-            continue
-        if toks.peek() in ("+", "-", None):
-            break
-    if not saw_atom:
-        raise UsageError("expected a term but found %r" % toks.peek())
-    return coeff, tuple(expo)
+    return _parse(text, _Polys(ring))
 
 
 def parse_generators(text, ring):
     """Semicolon separated polynomials; the zero ideal is spelled "0"."""
-    gens = [parse_poly(part, ring) for part in _split_top(text, ";") if part]
+    gens = [parse_poly(part, ring) for part in _split(text, ";") if part]
     if not gens:
         raise UsageError("no generators given")
     return gens
 
 
-# -- ideal fixture files ----------------------------------------------------
+def parse_vars(text):
+    """Variable names from a comma separated list."""
+    names = tuple(v.strip() for v in text.split(",") if v.strip())
+    if not names:
+        raise UsageError("empty variable list")
+    for name in names:
+        if not re.fullmatch(r"[A-Za-z_]\w*", name, re.ASCII):
+            raise UsageError("bad variable name %r" % name)
+    if len(set(names)) != len(names):
+        raise UsageError("repeated variable name")
+    return names
 
 
 def parse_ideal_text(text, field=None, d=None):
@@ -362,15 +410,7 @@ def parse_ideal_text(text, field=None, d=None):
         if lower.startswith("vars:"):
             if ring is not None:
                 raise UsageError("duplicate vars header")
-            names = [v.strip() for v in line[5:].split(",") if v.strip()]
-            if not names:
-                raise UsageError("empty variable list")
-            if len(set(names)) != len(names):
-                raise UsageError("repeated variable name")
-            for name in names:
-                if not name.isidentifier():
-                    raise UsageError("bad variable name %r" % name)
-            ring = PolyRing(field, tuple(names))
+            ring = PolyRing(field, parse_vars(line[5:]))
             continue
         if lower.startswith("order:"):
             value = line[6:].strip().lower()
@@ -394,92 +434,12 @@ def parse_ideal_text(text, field=None, d=None):
 
 def parse_series(text, field, mode="puiseux", d=None):
     """A truncated series from the canonical printed form."""
-    stripped = text.strip()
-    if stripped == "0":
-        return ValuedSeries.zero(field, INF, mode)
-    toks = _Tokens(stripped)
-    terms = []
-    truncation = INF
-    sign = 1
-    tok = toks.peek()
-    if tok in ("+", "-"):
-        toks.next()
-        sign = -1 if tok == "-" else 1
-    while True:
-        if toks.peek() == "O":
-            toks.next()
-            toks.expect("(")
-            exp = _parse_t_power(toks, d)
-            toks.expect(")")
-            truncation = exp
-            if not toks.done():
-                raise UsageError("the O-term must come last")
-            break
-        exp, coeff = _parse_series_term(toks, field, d)
-        terms.append((exp, -coeff if sign < 0 else coeff))
-        if toks.done():
-            break
-        op = toks.next()
-        if op == "+":
-            sign = 1
-        elif op == "-":
-            sign = -1
-        else:
-            raise UsageError("expected + or - but found %r" % op)
-    return ValuedSeries(field, terms, truncation, mode)
-
-
-def _parse_t_power(toks, d):
-    """The exponent of one "t^(expr)" group; bare "t" means 1."""
-    toks.expect("t")
-    if toks.peek() == "^":
-        toks.next()
-        toks.expect("(")
-        value = _ScalarExpr(toks, field=None, d=d).expr()
-        toks.expect(")")
-        return value
-    return ValueScalar(1)
-
-
-def _parse_series_term(toks, field, d):
-    """One series term: [coefficient *] t^(e), or a bare constant."""
-    tok = toks.peek()
-    coeff = None
-    if tok == "t":
-        exp = _parse_t_power(toks, d)
-        return exp, as_field_element(field, Fraction(1))
-    if tok == "(":
-        toks.next()
-        coeff = _ScalarExpr(toks, field=field).expr()
-        toks.expect(")")
-    elif tok is not None and tok.isdigit():
-        toks.next()
-        value = Fraction(int(tok))
-        while toks.peek() == "/":
-            toks.next()
-            den = toks.next()
-            if not den.isdigit() or int(den) == 0:
-                raise UsageError("bad denominator %r" % den)
-            value = value / int(den)
-        coeff = as_field_element(field, value)
-    elif tok is not None and tok.isidentifier() and tok not in ("t", "O"):
-        names = field.generator_names()
-        if tok not in names:
-            raise UsageError("unknown symbol %r" % tok)
-        toks.next()
-        coeff = field.generator(names.index(tok) + 1)
-    else:
-        raise UsageError("expected a series term but found %r" % tok)
-    if toks.peek() == "*":
-        toks.next()
-        exp = _parse_t_power(toks, d)
-        return exp, coeff
-    return ValueScalar(0), coeff
+    return _parse(text, _Series(field, mode, d))
 
 
 def parse_point(text, field, mode="puiseux", d=None):
     """Semicolon separated series, one per coordinate."""
-    parts = _split_top(text, ";")
-    if not parts or parts == [""]:
+    parts = _split(text, ";")
+    if parts == [""]:
         raise UsageError("empty point")
     return tuple(parse_series(part, field, mode, d) for part in parts)

@@ -11,20 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalInvariantError, UsageError
+from .errors import UsageError
 from .ideals import (
     IdealPresentation,
     contains_monomial,
-    divide,
     ideal_quotient,
     ideals_equal,
-    lead_records,
     normal_form,
     presentation,
 )
 from .linalg import find_strict_point, mat_rank, primitive_row
 from .polyring import (
-    INF,
     OrderDescriptor,
     Polynomial,
     PolyRing,
@@ -32,7 +29,7 @@ from .polyring import (
     inject,
     w_order,
 )
-from .scalars import ValueScalar, cmp_value
+from .scalars import ValueScalar
 
 
 @dataclass(frozen=True)
@@ -90,19 +87,17 @@ class CosetValuationHandle:
     """Evaluator for the weight valuation induced on cosets modulo an ideal.
 
     The value of g is the supremum of weighted orders over the coset
-    g + I.  it is computed by repeatedly rewriting the initial form of
-    the running representative inside the initial ideal; the order
-    strictly increases each round, and the first representative whose
-    initial form survives outside the initial ideal realizes the value.
+    g + I.  With a standard basis under the weight-first local order it is
+    the weighted order of the weak normal form of g: the leading monomial
+    of the normal form lies outside the leading ideal, so its initial form
+    lies outside the initial ideal, and the unit factor of a weak normal
+    form does not change the order.
     """
 
-    def __init__(self, I, w, max_rounds=64):
+    def __init__(self, I, w):
         self.data = initial_ideal(I, w)
         self.order = OrderDescriptor(self.data.weights, "local")
         self.basis = self.data.basis
-        self.init_forms = [initial_form(b, self.order.weights) for b in self.basis]
-        self._init_records = lead_records(self.init_forms, self.order)
-        self.max_rounds = max_rounds
         self.monomial_free = self.data.is_monomial_free()
         self.ring = self.basis[0].ring
 
@@ -113,28 +108,9 @@ class CosetValuationHandle:
             raise UsageError("expected a polynomial")
         if g.ring is not self.ring and not g.ring.same(self.ring):
             raise UsageError("polynomial lives in a different ring")
-        if g.is_zero:
-            return INF
-        if normal_form(g, list(self.basis), self.order).is_zero:
-            return INF
-        h = g
-        last = None
-        for _ in range(self.max_rounds):
-            current = w_order(h, self.order.weights)
-            if last is not None and not cmp_value(last, current) < 0:
-                raise InternalInvariantError("coset rewriting failed to climb")
-            last = current
-            phi = initial_form(h, self.order.weights)
-            quotients, remainder = divide(phi, self._init_records, self.order)
-            if not remainder.is_zero:
-                return current
-            for q, b in zip(quotients, self.basis):
-                h = h - q * b
-            if h.is_zero:
-                raise InternalInvariantError(
-                    "representative vanished although the normal form did not"
-                )
-        raise InternalInvariantError("coset valuation exceeded the round budget")
+        return w_order(
+            normal_form(g, list(self.basis), self.order), self.order.weights
+        )
 
 
 def coset_valuation(g, handle):

@@ -251,6 +251,31 @@ def test_tensor_text():
     assert out.splitlines()[-1] == "ok=true"
 
 
+def test_tensor_checks_the_second_variable_list():
+    code, out, err = cap(
+        ["tensor", "--vars", "x1,x2", "--ideal", "x1+x2", "--w", "1,1",
+         "--vars2", "1y,y2", "--ideal2", "y2", "--w2", "1,1"]
+    )
+    assert (code, out, err) == (2, "", "usage error: bad variable name '1y'\n")
+
+
+def test_signed_factor_after_a_product():
+    # "x*-y" is x times -y, the same ideal as "y^3-x*y"
+    base = ["trop-member", "--vars", "x,y", "--w", "2,1", "--ideal"]
+    expected = (0, "w=2,1: member=true\n", "")
+    assert cap(base + ["y^3+x*-y"]) == expected
+    assert cap(base + ["y^3-x*y"]) == expected
+
+
+def test_verify_point_with_a_square_root_coefficient():
+    code, out, err = cap(
+        ["verify", "--vars", "x,y", "--ideal", "y^2-3*x^2", "--w", "1,1",
+         "--N", "5", "--point", "t;sqrt(3)*t"]
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "ok=true"
+
+
 def test_ideal_fixture_file(tmp_path):
     fixture = tmp_path / "cusp.ideal"
     fixture.write_text(

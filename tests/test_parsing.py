@@ -183,6 +183,11 @@ def test_parse_series_generator_coefficients():
     s = parse_series("(1/2*%s + 1/2)*t^(2) + O(t^(4))" % name, field)
     assert series_str(s) == "(1/2*%s+1/2)*t^(2) + O(t^(4))" % name
     assert parse_series(series_str(s), field) == s
+    cubic, root = adjoin_root(
+        NumberField(), [Fraction(-2), Fraction(0), Fraction(0), Fraction(1)]
+    )
+    s = ValuedSeries(cubic, [(1, root * root), (2, root + 1)], ValueScalar(3))
+    assert parse_series(series_str(s), cubic) == s
 
 
 def test_parse_series_hahn_exponents():
@@ -205,3 +210,90 @@ def test_parse_point():
     assert len(pt) == 2
     assert str(pt[0]) == "t^(2)"
     assert str(pt[1]) == "t^(3)"
+
+
+# -- one grammar for every text form ------------------------------------------
+
+
+def _sum(rng, dom, depth):
+    """A random sum of signed products as (text, value); every sum inside a
+    product is parenthesized and every divisor is an atom."""
+    text, value = _product(rng, dom, depth)
+    for _ in range(rng.randint(0, 2)):
+        t, v = _product(rng, dom, depth)
+        if rng.random() < 0.5:
+            text, value = "%s + %s" % (text, t), value + v
+        else:
+            text, value = "%s - %s" % (text, t), value - v
+    return text, value
+
+
+def _product(rng, dom, depth):
+    text, value = _factor(rng, dom, depth)
+    for _ in range(rng.randint(0, 2)):
+        if rng.random() < 0.3:
+            t, v = rng.choice(dom["divisors"])
+            text, value = "%s/%s" % (text, t), value * dom["inverse"](v)
+        else:
+            t, v = _factor(rng, dom, depth)
+            text, value = "%s*%s" % (text, t), value * v
+    return text, value
+
+
+def _factor(rng, dom, depth):
+    r = rng.random()
+    if depth == 0 or r < 0.5:
+        return rng.choice(dom["leaves"])
+    if r < 0.75:
+        t, v = _sum(rng, dom, depth - 1)
+        return "(%s)" % t, v
+    t, v = _factor(rng, dom, depth - 1)
+    return ("-" + t, -v) if rng.random() < 0.7 else ("+" + t, v)
+
+
+def test_one_grammar_random_trees():
+    rng = random.Random(2024)
+    r2 = ValueScalar(0, 1, 2)
+    scalars = {
+        "leaves": [(str(n), ValueScalar(n)) for n in range(10)] + [("sqrt(2)", r2)],
+        "divisors": [("3", ValueScalar(3)), ("7", ValueScalar(7)), ("sqrt(2)", r2)],
+        "inverse": lambda v: ValueScalar(1) / v,
+    }
+    field, g2 = adjoin_root(NumberField(), [Fraction(-2), Fraction(0), Fraction(1)])
+    a = field.generator_names()[-1]
+    R = PolyRing(field, ("x", "y"))
+    polys = {
+        "leaves": [(str(n), R.constant(n)) for n in range(4)]
+        + [("x", parse_poly("x", R)), ("y^2", R.monomial((0, 2)))]
+        + [(a, R.constant(g2)), (a + "^3", R.constant(g2**3))]
+        + [("sqrt(2)", R.constant(g2))],
+        "divisors": [("3", R.constant(3)), ("sqrt(2)", R.constant(g2))],
+        "inverse": lambda f: R.constant(1 / f.constant_term()),
+    }
+    sfield, g3 = adjoin_root(NumberField(), [Fraction(-3), Fraction(0), Fraction(1)])
+    b = sfield.generator_names()[-1]
+
+    def mono(e, c=1):
+        return ValuedSeries.monomial(sfield, ValueScalar(e), c)
+
+    series = {
+        "leaves": [(str(n), mono(0, n)) for n in range(4)]
+        + [("t", mono(1)), ("t^(1/2)", mono(Fraction(1, 2))), ("t^(-2/3)", mono(Fraction(-2, 3)))]
+        + [("sqrt(3)", mono(0, g3)), (b, mono(0, g3)), (b + "^2", mono(0, 3))],
+        "divisors": [("2", mono(0, 2)), ("sqrt(3)", mono(0, g3))],
+        "inverse": lambda s: mono(0, 1 / s.coefficient(0)),
+    }
+    seen = set()
+    for _ in range(150):
+        text, value = _sum(rng, scalars, 3)
+        assert parse_scalar(text, d=2) == value, text
+        text, value = _sum(rng, polys, 3)
+        assert parse_poly(text, R) == value, text
+        seen.update(op for op in ("*-", "*+", "(", "/") if op in text)
+        text, value = _sum(rng, series, 3)
+        if rng.random() < 0.5:
+            bound = Fraction(rng.randint(1, 12), rng.randint(1, 3))
+            text += " + O(t^(%s))" % bound
+            value = value + ValuedSeries.zero(sfield, ValueScalar(bound))
+        assert parse_series(text, sfield) == value, text
+    assert seen == {"*-", "*+", "(", "/"}

@@ -9,7 +9,7 @@ from troplift import ideals
 from troplift.errors import UsageError
 from troplift.ideals import ideal_member, ideals_equal, presentation
 from troplift.parsing import parse_poly
-from troplift.polyring import INF, PolyRing, w_order
+from troplift.polyring import INF, PolyRing, initial_form, w_order
 from troplift.scalars import NumberField, ValueScalar, cmp_value
 from troplift.valfan import (
     CosetValuationHandle,
@@ -138,6 +138,60 @@ def test_coset_valuation_axioms():
                 assert cmp_value(v1, w_order(g1, w)) >= 0
             # +oo exactly on members
             assert (v1 is INF) == ideal_member(g1, I)
+
+
+def _rewriting_value(handle, g):
+    """Reference: rewrite the initial form of the running representative
+    inside the initial ideal until it survives outside it."""
+    order, basis = handle.order, handle.basis
+    w = order.weights
+    if ideals.normal_form(g, list(basis), order).is_zero:
+        return INF
+    records = ideals.lead_records([initial_form(b, w) for b in basis], order)
+    h = g
+    for _ in range(64):
+        quotients, remainder = ideals.divide(initial_form(h, w), records, order)
+        if not remainder.is_zero:
+            return w_order(h, w)
+        for q, b in zip(quotients, basis):
+            h = h - q * b
+    raise AssertionError("rewriting did not reach a surviving initial form")
+
+
+def test_coset_valuation_matches_initial_form_rewriting():
+    rng = random.Random(5)
+    weight_choices = [
+        lambda: Fraction(rng.randint(1, 4), rng.randint(1, 3)),
+        lambda: ValueScalar(rng.randint(1, 3), Fraction(rng.randint(-1, 2), 2), 2),
+    ]
+    r2 = ValueScalar(0, 1, 2)
+    specs = _HANDLE_SPECS + [
+        (("x", "y"), ["y^2 - x^2 - x^3"], (1 + r2 / 2, 1 + r2 / 2)),
+        (("x", "y", "z"), ["x*y - z^2 + x^3"], (r2, 2 + r2, 1 + r2)),
+    ]
+    for _ in range(60):
+        names = ("x", "y", "z")[: rng.randint(2, 3)]
+        R = _ring(*names)
+        w = tuple(rng.choice(weight_choices)() for _ in names)
+        f = _random_poly(R, rng, terms=3, deg=3)
+        if not f.is_zero and f.constant_term() == 0:
+            specs.append((names, [str(f)], w))
+    compared = members = 0
+    for names, texts, w in specs:
+        R = _ring(*names)
+        h = CosetValuationHandle(_ideal(R, texts, w), w)
+        if not h.monomial_free:
+            continue
+        f = _p(R, texts[0])
+        for _ in range(15):
+            g = _random_poly(R, rng)
+            if rng.random() < 0.3:
+                g = g * f + _random_poly(R, rng, terms=1, deg=3) * f
+            expected = _rewriting_value(h, g)
+            assert h.value(g) == expected, (texts, w, str(g))
+            compared += 1
+            members += expected is INF
+    assert compared >= 100 and members >= 10
 
 
 def test_groebner_cone_examples():
