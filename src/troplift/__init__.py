@@ -68,7 +68,6 @@ from .scalars import (
     NumberField,
     ValueScalar,
     adjoin_root,
-    cmp_value,
     roots_in_extension,
     scalar_str,
 )
@@ -78,7 +77,6 @@ from .series import (
     poly_to_series_coeffs,
     series_str,
     substitute,
-    valuation,
     valuation_at_least,
 )
 from .tropical import (

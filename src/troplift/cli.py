@@ -33,7 +33,7 @@ from .parsing import (
     parse_vars,
     parse_weights,
 )
-from .polyring import INF, PolyRing, initial_form, poly_str, w_order
+from .polyring import PolyRing, initial_form, poly_str, w_order
 from .scalars import NumberField
 from .tropical import trop_enumerate, trop_hypersurface, trop_member
 from .valfan import (
@@ -150,10 +150,6 @@ def _emit(stream, args, obj, text_lines):
             stream.write(line + "\n")
 
 
-def _scalar_text(x):
-    return "inf" if x is INF else str(x)
-
-
 # -- subcommand bodies ------------------------------------------------------
 
 
@@ -169,8 +165,8 @@ def _cmd_init_form(args, out):
     _emit(
         out,
         args,
-        {"w_order": _scalar_text(order), "init_form": poly_str(form)},
-        ["w_order=%s" % _scalar_text(order), "init_form=%s" % poly_str(form)],
+        {"w_order": str(order), "init_form": poly_str(form)},
+        ["w_order=%s" % order, "init_form=%s" % poly_str(form)],
     )
     return 0
 
@@ -189,7 +185,7 @@ def _cmd_init_ideal(args, out):
         "monomial_free": free,
     }
     lines = ["init=%s" % poly_str(g) for g in data.generators]
-    lines.append("monomial_free=%s" % ("true" if free else "false"))
+    lines.append("monomial_free=%s" % _b(free))
     _emit(out, args, obj, lines)
     return 0
 
@@ -207,8 +203,8 @@ def _cmd_coset_val(args, out):
     _emit(
         out,
         args,
-        {"g": poly_str(g[0]), "value": _scalar_text(value)},
-        ["value=%s" % _scalar_text(value)],
+        {"g": poly_str(g[0]), "value": str(value)},
+        ["value=%s" % value],
     )
     return 0
 
@@ -236,7 +232,7 @@ def _membership_payload(result):
     elif result.witness_monomial is not None:
         witness["monomial"] = poly_str(result.witness_monomial)
     return {
-        "w": [_scalar_text(x) for x in result.query.entries],
+        "w": [str(x) for x in result.query.entries],
         "member": result.member,
         "witness": witness,
     }
@@ -263,7 +259,7 @@ def _cmd_trop_member(args, out):
         payload = _membership_payload(result)
         text_line = "w=%s: member=%s" % (
             ",".join(payload["w"]),
-            "true" if result.member else "false",
+            _b(result.member),
         )
         if not result.member and "monomial" in payload["witness"]:
             text_line += " witness=%s" % payload["witness"]["monomial"]
@@ -311,7 +307,7 @@ def _cmd_trop_enum(args, out):
         line = "cone: eq=%s ineq=%s member=%s" % (
             _rows_text(cone.cone.eq),
             _rows_text(cone.cone.ineq),
-            "true" if cone.member else "false",
+            _b(cone.member),
         )
         _emit(out, args, obj, [line])
     summary = {"cones": len(cones), "members": members, "truncated": truncated}
@@ -322,7 +318,7 @@ def _cmd_trop_enum(args, out):
         [
             "cones=%d" % len(cones),
             "members=%d" % members,
-            "truncated=%s" % ("true" if truncated else "false"),
+            "truncated=%s" % _b(truncated),
         ],
     )
     return 0
@@ -391,15 +387,15 @@ def _cmd_lift(args, out):
     result = lift_point(problem, seed=args.seed)
     obj = {
         "point": list(result.point_strings()),
-        "achieved": [_scalar_text(v) for v in result.achieved],
-        "residual_bounds": [_scalar_text(v) for v in result.residuals],
+        "achieved": [str(v) for v in result.achieved],
+        "residual_bounds": [str(v) for v in result.residuals],
         "descents": [_descent_payload(s) for s in result.descents],
     }
     lines = [
         "point=%s" % "; ".join(result.point_strings()),
-        "achieved=%s" % "; ".join(_scalar_text(v) for v in result.achieved),
+        "achieved=%s" % "; ".join(str(v) for v in result.achieved),
         "residual_bounds=%s"
-        % "; ".join(_scalar_text(v) for v in result.residuals),
+        % "; ".join(str(v) for v in result.residuals),
     ]
     for step in result.descents:
         lines.append(

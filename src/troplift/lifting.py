@@ -47,13 +47,11 @@ from .polyring import (
     project,
     substitute_scalars,
 )
-from .scalars import ValueScalar, as_value, cmp_value, roots_in_extension
+from .scalars import ValueScalar, as_value, roots_in_extension
 from .series import (
-    AtLeast,
     ValuedSeries,
     poly_to_series_coeffs,
     substitute,
-    valuation as series_valuation,
     valuation_at_least,
 )
 from .tropical import TropQuery, trop_member
@@ -367,7 +365,7 @@ def _lower_hull(points):
             i3, v3 = p
             lhs = (v2 - v1) * (i3 - i1)
             rhs = (v3 - v1) * (i2 - i1)
-            if cmp_value(lhs, rhs) >= 0:
+            if lhs >= rhs:
                 hull.pop()
             else:
                 break
@@ -475,14 +473,12 @@ def _np_node(coeffs, acc, slope_bound, N, mode, field):
             bound = INF
         else:
             v_min = vals[i_min]
-            bound = None
-            for i, c in enumerate(low):
-                if c.is_exact_zero:
-                    continue
-                cand = (c.truncation - v_min) / Fraction(i_min - i)
-                if bound is None or cmp_value(cand, bound) < 0:
-                    bound = cand
-            if cmp_value(bound, N) < 0:
+            bound = min(
+                (c.truncation - v_min) / Fraction(i_min - i)
+                for i, c in enumerate(low)
+                if not c.is_exact_zero
+            )
+            if bound < N:
                 raise InsufficientTruncationError(
                     "roots near the accumulator are only separated up to t^(%s)"
                     % bound
@@ -495,15 +491,15 @@ def _np_node(coeffs, acc, slope_bound, N, mode, field):
         c = coeffs[i]
         if c.terms or c.is_exact_zero:
             continue
-        if not cmp_value(c.truncation, _hull_at(hull, i)) > 0:
+        if c.truncation <= _hull_at(hull, i):
             raise InsufficientTruncationError(
                 "coefficient %d is only known above the Newton polygon" % i
             )
     for (i1, v1), (i2, v2) in zip(hull, hull[1:]):
         omega = (v1 - v2) / Fraction(i2 - i1)
-        if slope_bound is not None and not cmp_value(omega, slope_bound) > 0:
+        if slope_bound is not None and omega <= slope_bound:
             continue
-        if not cmp_value(omega, N) < 0:
+        if omega >= N:
             roots.extend([ValuedSeries(field, acc, omega, mode)] * (i2 - i1))
             continue
         phi = []
@@ -638,11 +634,7 @@ def lift_point(problem, seed=0):
     if not param_sets:
         raise DescentWitnessError("no parameter coordinates found")
 
-    slack = ValueScalar(0)
-    for x in w:
-        if cmp_value(x, slack) > 0:
-            slack = x
-    target = problem.N + slack + 1
+    target = problem.N + max(w) + 1
     failures = []
     for combo in param_sets[:6]:
         assignment = {
@@ -660,7 +652,7 @@ def lift_point(problem, seed=0):
             continue
         achieved = tuple(s.valuation() for s in point)
         residuals = tuple(
-            series_valuation(substitute(g, point)) for g in I.generators
+            substitute(g, point).valuation() for g in I.generators
         )
         return LiftResult(
             problem, tuple(point), combo, tuple(descents), achieved, residuals
@@ -691,7 +683,7 @@ def _dfs_solve(I_cur, w, assignment, remaining, target, mode):
     for root in sorted(roots, key=_root_order_key):
         if not root.terms:
             continue
-        if cmp_value(root.terms[0][0], w[m]) != 0:
+        if root.terms[0][0] != w[m]:
             continue
         key = (root.terms, root.truncation)
         if key in seen:
@@ -800,14 +792,8 @@ def verify_lift(problem, point=None, w=None, N=None, mode=None):
         for exp, _ in s.terms:
             if exp.sign() <= 0:
                 positive_ok = False
-        v = s.valuation()
-        if v is INF or isinstance(v, AtLeast):
-            flag = False
-            observed = str(v)
-        else:
-            flag = cmp_value(v, problem.weights[i]) == 0
-            observed = str(v)
-        val_checks.append((i, str(problem.weights[i]), observed, flag))
+        v, w_i = s.valuation(), problem.weights[i]
+        val_checks.append((i, str(w_i), str(v), v == w_i))
     res_checks = []
     assignment = {i: s for i, s in enumerate(point)}
     for gi, g in enumerate(I.generators):

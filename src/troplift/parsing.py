@@ -36,6 +36,7 @@ from .scalars import (
     _scalar_is_zero,
     adjoin_root,
     as_field_element,
+    scalar_str,
 )
 from .series import ValuedSeries
 from .tropical import TropQuery
@@ -190,14 +191,15 @@ class _Scalars:
 
 
 def _field_sqrt(field, d):
-    """The square root of d as a field element, adjoining if needed."""
+    """The square root of d as a field element, adjoining if needed; of
+    the two roots, the one whose text has no leading minus."""
     target = as_field_element(field, Fraction(d))
     for level in range(1, field.height() + 1):
         gen = field.generator(level)
         if gen * gen == target:
             return gen
     _, root = adjoin_root(field, [Fraction(-d), Fraction(0), Fraction(1)])
-    return root
+    return -root if scalar_str(root).startswith("-") else root
 
 
 class _FieldValues:
@@ -383,7 +385,7 @@ def parse_vars(text):
     if not names:
         raise UsageError("empty variable list")
     for name in names:
-        if not re.fullmatch(r"[A-Za-z_]\w*", name, re.ASCII):
+        if name == "sqrt" or not re.fullmatch(r"[A-Za-z_]\w*", name, re.ASCII):
             raise UsageError("bad variable name %r" % name)
     if len(set(names)) != len(names):
         raise UsageError("repeated variable name")

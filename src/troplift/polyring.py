@@ -369,9 +369,7 @@ def w_order(f: Polynomial, weights) -> ValueScalar:
     ws = tuple(ValueScalar.of(w) for w in weights)
     if len(ws) != f.ring.nvars():
         raise UsageError("weight length does not match the ring")
-    if f.is_zero:
-        return INF
-    return min(wdot(ws, m) for m in f.coeffs)
+    return min((wdot(ws, m) for m in f.coeffs), default=INF)
 
 
 def initial_form(f: Polynomial, weights) -> Polynomial:
@@ -464,8 +462,8 @@ def inject(f: Polynomial, big: PolyRing, var_map) -> Polynomial:
 def project(f: Polynomial, small: PolyRing, var_map) -> Polynomial:
     """Move f into a subring; var_map[i] is the new index of old variable i
     or None for dropped variables (which must not occur in f)."""
-    out = {}
     n = small.nvars()
+    items = []
     for m, c in f.coeffs.items():
         e = [0] * n
         for i, ei in enumerate(m):
@@ -476,30 +474,19 @@ def project(f: Polynomial, small: PolyRing, var_map) -> Polynomial:
                     f"variable {f.ring.vars[i]} still occurs; cannot project"
                 )
             e[var_map[i]] = ei
-        key = tuple(e)
-        c0 = out.get(key)
-        out[key] = c if c0 is None else c0 + c
-    return Polynomial(small, {m: c for m, c in out.items() if not _scalar_is_zero(c)})
+        items.append((e, c))
+    return small.from_terms(items)
 
 
 def substitute_scalars(f: Polynomial, values: dict) -> Polynomial:
     """Substitute field scalars for some variables (indices -> scalar)."""
     ring = f.ring
-    out = ring.zero()
+    items = []
     for m, c in f.coeffs.items():
-        coeff = c
         e = list(m)
         for i, val in values.items():
             if e[i]:
-                coeff = coeff * (_as_scalar_pow(ring, val, e[i]))
+                c = c * as_field_element(ring.field, val) ** e[i]
                 e[i] = 0
-        out = out + Polynomial(ring, {tuple(e): coeff}) if not _scalar_is_zero(coeff) else out
-    return out
-
-
-def _as_scalar_pow(ring, val, e):
-    val = as_field_element(ring.field, val)
-    out = Fraction(1)
-    for _ in range(e):
-        out = out * val
-    return out
+        items.append((e, c))
+    return ring.from_terms(items)

@@ -5,7 +5,10 @@ Two kinds of scalars live here and never mix:
 
 * ``ValueScalar`` -- elements of the totally ordered value group Q + Q*sqrt(d)
   used for weights, orders and series exponents.  Comparisons are exact (sign
-  analysis after squaring), never floating point.
+  analysis after squaring), never floating point.  With the ``INF`` singleton
+  adjoined they form Gamma u {+oo}: ``<``, ``==``, ``min`` and ``+`` are its
+  order, minimum and sum, with ``INF`` the maximum and absorbing ``+``.
+  ``ValueScalar.of`` is the one coercion (int, Fraction or ValueScalar).
 * ``AlgebraicNumber`` -- coefficients.  A ``NumberField`` is an append-only
   tower of simple extensions of Q; elements are polynomials in the top
   generator with coefficients one level down.  No real or complex embedding is
@@ -110,7 +113,7 @@ class ValueScalar:
     # -- helpers
 
     @staticmethod
-    def of(x, d=1) -> "ValueScalar":
+    def of(x) -> "ValueScalar":
         if isinstance(x, ValueScalar):
             return x
         if isinstance(x, (int, Fraction)):
@@ -215,8 +218,6 @@ class ValueScalar:
         return (self - other).sign()
 
     def __eq__(self, other):
-        if other is INF:
-            return False
         if isinstance(other, (int, Fraction, ValueScalar)):
             return self._cmp(other) == 0
         return NotImplemented
@@ -233,13 +234,9 @@ class ValueScalar:
         return self._cmp(other) <= 0
 
     def __gt__(self, other):
-        if other is INF:
-            return False
         return self._cmp(other) > 0
 
     def __ge__(self, other):
-        if other is INF:
-            return False
         return self._cmp(other) >= 0
 
     def __bool__(self):
@@ -267,20 +264,9 @@ class ValueScalar:
 
 
 def as_value(x):
-    """Coerce a weight, exponent or bound to a ValueScalar; INF passes
-    through, callers that need a finite value reject it themselves."""
-    if isinstance(x, (ValueScalar, _Infinity)):
-        return x
-    return ValueScalar(Fraction(x))
-
-
-def cmp_value(x, y) -> int:
-    """Exact three-way comparison of value group elements (incl. +oo)."""
-    if x is INF:
-        return 0 if y is INF else 1
-    if y is INF:
-        return -1
-    return ValueScalar.of(x)._cmp(y)
+    """ValueScalar.of, with INF passing through; callers that need a
+    finite value reject it themselves."""
+    return x if x is INF else ValueScalar.of(x)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from .scalars import (
     _scalar_is_zero,
     as_field_element,
     as_value,
-    cmp_value,
     scalar_str,
 )
 
@@ -40,11 +39,9 @@ class AtLeast:
 
 def valuation_at_least(v, x):
     """Whether a valuation answer (scalar, AtLeast, or INF) is surely >= x."""
-    if v is INF:
-        return True
     if isinstance(v, AtLeast):
-        return not cmp_value(v.bound, x) < 0
-    return not cmp_value(v, x) < 0
+        v = v.bound
+    return v >= x
 
 
 class ValuedSeries:
@@ -68,7 +65,7 @@ class ValuedSeries:
                 merged[exp] = coeff
         kept = []
         for exp in sorted(merged):
-            if truncation is not INF and not cmp_value(exp, truncation) < 0:
+            if truncation is not INF and exp >= truncation:
                 continue
             coeff = merged[exp]
             if _scalar_is_zero(coeff):
@@ -143,7 +140,7 @@ class ValuedSeries:
         if not isinstance(other, ValuedSeries):
             return NotImplemented
         self._check(other)
-        trunc = _min_value(self.truncation, other.truncation)
+        trunc = min(self.truncation, other.truncation)
         return ValuedSeries(
             self.field, list(self.terms) + list(other.terms), trunc, self.mode
         )
@@ -167,7 +164,7 @@ class ValuedSeries:
         self._check(other)
         va = self.terms[0][0] if self.terms else self.truncation
         vb = other.terms[0][0] if other.terms else other.truncation
-        trunc = _min_value(_add_value(self.truncation, vb), _add_value(other.truncation, va))
+        trunc = min(self.truncation + vb, other.truncation + va)
         items = []
         for ea, ca in self.terms:
             for eb, cb in other.terms:
@@ -191,11 +188,10 @@ class ValuedSeries:
         exp = as_value(exp)
         if exp is INF:
             raise UsageError("series exponents must be finite")
-        trunc = self.truncation if self.truncation is INF else self.truncation + exp
         return ValuedSeries(
             self.field,
             [(e + exp, c) for e, c in self.terms],
-            trunc,
+            self.truncation + exp,
             self.mode,
         )
 
@@ -210,7 +206,7 @@ class ValuedSeries:
     def truncate(self, bound):
         """Forget everything at or above the bound."""
         bound = as_value(bound)
-        trunc = _min_value(self.truncation, bound)
+        trunc = min(self.truncation, bound)
         return ValuedSeries(self.field, list(self.terms), trunc, self.mode)
 
     # -- comparisons and text ----------------------------------------------
@@ -236,24 +232,6 @@ class ValuedSeries:
 
     def __repr__(self):
         return "ValuedSeries(%s)" % series_str(self)
-
-
-def _min_value(a, b):
-    if a is INF:
-        return b
-    if b is INF:
-        return a
-    return a if cmp_value(a, b) <= 0 else b
-
-
-def _add_value(a, b):
-    if a is INF or b is INF:
-        return INF
-    return a + b
-
-
-def valuation(a):
-    return a.valuation()
 
 
 def _coeff_text(c):
@@ -377,5 +355,5 @@ def _evaluate(field, mode, items, assignment, powers):
                     raise UsageError("no series assigned to variable index %d" % i)
                 term = term * _cached_power(powers, assignment, i, e)
         terms.extend(term.terms)
-        trunc = _min_value(trunc, term.truncation)
+        trunc = min(trunc, term.truncation)
     return ValuedSeries(field, terms, trunc, mode)

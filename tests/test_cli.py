@@ -267,6 +267,20 @@ def test_signed_factor_after_a_product():
     assert cap(base + ["y^3-x*y"]) == expected
 
 
+def test_sqrt_of_a_square_is_positive():
+    code, out, err = cap(
+        ["init-form", "--vars", "x,y", "--ideal", "sqrt(4)*x+y", "--w", "1,1"]
+    )
+    assert (code, out, err) == (0, "w_order=1\ninit_form=2*x + y\n", "")
+
+
+def test_sqrt_is_not_a_variable_name():
+    code, out, err = cap(
+        ["trop-member", "--vars", "sqrt,y", "--ideal", "sqrt+y", "--w", "1,1"]
+    )
+    assert (code, out, err) == (2, "", "usage error: bad variable name 'sqrt'\n")
+
+
 def test_verify_point_with_a_square_root_coefficient():
     code, out, err = cap(
         ["verify", "--vars", "x,y", "--ideal", "y^2-3*x^2", "--w", "1,1",

@@ -23,8 +23,8 @@ from troplift.lifting import (
 )
 from troplift.parsing import parse_poly
 from troplift.polyring import INF, PolyRing, initial_form
-from troplift.scalars import NumberField, ValueScalar, adjoin_root, cmp_value
-from troplift.series import AtLeast, ValuedSeries, substitute, valuation
+from troplift.scalars import NumberField, ValueScalar, adjoin_root, as_value
+from troplift.series import AtLeast, ValuedSeries, substitute
 from troplift.tropical import trop_member
 
 
@@ -45,7 +45,7 @@ def _reconstruct(span, w):
         total = ValueScalar(0)
         for m, g in zip(row, span.gamma):
             total = total + g * m
-        assert cmp_value(total, ValueScalar.of(entry)) == 0
+        assert total == entry
 
 
 def test_rational_span_rank_one():
@@ -79,6 +79,24 @@ def test_rational_span_fractional_entries():
     span = rational_span(w)
     assert span.r == 1
     _reconstruct(span, w)
+
+
+def test_values_coerce_only_from_int_fraction_and_value_scalar():
+    """Floats and strings are not weights: 0.1 is not one tenth, and text
+    goes through the parsers."""
+    R = _ring("x", "y")
+    I = _local(R, ["y^2 - x^3"], (2, 3))
+    for bad in (
+        lambda: as_value(0.1),
+        lambda: as_value("1/2"),
+        lambda: as_value(None),
+        lambda: LiftProblem(I, (2.0, 3.0), 5),
+        lambda: trop_member(I, (0.5, 0.75)),
+    ):
+        with pytest.raises(UsageError, match="cannot coerce"):
+            bad()
+    assert as_value(INF) is INF
+    assert as_value(Fraction(1, 2)) == ValueScalar(Fraction(1, 2))
 
 
 def test_descend_three_variable_example():
@@ -227,10 +245,10 @@ def test_newton_puiseux_root_count_and_valuation_sum():
             coeffs = nxt
         roots = newton_puiseux(coeffs, 12)
         assert len(roots) == deg
-        got = sorted(valuation(r).to_fraction() for r in roots)
-        want = sorted(valuation(s).to_fraction() for s in factors)
+        got = sorted(r.valuation().to_fraction() for r in roots)
+        want = sorted(s.valuation().to_fraction() for s in factors)
         assert got == want
-        total = valuation(coeffs[0])
+        total = coeffs[0].valuation()
         if total is not INF and not isinstance(total, AtLeast):
             assert sum(got, Fraction(0)) == total.to_fraction()
 
@@ -305,7 +323,7 @@ def test_taylor_shift_matches_series_products():
             assert len(got) == len(want)
             for g, h in zip(got, want):
                 assert g == h, (coeffs, c, omega)
-                assert cmp_value(g.truncation, h.truncation) == 0
+                assert g.truncation == h.truncation
                 assert str(g) == str(h)
 
 
@@ -338,7 +356,7 @@ def test_newton_puiseux_hahn_product_of_known_factors():
             want = f.truncate(N).terms
             hits = [r for r in free if r.truncate(N).terms == want]
             assert hits, (f, roots)
-            assert cmp_value(hits[0].truncation, N) >= 0
+            assert hits[0].truncation >= N
             free.remove(hits[0])
 
 
@@ -387,7 +405,7 @@ def test_lift_hahn_quadric():
     res = lift_point(LiftProblem(I, w, 6, mode="hahn"))
     assert res.achieved == w
     for s, target in zip(res.point, w):
-        assert valuation(s) == target
+        assert s.valuation() == target
         # exponents stay inside Q + Q*sqrt(2)
         for e, _ in s.terms:
             assert e.d in (1, 2)
@@ -413,7 +431,7 @@ def test_lift_descends_linear_three_variables():
     out = substitute(_p(R, "x + y + z"), res.point)
     from troplift.series import valuation_at_least
 
-    assert valuation_at_least(valuation(out), ValueScalar(8))
+    assert valuation_at_least(out.valuation(), ValueScalar(8))
 
 
 def test_verify_lift_flexible_signatures():

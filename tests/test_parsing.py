@@ -112,6 +112,17 @@ def test_parse_poly_sqrt_grows_the_field():
     assert c * c == Fraction(2)
 
 
+def test_sqrt_of_a_square_is_the_root_without_a_minus():
+    F = NumberField()
+    R = PolyRing(F, ("x", "y"))
+    assert poly_str(parse_poly("sqrt(4)*x + y", R)) == "2*x + y"
+    assert series_str(parse_series("sqrt(9)*t", NumberField())) == "3*t^(1)"
+    # with a1 = sqrt(2) adjoined, sqrt(8) is 2*a1 in both grammars
+    assert poly_str(parse_poly("sqrt(2)*y + sqrt(8)*x", R)) == "2*a1*x + a1*y"
+    assert series_str(parse_series("sqrt(8)*t", F)) == "(2*a1)*t^(1)"
+    assert F.height() == 1
+
+
 def test_poly_round_trip_random():
     rng = random.Random(99)
     R = PolyRing(NumberField(), ("x", "y", "z"))

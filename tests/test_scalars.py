@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from troplift.errors import ExtensionUnsupportedError, UsageError
 from troplift.scalars import (
@@ -13,7 +14,7 @@ from troplift.scalars import (
     ValueScalar,
     adjoin_root,
     as_field_element,
-    cmp_value,
+    as_value,
     factor_univariate,
     roots_in_extension,
     scalar_str,
@@ -22,15 +23,15 @@ from troplift.polyring import INF
 
 
 def test_cmp_examples():
-    assert cmp_value(ValueScalar(1, 1, 2), ValueScalar(Fraction(5, 2))) < 0
-    assert cmp_value(ValueScalar(Fraction(3, 7)), ValueScalar(Fraction(3, 7))) == 0
-    assert cmp_value(ValueScalar(0, 1, 2), ValueScalar(1)) > 0
+    assert ValueScalar(1, 1, 2) < ValueScalar(Fraction(5, 2))
+    assert ValueScalar(Fraction(3, 7)) == ValueScalar(Fraction(3, 7))
+    assert ValueScalar(0, 1, 2) > ValueScalar(1)
 
 
 def test_cmp_with_infinity():
-    assert cmp_value(ValueScalar(10**9), INF) < 0
-    assert cmp_value(INF, ValueScalar(10**9)) > 0
-    assert cmp_value(INF, INF) == 0
+    assert ValueScalar(10**9) < INF
+    assert INF > ValueScalar(10**9)
+    assert INF == INF
 
 
 def test_cmp_against_interval_oracle():
@@ -56,7 +57,8 @@ def test_cmp_against_interval_oracle():
             expected = 0
         else:
             expected = 1 if diff > 0 else -1
-        assert cmp_value(x, y) == expected
+        assert (x > y) - (x < y) == expected
+        assert (x == y) == (expected == 0)
 
 
 def test_order_compatible_with_addition():
@@ -65,8 +67,8 @@ def test_order_compatible_with_addition():
         a = ValueScalar(Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9)), 2)
         b = ValueScalar(Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9)), 2)
         c = ValueScalar(Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9)), 2)
-        if cmp_value(a, b) < 0:
-            assert cmp_value(a + c, b + c) < 0
+        if a < b:
+            assert a + c < b + c
 
 
 def _cmp_by_difference(x, y):
@@ -74,6 +76,37 @@ def _cmp_by_difference(x, y):
     if y is INF:
         return -1
     return (x - ValueScalar.of(y)).sign()
+
+
+_RATIONALS = st.fractions(min_value=-12, max_value=12, max_denominator=6)
+_SCALARS = st.builds(lambda a, b: ValueScalar(a, b, 2), _RATIONALS, _RATIONALS)
+_VALUES = st.one_of(_SCALARS, _SCALARS, st.just(INF))
+
+
+@seed(2013)
+@settings(max_examples=200, database=None, deadline=None)
+@given(_VALUES, _VALUES, _SCALARS)
+def test_operators_are_the_order_min_and_sum_of_the_value_group(x, y, z):
+    """On a+b*sqrt(2) and INF, <, ==, min and + are Gamma u {+oo}'s order,
+    minimum and sum: for finite pairs they follow the sign of x - y, INF is
+    the maximum and absorbs +."""
+    if x is INF or y is INF:
+        other = y if x is INF else x
+        assert x + y is INF and y + x is INF
+        assert min(x, y) is other and min(y, x) is other
+        assert max(x, y) is INF
+        assert other <= INF and INF >= other and not INF < other
+        assert (other == INF) == (other is INF)
+        assert (other < INF) == (INF > other) == (other is not INF)
+        return
+    sign = (x - y).sign()
+    assert (x < y) == (sign < 0) and (x > y) == (sign > 0)
+    assert (x <= y) == (sign <= 0) and (x >= y) == (sign >= 0)
+    assert (x == y) == (sign == 0) and (x != y) == (sign != 0)
+    assert min(x, y) is (y if sign > 0 else x)
+    assert (x + z < y + z) == (sign < 0) and (x + z == y + z) == (sign == 0)
+    assert x + y == y + x and (x + y) - y == x
+    assert x + INF is INF and INF + x is INF
 
 
 def test_cmp_fast_path_agrees_with_difference_sign():
