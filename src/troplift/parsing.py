@@ -171,11 +171,17 @@ class _Scalars:
         if not arg.isdigit() or int(arg) == 0:
             raise UsageError("sqrt needs a positive integer, got %r" % arg)
         n = int(arg)
-        if self.d is not None and n != self.d:
+        r, d, q = 1, n, 2  # sqrt(n) = r*sqrt(d) with d squarefree
+        while q * q <= d:
+            if d % (q * q):
+                q += 1
+            else:
+                r, d = r * q, d // (q * q)
+        if d > 1 and self.d is not None and d != self.d:
             raise UsageError(
                 "sqrt(%d) conflicts with the session constant d=%d" % (n, self.d)
             )
-        return ValueScalar(0, 1, n)
+        return ValueScalar(0, r, d)
 
     def name(self, tok, toks):
         raise UsageError("unexpected token %r" % tok)

@@ -16,11 +16,15 @@ Two kinds of scalars live here and never mix:
   ``adjoin_root`` is immaterial.
 
 Univariate factorization over a tower is done by norm/resultant descent to Q
-(Trager's method); the rational leaf is delegated to sympy.
+(Trager's method); the rational leaf is factored over Z by Zassenhaus's
+method: factor modulo a small prime, Hensel-lift the factors and recombine
+them by trial division.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from fractions import Fraction
 
 from .errors import ExtensionUnsupportedError, UsageError
@@ -212,6 +216,8 @@ class ValueScalar:
     def _cmp(self, other) -> int:
         if other is INF:
             return -1
+        if self.d == 1 and isinstance(other, (int, Fraction)):
+            return (self.a > other) - (self.a < other)
         other = ValueScalar.of(other)
         if self.d == 1 and other.d == 1:  # both rational: b is folded into a
             return (self.a > other.a) - (self.a < other.a)
@@ -706,19 +712,222 @@ def _poly_sort_key(cs):
     return (len(cs), tuple(scalar_str(c) for c in cs))
 
 
-def _factor_rational_squarefree(cs):
-    """Irreducible factors of a squarefree polynomial over Q (monic output).
-    sympy is imported here, on first use, so that paths that never factor
-    do not pay for its import."""
-    import sympy
+# -- the rational leaf: Zassenhaus's method over Z (von zur Gathen and
+# Gerhard, Modern Computer Algebra, ch. 14-15).  Polynomials mod m are
+# lists of ints in [0, m), ascending, with no trailing zeros; m is a prime
+# p or, while Hensel lifting, a power of p.
 
-    sy = [sympy.Rational(c.numerator, c.denominator) for c in reversed(cs)]
-    poly = sympy.Poly(sy, sympy.Symbol("z"), domain="QQ")
+_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
+           67, 71, 73, 79, 83, 89, 97)
+
+
+def _zp_trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+def _zp_add(a, b, m):
+    if len(a) < len(b):
+        a, b = b, a
+    return _zp_trim([(x + y) % m for x, y in zip(a, b)] + [x % m for x in a[len(b):]])
+
+def _zp_sub(a, b, m):
+    return _zp_add(a, [-y for y in b], m)
+
+def _zp_mul(a, b, m):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _zp_trim([c % m for c in out])
+
+def _zp_divmod(a, b, m):
+    """Quotient and remainder mod m; b's leading coefficient is a unit."""
+    inv = pow(b[-1], -1, m)
+    db = len(b) - 1
+    r = [c % m for c in a]
+    q = [0] * max(len(r) - db, 0)
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i] * inv % m
+        if c:
+            q[i - db] = c
+            for j in range(db):
+                r[i - db + j] = (r[i - db + j] - c * b[j]) % m
+    return _zp_trim(q), _zp_trim(r[:db])
+
+def _zp_monic(a, m):
+    inv = pow(a[-1], -1, m)
+    return [c * inv % m for c in a]
+
+def _zp_gcd(a, b, p):
+    while b:
+        a, b = b, _zp_divmod(a, b, p)[1]
+    return _zp_monic(a, p)
+
+def _zp_gcdex(a, b, p):
+    """(s, t) with s*a + t*b = 1 mod p, deg s < deg b and deg t < deg a,
+    for coprime a and b."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = _zp_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _zp_sub(s0, _zp_mul(q, s1, p), p)
+        t0, t1 = t1, _zp_sub(t0, _zp_mul(q, t1, p), p)
+    inv = pow(r0[0], -1, p)
+    return [c * inv % p for c in s0], [c * inv % p for c in t0]
+
+def _zp_powmod(a, e, g, p):
+    """a^e mod (g, p)."""
+    out, a = [1], _zp_divmod(a, g, p)[1]
+    while e:
+        if e & 1:
+            out = _zp_divmod(_zp_mul(out, a, p), g, p)[1]
+        e >>= 1
+        if e:
+            a = _zp_divmod(_zp_mul(a, a, p), g, p)[1]
+    return out
+
+
+def _distinct_degree(g, p):
+    """[(product of the degree-d factors, d)] of a monic squarefree g."""
+    out, h, d = [], [0, 1], 0
+    while len(g) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _zp_powmod(h, p, g, p)
+        u = _zp_gcd(g, _zp_sub(h, [0, 1], p), p)
+        if len(u) > 1:
+            out.append((u, d))
+            g = _zp_divmod(g, u, p)[0]
+            h = _zp_divmod(h, g, p)[1]
+    if len(g) > 1:
+        out.append((g, len(g) - 1))
+    return out
+
+
+def _equal_degree(g, d, p, rng):
+    """Cantor-Zassenhaus: the monic degree-d factors of g, for p odd."""
+    n = len(g) - 1
+    if n == d:
+        return [g]
+    while True:
+        a = _zp_trim([rng.randrange(p) for _ in range(n)])
+        if len(a) < 2:
+            continue
+        u = _zp_gcd(g, a, p)
+        if len(u) == 1:
+            b = _zp_powmod(a, (p**d - 1) // 2, g, p)
+            u = _zp_gcd(g, _zp_sub(b, [1], p), p)
+        if 1 < len(u) < len(g):
+            rest = _zp_divmod(g, u, p)[0]
+            return _equal_degree(u, d, p, rng) + _equal_degree(rest, d, p, rng)
+
+
+def _hensel_lift(f, factors, p, m_top):
+    """Monic factors mod m_top = p^(2^l) of the monic f (mod m_top) that
+    reduce to the given pairwise coprime monic factors mod p: each factor
+    is split off the rest by quadratic Hensel steps (Algorithm 15.10)."""
     out = []
-    for fac, mult in poly.factor_list()[1]:
-        assert mult == 1
-        coeffs = [Fraction(c.p, c.q) for c in reversed(fac.all_coeffs())]
-        out.append(_pmonic(coeffs))
+    for i, g in enumerate(factors[:-1]):
+        h = [1]
+        for u in factors[i + 1:]:
+            h = _zp_mul(h, u, p)
+        s, t = _zp_gcdex(g, h, p)
+        m = p
+        while m < m_top:
+            m = m * m
+            e = _zp_sub(f, _zp_mul(g, h, m), m)
+            q, r = _zp_divmod(_zp_mul(s, e, m), h, m)
+            g = _zp_add(g, _zp_add(_zp_mul(t, e, m), _zp_mul(q, g, m), m), m)
+            h = _zp_add(h, r, m)
+            b = _zp_sub(_zp_add(_zp_mul(s, g, m), _zp_mul(t, h, m), m), [1], m)
+            c, d = _zp_divmod(_zp_mul(s, b, m), h, m)
+            s = _zp_sub(s, d, m)
+            t = _zp_sub(t, _zp_add(_zp_mul(t, b, m), _zp_mul(c, g, m), m), m)
+        out.append(g)
+        f = h
+    out.append(f)
+    return out
+
+
+def _z_exact_quotient(a, b):
+    """a / b in Z[z], or None when b does not divide a."""
+    db = len(b) - 1
+    a = list(a)
+    q = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
+        c, rem = divmod(a[i], b[-1])
+        if rem:
+            return None
+        q[i - db] = c
+        for j in range(db + 1):
+            a[i - db + j] -= c * b[j]
+    return None if any(a[:db]) else q
+
+
+def _z_primitive(a):
+    g = 0
+    for c in a:
+        g = math.gcd(g, c)
+    g = g if a[-1] > 0 else -g
+    return [c // g for c in a]
+
+
+def _factor_rational_squarefree(cs):
+    """Irreducible factors of a squarefree polynomial over Q (monic output),
+    by Zassenhaus's method: factor mod a prime p, Hensel-lift the factors
+    to p^k beyond the Landau-Mignotte bound and recombine them by trial
+    division over Z."""
+    den = 1
+    for c in cs:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    f = _z_primitive([int(c * den) for c in cs])
+    n, lc = len(f) - 1, f[-1]
+    for p in _PRIMES:
+        if lc % p:
+            fp = _zp_monic([c % p for c in f], p)
+            dfp = _zp_trim([c * i % p for i, c in enumerate(fp) if i])
+            if dfp and len(_zp_gcd(fp, dfp, p)) == 1:
+                break
+    else:
+        raise ExtensionUnsupportedError(
+            "extension unsupported: every odd prime below 100 divides the "
+            "discriminant or the leading coefficient"
+        )
+    rng = random.Random(0)
+    modular = []
+    for g, d in _distinct_degree(fp, p):
+        modular += _equal_degree(g, d, p, rng)
+    # p^k > 2*|lc|*B, B = sqrt(n + 1) * 2^n * max|f_i|
+    bound = 2 * lc * (math.isqrt(n) + 1) * 2**n * max(abs(c) for c in f)
+    m = p
+    while m <= bound:
+        m = m * m
+    inv = pow(lc, -1, m)
+    lifted = _hensel_lift([c * inv % m for c in f], modular, p, m)
+    # recombine: subsets of increasing size, tried by division over Z
+    factors, size = [], 1
+    while 2 * size <= len(lifted):
+        for mask in range(1 << len(lifted)):
+            if bin(mask).count("1") != size:
+                continue
+            g = [f[-1]]
+            for i, u in enumerate(lifted):
+                if mask >> i & 1:
+                    g = _zp_mul(g, u, m)
+            g = _z_primitive([c - m if 2 * c > m else c for c in g])
+            q = _z_exact_quotient(f, g)
+            if q is not None:
+                factors.append(g)
+                f = q
+                lifted = [u for i, u in enumerate(lifted) if not mask >> i & 1]
+                break
+        else:
+            size += 1
+    factors.append(f)
+    out = [_pmonic([Fraction(c) for c in g]) for g in factors]
     out.sort(key=_poly_sort_key)
     return out
 
@@ -788,13 +997,18 @@ def _interpolate(samples):
 def _factor_squarefree(field, level, f):
     """Irreducible monic factors of a squarefree monic polynomial."""
     f = _pmonic(f)
-    if _pdeg(f) > _MAX_ADJOIN_DEGREE:
-        raise ExtensionUnsupportedError(
-            f"extension unsupported: irreducibility testing beyond degree "
-            f"{_MAX_ADJOIN_DEGREE} (got degree {_pdeg(f)})"
-        )
     if _pdeg(f) <= 1:
         return [f]
+    # the norm one level down has degree deg f * deg(level), and so on down
+    # to Q: fail at the first one beyond the cap, before building any
+    degree = 1
+    for d in [_pdeg(f)] + [lv.degree for lv in reversed(field.levels[:level])]:
+        degree *= d
+        if degree > _MAX_ADJOIN_DEGREE:
+            raise ExtensionUnsupportedError(
+                f"extension unsupported: irreducibility testing beyond degree "
+                f"{_MAX_ADJOIN_DEGREE} (got degree {degree})"
+            )
     if level == 0:
         return _factor_rational_squarefree(f)
     theta = field.generator(level)

@@ -274,6 +274,18 @@ def test_sqrt_of_a_square_is_positive():
     assert (code, out, err) == (0, "w_order=1\ninit_form=2*x + y\n", "")
 
 
+def test_weight_sqrt_takes_out_the_square_part():
+    # sqrt(4) is 2 and sqrt(8) is 2*sqrt(2); --d is checked against the
+    # squarefree part
+    base = ["trop-member", "--vars", "x,y", "--ideal", "y-x", "--w"]
+    assert cap(base + ["sqrt(4),2"]) == (0, "w=2,2: member=true\n", "")
+    assert cap(base + ["sqrt(8),2*sqrt(2)", "--d", "2"]) == (
+        0, "w=2*sqrt(2),2*sqrt(2): member=true\n", "")
+    assert cap(base + ["sqrt(9)/3,1", "--d", "5"]) == (0, "w=1,1: member=true\n", "")
+    assert cap(base + ["sqrt(8),1", "--d", "3"]) == (
+        2, "", "usage error: sqrt(8) conflicts with the session constant d=3\n")
+
+
 def test_sqrt_is_not_a_variable_name():
     code, out, err = cap(
         ["trop-member", "--vars", "sqrt,y", "--ideal", "sqrt+y", "--w", "1,1"]

@@ -1,9 +1,13 @@
 """Source hygiene: no module of the package imports a name it never uses,
 defines a top-level function or class nothing references, or imports inside
-a function body; every name the benchmark tracer wraps exists."""
+a function body; commands that factor never load sympy; every name the
+benchmark tracer wraps exists."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import troplift
@@ -112,8 +116,7 @@ def test_no_unreferenced_definitions():
     assert not found, "unreferenced definitions:\n" + "\n".join(found)
 
 
-# the one deferred import: sympy loads on first factorization
-_LOCAL_IMPORTS_ALLOWED = {("scalars.py", "_factor_rational_squarefree", "sympy")}
+_LOCAL_IMPORTS_ALLOWED = set()
 
 
 def local_imports(source):
@@ -141,6 +144,28 @@ def test_no_function_local_imports():
             if (path.name, fn, module) not in _LOCAL_IMPORTS_ALLOWED:
                 found.append(f"{path.name}: {fn} imports {module}")
     assert not found, "function-local imports:\n" + "\n".join(found)
+
+
+# -- the package factors over Q without sympy
+
+_FACTORING_ARGVS = [
+    ["lift", "--vars", "x,y", "--ideal", "y^2-x^3", "--w", "2,3", "--N", "10"],
+    ["np-solve", "--coeffs=-t^(2)-t^(3);0;1", "--N", "8", "--json"],
+]
+
+
+def test_commands_that_factor_do_not_import_sympy():
+    script = (
+        "import sys; from troplift import cli\n"
+        "try:\n    cli.main()\nexcept SystemExit as exc:\n    assert exc.code == 0\n"
+        "print('sympy' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    for argv in _FACTORING_ARGVS:
+        proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False", argv
 
 
 # -- the benchmark tracer wraps troplift functions by name

@@ -9,8 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from troplift import ideals, lifting
-from troplift.errors import DescentWitnessError, NonMemberError, UsageError
+from troplift import ideals, lifting, scalars
+from troplift.errors import (
+    CapabilityError,
+    DescentWitnessError,
+    NonMemberError,
+    UsageError,
+)
 from troplift.ideals import dimension, ideal_member, presentation
 from troplift.lifting import (
     LiftProblem,
@@ -417,6 +422,21 @@ def test_lift_rejects_non_member():
     I = _local(R, ["x + y"], (1, 2))
     with pytest.raises(NonMemberError):
         lift_point(LiftProblem(I, (1, 2), 5))
+
+
+def test_degree_cap_fails_before_any_norm(monkeypatch):
+    """Over Q(cbrt 2) the cubic y^3 - 2 needs a degree-9 norm: the cap is
+    read off the tower degrees, so no Trager norm is built."""
+    calls = []
+    norm = scalars._bivariate_norm
+    monkeypatch.setattr(
+        scalars, "_bivariate_norm", lambda *args: calls.append(args) or norm(*args)
+    )
+    R = _ring("x", "y")
+    I = _local(R, ["y^3 - 2*x^3"], (1, 1))
+    with pytest.raises(CapabilityError, match=r"got degree 9\)"):
+        lift_point(LiftProblem(I, (1, 1), 5))
+    assert calls == []
 
 
 def test_lift_descends_linear_three_variables():

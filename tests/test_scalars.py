@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+import sympy
+from hypothesis import assume, given, seed, settings, strategies as st
 
+from troplift import scalars
 from troplift.errors import ExtensionUnsupportedError, UsageError
 from troplift.scalars import (
     AlgebraicNumber,
@@ -145,6 +147,21 @@ def test_cmp_fast_path_agrees_with_difference_sign():
         ValueScalar(1, 1, 2) == ValueScalar(1, 1, 3)
     with pytest.raises(UsageError):
         ValueScalar(1, 1, 2) < ValueScalar(1, 1, 3)
+
+
+def test_rational_comparison_with_int_or_fraction_builds_no_scalar(monkeypatch):
+    made = []
+    init = ValueScalar.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    x, y = ValueScalar(3), ValueScalar(Fraction(1, 2))
+    monkeypatch.setattr(ValueScalar, "__init__", counting)
+    assert x < 5 and x > Fraction(5, 2) and x == 3 and x >= 3
+    assert y <= Fraction(1, 2) and y != 1 and not y < -1
+    assert made == []
 
 
 def test_mixed_radicals_rejected():
@@ -290,3 +307,91 @@ def test_algebraic_equality_is_exact():
     lhs = (s2 + s3) * (s2 + s3)
     rhs = as_field_element(F, Fraction(5)) + s2 * s3 * 2
     assert lhs == rhs
+
+
+# -- the rational leaf: Zassenhaus's method against sympy as the reference
+
+
+def _sympy_factors(cs):
+    """Monic irreducible factors over Q by sympy, sorted as troplift sorts."""
+    rational = [sympy.Rational(c.numerator, c.denominator) for c in reversed(cs)]
+    out = []
+    for fac, mult in sympy.Poly(rational, sympy.Symbol("z")).factor_list()[1]:
+        assert mult == 1
+        lc = fac.LC()
+        out.append([Fraction(int(c.p), int(c.q)) for c in
+                    (c / lc for c in reversed(fac.all_coeffs()))])
+    return sorted(out, key=scalars._poly_sort_key)
+
+
+def _product(factors):
+    out = [Fraction(1)]
+    for f in factors:
+        out = scalars._pmul(out, f)
+    return out
+
+
+def _is_squarefree(cs):
+    return scalars.squarefree_decomposition(cs) == [(scalars._pmonic(cs), 1)]
+
+
+# x^4 + 1 and the Swinnerton-Dyer polynomial of sqrt(2), sqrt(3), sqrt(5)
+# are irreducible but split into linear or quadratic factors mod every
+# prime; Phi_5 * Phi_3 splits mod p into many factors whenever p = 1 mod 15
+_MANY_MODULAR_FACTORS = [
+    [1, 0, 0, 0, 1],
+    _product([[Fraction(1)] * 5, [Fraction(1)] * 3]),
+    [576, 0, -960, 0, 352, 0, -40, 0, 1],
+]
+
+
+def test_rational_factors_match_sympy():
+    rng = random.Random(14)
+
+    def coefficient(bits):
+        return Fraction(rng.randint(-(2**bits), 2**bits), rng.randint(1, 60))
+
+    def random_poly(degree, bits):
+        cs = [coefficient(bits) for _ in range(degree)]
+        return cs + [Fraction(rng.randint(1, 2**bits), rng.randint(1, 60))]
+
+    inputs = [[Fraction(c) for c in f] for f in _MANY_MODULAR_FACTORS]
+    while len(inputs) < 160:  # products of factors of degree 1-4, total <= 8
+        bits = rng.choice((3, 12, 100))
+        factors, total = [], 0
+        while True:
+            degree = rng.randint(1, 4)
+            if total + degree > 8 or (total >= 2 and rng.random() < 0.3):
+                break
+            factors.append(random_poly(degree, bits))
+            total += degree
+        if total >= 2:
+            inputs.append(_product(factors))
+    for degree in range(2, 9):  # irreducible with high probability
+        for bits in (3, 100):
+            inputs.append(random_poly(degree, bits))
+    checked = 0
+    for cs in inputs:
+        cs = scalars._pmonic(cs)
+        if not _is_squarefree(cs):
+            continue
+        assert scalars._factor_rational_squarefree(cs) == _sympy_factors(cs), cs
+        checked += 1
+    assert checked > 150
+    counts = [len(scalars._factor_rational_squarefree(f)) for f in inputs[:3]]
+    assert counts == [1, 2, 1]
+
+
+_FACTOR_COEFFS = st.fractions(min_value=-50, max_value=50, max_denominator=9)
+_FACTORS = st.lists(_FACTOR_COEFFS, min_size=2, max_size=4).filter(lambda f: f[-1] != 0)
+
+
+@seed(2014)
+@settings(max_examples=80, database=None, deadline=None)
+@given(st.lists(_FACTORS, min_size=1, max_size=4))
+def test_rational_factors_multiply_back_to_the_input(factors):
+    cs = scalars._pmonic(_product(factors))
+    assume(2 <= len(cs) - 1 <= 8 and _is_squarefree(cs))
+    out = scalars._factor_rational_squarefree(cs)
+    assert all(f[-1] == 1 for f in out)
+    assert _product(out) == cs
