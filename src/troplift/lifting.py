@@ -384,9 +384,11 @@ def _taylor_shift(coeffs, c, omega, field, mode):
     """Coefficients of p(z + c*t^omega) for p = sum coeffs[i] z^i.
 
     Coefficient j is the sum over i >= j of
-    comb(i, j) * c^(i-j) * t^((i-j)*omega) * coeffs[i], built in one pass
-    from the terms of the coeffs[i]; it is known below the least
-    coeffs[i].truncation + (i-j)*omega.
+    comb(i, j) * c^(i-j) * t^((i-j)*omega) * coeffs[i]; it is known below
+    the least coeffs[i].truncation + (i-j)*omega.  Terms at or above that
+    bound are skipped before their coefficients are multiplied, the rest
+    are summed in one dict keyed by exponent, and each series is built
+    from its sorted nonzero terms without re-validation.
     """
     d = len(coeffs) - 1
     c_pows, w_pows = [Fraction(1)], [ValueScalar(0)]
@@ -395,12 +397,24 @@ def _taylor_shift(coeffs, c, omega, field, mode):
         w_pows.append(w_pows[-1] + omega)
     out = []
     for j in range(d + 1):
-        terms, trunc = [], INF
+        trunc = INF
         for i in range(j, d + 1):
-            scale, offset = comb(i, j) * c_pows[i - j], w_pows[i - j]
-            terms.extend((e + offset, a * scale) for e, a in coeffs[i].terms)
-            trunc = min(trunc, coeffs[i].truncation + offset)
-        out.append(ValuedSeries(field, terms, trunc, mode))
+            trunc = min(trunc, coeffs[i].truncation + w_pows[i - j])
+        sums = {}
+        for i in range(j, d + 1):
+            offset, scale = w_pows[i - j], None
+            for e, a in coeffs[i].terms:
+                if i > j:  # else the offset is 0 and the scale 1
+                    e = e + offset
+                if trunc is not INF and e >= trunc:
+                    break  # terms are sorted, so the rest lie above too
+                if i > j:
+                    if scale is None:
+                        scale = comb(i, j) * c_pows[i - j]
+                    a = a * scale
+                sums[e] = sums[e] + a if e in sums else a
+        terms = [(e, sums[e]) for e in sorted(sums) if sums[e]]
+        out.append(object.__new__(ValuedSeries)._build(field, terms, trunc, mode))
     return out
 
 

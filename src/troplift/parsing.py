@@ -32,6 +32,7 @@ from .polyring import INF, PolyRing
 from .scalars import (
     NumberField,
     ValueScalar,
+    _MAX_RADICAND,
     _scalar_div,
     _scalar_is_zero,
     adjoin_root,
@@ -162,6 +163,8 @@ class _Scalars:
     implicit = False
 
     def __init__(self, d):
+        if d is not None and d > _MAX_RADICAND:
+            raise UsageError("d=%d is above the bound 10^12" % d)
         self.d = d
 
     def number(self, n):
@@ -171,6 +174,8 @@ class _Scalars:
         if not arg.isdigit() or int(arg) == 0:
             raise UsageError("sqrt needs a positive integer, got %r" % arg)
         n = int(arg)
+        if n > _MAX_RADICAND:  # the square part is found by trial division
+            raise UsageError("sqrt(%d) is above the bound 10^12" % n)
         r, d, q = 1, n, 2  # sqrt(n) = r*sqrt(d) with d squarefree
         while q * q <= d:
             if d % (q * q):

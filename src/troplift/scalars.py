@@ -76,6 +76,12 @@ class _Infinity:
 
 INF = _Infinity()
 
+# the largest d of sqrt(d) in a value scalar: the squarefree check is trial
+# division, so this bounds it to 10^6 steps
+_MAX_RADICAND = 10**12
+_ZERO = Fraction(0)
+_new = object.__new__
+
 
 def _squarefree(n: int) -> bool:
     if n <= 0:
@@ -95,7 +101,10 @@ class ValueScalar:
 
     d = 1 collapses to the rationals (b is folded into a).  All comparisons
     are exact.  Mixing two irrational scalars with different d is rejected:
-    a session works over a single quadratic value group.
+    a session works over a single quadratic value group, with d at most
+    10^12.  The constructor validates its input; arithmetic results are
+    built from operands already in normal form by ``_build``, without
+    re-validation.
     """
 
     __slots__ = ("a", "b", "d")
@@ -104,15 +113,23 @@ class ValueScalar:
         a = Fraction(a)
         b = Fraction(b)
         d = int(d)
-        if not _squarefree(d):
-            raise UsageError(f"d must be a positive squarefree integer, got {d}")
-        if d == 1:
-            a, b = a + b, Fraction(0)
-        if b == 0:
+        if not (d <= _MAX_RADICAND and _squarefree(d)):
+            raise UsageError(
+                f"d must be a positive squarefree integer up to 10^12, got {d}"
+            )
+        self._build(a, b, d)
+
+    def _build(self, a, b, d):
+        """Store a + b*sqrt(d) in normal form (d = 1 when b is 0, b folded
+        into a when d is 1) from Fraction parts and a valid d; returns self."""
+        if not b:
             d = 1
+        elif d == 1:
+            a, b = a + b, _ZERO
         self.a = a
         self.b = b
         self.d = d
+        return self
 
     # -- helpers
 
@@ -135,7 +152,7 @@ class ValueScalar:
 
     @property
     def is_rational(self) -> bool:
-        return self.b == 0
+        return not self.b
 
     def to_fraction(self) -> Fraction:
         if self.b != 0:
@@ -159,34 +176,40 @@ class ValueScalar:
             return (t > 0) - (t < 0)
         return (t < 0) - (t > 0)  # a < 0, b > 0
 
-    # -- arithmetic
+    # -- arithmetic: operands are in normal form, so results skip __init__
 
     def __add__(self, other):
-        if other is INF:
-            return INF
-        other = ValueScalar.of(other)
-        d = self._common_d(other)
-        return ValueScalar(self.a + other.a, self.b + other.b, d)
+        if other.__class__ is not ValueScalar:
+            if other is INF:
+                return INF
+            other = ValueScalar.of(other)
+        new = _new(ValueScalar)
+        if self.d == 1 and other.d == 1:
+            return new._build(self.a + other.a, _ZERO, 1)
+        return new._build(self.a + other.a, self.b + other.b, self._common_d(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = ValueScalar.of(other)
-        d = self._common_d(other)
-        return ValueScalar(self.a - other.a, self.b - other.b, d)
+        if other.__class__ is not ValueScalar:
+            other = ValueScalar.of(other)
+        new = _new(ValueScalar)
+        if self.d == 1 and other.d == 1:
+            return new._build(self.a - other.a, _ZERO, 1)
+        return new._build(self.a - other.a, self.b - other.b, self._common_d(other))
 
     def __rsub__(self, other):
         return ValueScalar.of(other).__sub__(self)
 
     def __neg__(self):
-        return ValueScalar(-self.a, -self.b, self.d)
+        return _new(ValueScalar)._build(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return ValueScalar(self.a * other, self.b * other, self.d)
+            return _new(ValueScalar)._build(self.a * other, self.b * other, self.d)
         other = ValueScalar.of(other)
         d = self._common_d(other)
-        return ValueScalar(
+        return _new(ValueScalar)._build(
             self.a * other.a + self.b * other.b * d,
             self.a * other.b + self.b * other.a,
             d,
@@ -198,15 +221,15 @@ class ValueScalar:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("value scalar division by zero")
-            return ValueScalar(self.a / other, self.b / other, self.d)
+            return _new(ValueScalar)._build(self.a / other, self.b / other, self.d)
         other = ValueScalar.of(other)
         d = self._common_d(other)
         n = other.a * other.a - other.b * other.b * d
         if n == 0:
             raise ZeroDivisionError("value scalar division by zero")
         # multiply by the conjugate
-        num = self * ValueScalar(other.a, -other.b, other.d)
-        return ValueScalar(num.a / n, num.b / n, d)
+        num = self * _new(ValueScalar)._build(other.a, -other.b, other.d)
+        return _new(ValueScalar)._build(num.a / n, num.b / n, d)
 
     def __rtruediv__(self, other):
         return ValueScalar.of(other).__truediv__(self)
@@ -214,13 +237,16 @@ class ValueScalar:
     # -- exact total order
 
     def _cmp(self, other) -> int:
-        if other is INF:
+        if other.__class__ is ValueScalar:
+            if self.d == 1 and other.d == 1:  # both rational: b is folded into a
+                a, b = self.a, other.a
+                return 0 if a == b else 1 if a > b else -1
+        elif other is INF:
             return -1
-        if self.d == 1 and isinstance(other, (int, Fraction)):
+        elif self.d == 1 and isinstance(other, (int, Fraction)):
             return (self.a > other) - (self.a < other)
-        other = ValueScalar.of(other)
-        if self.d == 1 and other.d == 1:  # both rational: b is folded into a
-            return (self.a > other.a) - (self.a < other.a)
+        else:
+            other = ValueScalar.of(other)
         return (self - other).sign()
 
     def __eq__(self, other):
@@ -229,7 +255,7 @@ class ValueScalar:
         return NotImplemented
 
     def __hash__(self):
-        if self.b == 0:
+        if not self.b:
             return hash(self.a)
         return hash((self.a, self.b, self.d))
 
@@ -980,17 +1006,28 @@ def _bivariate_norm(field, level, f, s):
 
 
 def _interpolate(samples):
-    """Lagrange interpolation: sum yi * prod_j (z - xj)/(xi - xj)."""
-    out = []
+    """Lagrange interpolation: sum yi * prod_{j != i} (z - xj)/(xi - xj).
+
+    O(n^2): M = prod_j (z - xj) is formed once and each basis numerator is
+    M / (z - xi) by synthetic division (von zur Gathen and Gerhard, Modern
+    Computer Algebra, 5.2), so no basis polynomial is rebuilt from its
+    factors.
+    """
+    m = [Fraction(1)]
+    for xj, _ in samples:  # m = m * (z - xj)
+        m = [-xj * m[0]] + [m[k - 1] - xj * m[k] for k in range(1, len(m))] + [m[-1]]
+    out = [Fraction(0)] * (len(m) - 1)
     for i, (xi, yi) in enumerate(samples):
-        num = [Fraction(1)]
+        num = [m[-1]]
+        for k in range(len(m) - 2, 0, -1):
+            num.append(m[k] + xi * num[-1])
+        num.reverse()
         den = Fraction(1)
         for j, (xj, _) in enumerate(samples):
-            if j == i:
-                continue
-            num = _pmul(num, [-xj, Fraction(1)])
-            den *= xi - xj
-        out = _padd(out, [c * (Fraction(1) / den) * yi for c in num])
+            if j != i:
+                den *= xi - xj
+        w = Fraction(1) / den
+        out = [o + c * w * yi for o, c in zip(out, num)]
     return _pnorm(out)
 
 
@@ -1138,6 +1175,9 @@ def roots_in_extension(field, coeffs):
                 "extension unsupported: root enumeration did not stabilize"
             )
         poly, mult = pending.pop(0)
+        if len(poly) == 2:  # solved, not factored
+            out.append((_demote(-poly[0] / poly[1]), mult))
+            continue
         _, factors = factor_univariate(field, poly)
         nonlinear = [(f, m) for f, m in factors if len(f) > 2]
         for f, m in factors:

@@ -75,10 +75,17 @@ class ValuedSeries:
                     "puiseux mode requires rational exponents, got %s" % exp
                 )
             kept.append((exp, coeff))
+        self._build(field, kept, truncation, mode)
+
+    def _build(self, field, terms, truncation, mode):
+        """Store sorted terms with distinct exponents and nonzero field
+        element coefficients below the truncation, in a valid mode; nothing
+        is re-validated.  Returns self."""
         self.field = field
-        self.terms = tuple(kept)
+        self.terms = tuple(terms)
         self.truncation = truncation
         self.mode = mode
+        return self
 
     # -- constructors -------------------------------------------------------
 

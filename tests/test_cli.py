@@ -3,6 +3,7 @@
 import io
 import json
 import signal
+from contextlib import contextmanager
 from pathlib import Path
 
 from test_acceptance import _GOLDEN_ARGVS
@@ -49,24 +50,44 @@ def test_member_false_example():
     assert out == "w=1,2: member=false witness=x\n"
 
 
-def test_member_false_within_seconds():
-    """A local standard basis that Mora's algorithm did not finish in 40 s;
-    the alarm turns a hang into a failure."""
+@contextmanager
+def _alarm(seconds):
+    """Turn a hang into a failure after the given seconds."""
 
     def hang(signum, frame):
-        raise TimeoutError("trop-member ran past 20 s")
+        raise TimeoutError("ran past %d s" % seconds)
 
     previous = signal.signal(signal.SIGALRM, hang)
-    signal.alarm(20)
+    signal.alarm(seconds)
     try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_member_false_within_seconds():
+    """A local standard basis that Mora's algorithm did not finish in 40 s."""
+    with _alarm(20):
         code, out, err = cap(
             ["trop-member", "--vars", "x,y", "--w", "2,5",
              "--ideal=-3*x^3*y-x^2*y^2+1/3*x*y^3-3*x^3;-x^2*y^2+2*x-y"]
         )
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert (code, out, err) == (1, "w=2,5: member=false witness=x\n", "")
+
+
+def test_large_radicand_is_a_usage_error():
+    """sqrt(n) in a weight and --d refuse n above 10^12 before any trial
+    division; 10^12 itself is accepted."""
+    base = ["trop-member", "--vars", "x,y", "--ideal", "y-x", "--w"]
+    big = "1000000000000000000000000000057"
+    with _alarm(5):
+        assert cap(base + ["sqrt(%s),1" % big]) == (
+            2, "", "usage error: sqrt(%s) is above the bound 10^12\n" % big)
+        assert cap(base + ["1,1", "--d", "1000000000001"]) == (
+            2, "", "usage error: d=1000000000001 is above the bound 10^12\n")
+        assert cap(base + ["sqrt(1000000000000),1"]) == (
+            1, "w=1000000,1: member=false witness=y\n", "")
 
 
 def test_lift_cusp_json_example():

@@ -332,6 +332,54 @@ def test_taylor_shift_matches_series_products():
                 assert str(g) == str(h)
 
 
+def _taylor_shift_by_constructor(coeffs, c, omega, field, mode):
+    """The shift as built before, through the public ValuedSeries
+    constructor from every term: the reference."""
+    d = len(coeffs) - 1
+    c_pows, w_pows = [Fraction(1)], [ValueScalar(0)]
+    for _ in range(d):
+        c_pows.append(c_pows[-1] * c)
+        w_pows.append(w_pows[-1] + omega)
+    out = []
+    for j in range(d + 1):
+        terms, trunc = [], INF
+        for i in range(j, d + 1):
+            scale, offset = comb(i, j) * c_pows[i - j], w_pows[i - j]
+            terms.extend((e + offset, a * scale) for e, a in coeffs[i].terms)
+            trunc = min(trunc, coeffs[i].truncation + offset)
+        out.append(ValuedSeries(field, terms, trunc, mode))
+    return out
+
+
+def test_taylor_shift_matches_the_constructor_reference():
+    """Rational and sqrt(2) omegas, rational and algebraic c, exact and
+    truncated coefficients: the same terms, truncations and text."""
+    rng = random.Random(15)
+    kinds = set()
+    for mode in ("puiseux", "hahn"):
+        for _ in range(80):
+            field = NumberField()
+            scalars = [Fraction(k, rng.choice([1, 2])) for k in (-3, -1, 1, 2)]
+            if rng.random() < 0.5:
+                field, a1 = adjoin_root(field, [Fraction(-2), 0, Fraction(1)])
+                scalars += [a1, 1 - 2 * a1, a1 / 3]
+            coeffs = [
+                _random_coefficient(rng, field, mode, scalars)
+                for _ in range(rng.randint(1, 6))
+            ]
+            c = rng.choice(scalars)
+            omega = _random_exponent(rng, mode) + Fraction(1, rng.randint(1, 3))
+            got = _taylor_shift(coeffs, c, omega, field, mode)
+            want = _taylor_shift_by_constructor(coeffs, c, omega, field, mode)
+            assert [(g.terms, g.truncation, g.mode) for g in got] == [
+                (h.terms, h.truncation, h.mode) for h in want
+            ], (coeffs, c, omega)
+            assert [str(g) for g in got] == [str(h) for h in want]
+            kinds.add((omega.is_rational, isinstance(c, Fraction),
+                       any(x.truncation is not INF for x in coeffs)))
+    assert len(kinds) == 8
+
+
 def test_newton_puiseux_hahn_product_of_known_factors():
     """Hahn mode: the roots of a product of known factors with exponents
     in Q + Q*sqrt(2) are those factors, one root per factor."""

@@ -164,6 +164,61 @@ def test_rational_comparison_with_int_or_fraction_builds_no_scalar(monkeypatch):
     assert made == []
 
 
+def _random_value(rng, d):
+    a = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    b = Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if d > 1 else 0
+    return ValueScalar(a, b, d)
+
+
+def _parts(x):
+    return (x.a, x.b, x.d, type(x.a), type(x.b), hash(x))
+
+
+def test_value_scalar_arithmetic_matches_the_validating_constructor():
+    """Sums, differences and negatives built without re-validation equal
+    the scalars the validating constructor makes from the same parts, also
+    when b cancels to 0; comparisons agree with the sign of the difference."""
+    rng = random.Random(15)
+    cancelled = 0
+    for _ in range(600):
+        d = rng.choice([1, 2, 5])
+        x, y = _random_value(rng, d), _random_value(rng, rng.choice([1, d]))
+        if rng.random() < 0.2:  # same irrational part: the difference is rational
+            y = ValueScalar(y.a, x.b, x.d)
+        common = max(x.d, y.d)
+        for got, want in [
+            (x + y, ValueScalar(x.a + y.a, x.b + y.b, common)),
+            (x - y, ValueScalar(x.a - y.a, x.b - y.b, common)),
+            (-x, ValueScalar(-x.a, -x.b, x.d)),
+            (x + 3, ValueScalar(x.a + 3, x.b, x.d)),
+            (Fraction(1, 2) - x, ValueScalar(Fraction(1, 2) - x.a, -x.b, x.d)),
+        ]:
+            assert _parts(got) == _parts(want), (x, y)
+        cancelled += x.d > 1 and (x - y).d == 1
+        sign = ValueScalar(x.a - y.a, x.b - y.b, common).sign()
+        assert (x < y, x == y, x > y) == (sign < 0, sign == 0, sign > 0), (x, y)
+        assert (x <= y, x >= y) == (sign <= 0, sign >= 0), (x, y)
+    assert cancelled > 20
+
+
+def test_adding_rational_value_scalars_checks_no_radicand(monkeypatch):
+    """Operands are in normal form, so arithmetic does not re-run the
+    squarefree check that the constructor makes."""
+    calls = []
+    check = scalars._squarefree
+    monkeypatch.setattr(scalars, "_squarefree", lambda n: calls.append(n) or check(n))
+    x, y = ValueScalar(Fraction(1, 2)), ValueScalar(3)
+    calls.clear()
+    assert x + y == Fraction(7, 2) and y - x == Fraction(5, 2) and -x < y
+    assert calls == []
+
+
+def test_radicand_bound():
+    assert ValueScalar(0, 1, 999999999989).d == 999999999989
+    with pytest.raises(UsageError, match="up to 10\\^12"):
+        ValueScalar(0, 1, 10**12 + 1)
+
+
 def test_mixed_radicals_rejected():
     with pytest.raises(UsageError):
         ValueScalar(0, 1, 2) + ValueScalar(0, 1, 3)
@@ -307,6 +362,63 @@ def test_algebraic_equality_is_exact():
     lhs = (s2 + s3) * (s2 + s3)
     rhs = as_field_element(F, Fraction(5)) + s2 * s3 * 2
     assert lhs == rhs
+
+
+def test_linear_roots_are_solved_not_factored(monkeypatch):
+    F = NumberField()
+    F, a1 = adjoin_root(F, [Fraction(-2), Fraction(0), Fraction(1)])
+    poly = [1 + a1, 3 * a1]  # 3*a1*z + 1 + a1
+    _, [(factor, _)] = factor_univariate(F, poly)
+    calls = []
+    for name in ("factor_univariate", "squarefree_decomposition"):
+        fn = getattr(scalars, name)
+        monkeypatch.setattr(
+            scalars, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args)
+        )
+    F2, [(root, mult)] = roots_in_extension(F, poly)
+    assert calls == [] and F2 is F and F.height() == 1 and mult == 1
+    assert root == -factor[0] and scalar_str(root) == scalar_str(-factor[0])
+    assert 3 * a1 * root + 1 + a1 == 0
+
+
+def _interpolate_cubic(samples):
+    """Lagrange interpolation rebuilding each basis polynomial: the reference."""
+    out = []
+    for i, (xi, yi) in enumerate(samples):
+        num = [Fraction(1)]
+        den = Fraction(1)
+        for j, (xj, _) in enumerate(samples):
+            if j == i:
+                continue
+            num = scalars._pmul(num, [-xj, Fraction(1)])
+            den *= xi - xj
+        out = scalars._padd(out, [c * (Fraction(1) / den) * yi for c in num])
+    return scalars._pnorm(out)
+
+
+def test_interpolate_matches_the_cubic_reference():
+    """Random sample sets, with rational and algebraic values, including
+    values of a lower-degree polynomial (trailing zeros dropped)."""
+    rng = random.Random(5)
+    F, s2, s3 = _tower()
+    for n in range(1, 14):
+        for kind in ("rational", "algebraic", "low degree"):
+            xs = rng.sample(range(-20, 21), n)
+            xs = [Fraction(x, rng.choice([1, 1, 2, 3])) for x in xs]
+            if len(set(xs)) < n:
+                continue
+            if kind == "low degree":
+                low = [Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, n))]
+                ys = [sum(c * x**k for k, c in enumerate(low)) for x in xs]
+            else:
+                ys = [Fraction(rng.randint(-50, 50), rng.randint(1, 6)) for _ in xs]
+            if kind == "algebraic":
+                ys = [y + rng.randint(-3, 3) * s2 - rng.randint(0, 2) * s3 for y in ys]
+            samples = list(zip(xs, ys))
+            got = scalars._interpolate(samples)
+            want = _interpolate_cubic(samples)
+            assert got == want, samples
+            assert [scalar_str(c) for c in got] == [scalar_str(c) for c in want]
 
 
 # -- the rational leaf: Zassenhaus's method against sympy as the reference
