@@ -10,10 +10,10 @@ tail is divided once by the other minimal basis elements, fully for global
 orders, which gives the reduced basis, and for at most 200 reductions for
 local ones.  One division routine, ``divide``, a descending heap pass that
 tracks quotients, serves normal forms, exact division, w-homogeneous
-division and the tail reductions alike.  Mora's weak normal form remains
-only behind the local ``normal_form``, where it decides membership in the
-power series ring.  Everything downstream (saturation, quotients,
-dimension, monomial detection, torus points) reduces to this engine.
+division and the tail reductions alike.  Local membership is decided by
+leading ideals, and the local ``normal_form`` rewrites initial forms.
+Everything downstream (saturation, quotients, dimension, monomial
+detection, torus points) reduces to this engine.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from fractions import Fraction
 from itertools import combinations, count, islice
 
 from .errors import (
+    CapabilityError,
     InternalInvariantError,
     UsageError,
     WitnessSearchError,
@@ -38,6 +39,7 @@ from .polyring import (
     expo_divides,
     expo_lcm,
     expo_sub,
+    initial_form,
     inject,
     leading_term,
     project,
@@ -56,20 +58,12 @@ from .scalars import (
 
 _MAX_REDUCTION_STEPS = 50000
 _TAIL_STEP_CAP = 200
-
-
-def _ecart(f: Polynomial, order: OrderDescriptor):
-    """Highest minus lowest weight level of a nonzero f, in the order's
-    level scale; the Mora divisor selection key."""
-    levels = [order.level(m) for m in f.coeffs]
-    return max(levels) - min(levels)
+_MAX_SPAIRS = 20000
 
 
 def _record(g, order):
-    """(g, leading monomial, leading coefficient, ecart) of a nonzero g; the
-    ecart is only used, and only computed, for local orders."""
-    m, c = leading_term(g, order)
-    return g, m, c, _ecart(g, order) if order.mode == "local" else None
+    """(g, leading monomial, leading coefficient) of a nonzero g."""
+    return (g, *leading_term(g, order))
 
 
 def lead_records(polys, order: OrderDescriptor):
@@ -78,8 +72,8 @@ def lead_records(polys, order: OrderDescriptor):
 
 
 def _spoly(a, b):
-    f, mf, cf, _ = a
-    g, mg, cg, _ = b
+    f, mf, cf = a
+    g, mg, cg = b
     m = expo_lcm(mf, mg)
     one = Fraction(1)
     return f.mul_term(expo_sub(m, mf), _scalar_div(one, cf)) - g.mul_term(
@@ -198,7 +192,7 @@ def divide(f: Polynomial, records, order: OrderDescriptor, max_steps=None):
         c = h.pop(m, None)
         if c is None:
             continue
-        for q, (g, mg, cg, _) in zip(quots, records):
+        for q, (g, mg, cg) in zip(quots, records):
             if expo_divides(mg, m):
                 break
         else:
@@ -229,35 +223,53 @@ def divide(f: Polynomial, records, order: OrderDescriptor, max_steps=None):
     return [Polynomial(ring, q) for q in quots], Polynomial(ring, rem)
 
 
-def _mora_nf(f, records, order):
-    """Mora weak normal form: u*f = sum q_i g_i + r with u a local unit and
-    the leading term of r not divisible by any basis leading term."""
-    T = list(records)
-    h = f
-    n = 0
-    while not h.is_zero:
-        n += 1
-        if n > _MAX_REDUCTION_STEPS:
-            raise InternalInvariantError("Mora reduction did not terminate")
-        m, c = leading_term(h, order)
-        cands = [(rec[3], i) for i, rec in enumerate(T) if expo_divides(rec[1], m)]
-        if not cands:
-            return h
-        eh = _ecart(h, order)
-        g, mg, cg, eg = T[min(cands)[1]]
-        if eg > eh:
-            T.append((h, m, c, eh))
-        h = h - g.mul_term(expo_sub(m, mg), _scalar_div(c, cg))
-    return h
-
-
 def normal_form(f: Polynomial, basis, order: OrderDescriptor) -> Polynomial:
-    """Remainder of f on division by the basis (weak normal form in local
-    mode); zero exactly for ideal members when the basis is standard."""
-    records = lead_records(basis, order)
+    """Remainder of f on division by the basis, zero exactly for members when
+    the basis is standard; in local mode the initial-form rewriting, a weak
+    normal form with unit 1, with the basis as the generators (_rewrite)."""
     if order.mode == "local":
-        return _mora_nf(f, records, order)
-    return divide(f, records, order)[1]
+        return _rewrite(f, basis, basis, order)
+    return divide(f, lead_records(basis, order), order)[1]
+
+
+def _leading_ideal(basis, order):
+    """The sorted minimal generators of the leading ideal of a basis."""
+    lms = {leading_term(g, order)[0] for g in basis if not g.is_zero}
+    return sorted(m for m in lms if not any(o != m and expo_divides(o, m) for o in lms))
+
+
+def _local_member(f, basis, generators, order):
+    """Whether the nonzero f lies in the ideal I of the generators in k[[x]],
+    basis being its local standard basis: iff in_w(f) is in in_w(I) and
+    I + (f), with a basis from the generators (long basis tails are slow
+    there), has the leading ideal of I (Greuel-Pfister, 1.6)."""
+    w = order.weights
+    records = lead_records([initial_form(b, w) for b in basis if not b.is_zero], order)
+    if not divide(initial_form(f, w), records, order)[1].is_zero:
+        return False
+    extended = IdealPresentation(f.ring, [*generators, f], order).standard_basis()
+    return _leading_ideal(extended, order) == _leading_ideal(basis, order)
+
+
+def _rewrite(f, basis, generators, order):
+    """0 for members of the ideal of the generators; else, from h = f on,
+    in_w(h) is divided by the initial forms of the local standard basis,
+    which ends on w-homogeneous input, and h loses the quotients times the
+    basis until a remainder survives as its initial form.  Each step before
+    that raises the w-order of h, which is bounded on a non-member's coset."""
+    if f.is_zero or _local_member(f, basis, generators, order):
+        return f.ring.zero()
+    w = order.weights
+    basis = [b for b in basis if not b.is_zero]
+    records, h = lead_records([initial_form(b, w) for b in basis], order), f
+    for _ in range(_MAX_REDUCTION_STEPS):
+        quots, rem = divide(initial_form(h, w), records, order)
+        for q, b in zip(quots, basis):
+            if not q.is_zero:
+                h = h - q * b
+        if not rem.is_zero:
+            return h
+    raise InternalInvariantError("initial-form rewriting did not terminate")
 
 
 # -- standard bases ---------------------------------------------------------
@@ -265,11 +277,11 @@ def normal_form(f: Polynomial, basis, order: OrderDescriptor) -> Polynomial:
 
 def _entry(g, order):
     """The record of g made monic, as g enters a basis."""
-    g, m, c, e = _record(g, order)
+    g, m, c = _record(g, order)
     if c != 1:
         g = g * _scalar_div(Fraction(1), c)
         c = g.coeffs[m]
-    return g, m, c, e
+    return g, m, c
 
 
 class _Homogenized:
@@ -293,7 +305,8 @@ def _spair_loop(gens, order):
     reductions.  Pairs pop by the degree of their lcm, then the lcm, then
     (i, j).  A pair is skipped when its leading monomials are coprime, or by
     the chain criterion: another leading monomial divides the lcm and both
-    pairs it forms with the two are no longer pending."""
+    pairs it forms with the two are no longer pending.  More than
+    _MAX_SPAIRS popped pairs raise a CapabilityError."""
     G = []
     for g in gens:
         if not g.is_zero:
@@ -315,8 +328,8 @@ def _spair_loop(gens, order):
     guard = 0
     while pairs:
         guard += 1
-        if guard > 20000:
-            raise InternalInvariantError("standard basis computation did not terminate")
+        if guard > _MAX_SPAIRS:
+            raise CapabilityError(f"standard basis needs over {_MAX_SPAIRS} S-pairs")
         _, m, i, j = heapq.heappop(pairs)
         pending.discard((i, j))
         if m == expo_add(G[i][1], G[j][1]) or any(
@@ -362,10 +375,10 @@ def _minimalize(G):
     # drop records whose leading monomial is divisible by another's; on
     # equal leading monomials keep the earliest
     out = []
-    for i, (_, mi, _, _) in enumerate(G):
+    for i, (_, mi, _) in enumerate(G):
         if not any(
             j != i and expo_divides(mj, mi) and (mj != mi or j < i)
-            for j, (_, mj, _, _) in enumerate(G)
+            for j, (_, mj, _) in enumerate(G)
         ):
             out.append(G[i])
     return out
@@ -387,20 +400,19 @@ def _tail_reduce(idx, G, order):
     """The record G[idx] with its tail replaced by the remainder of its
     division by the other records.  A local tail need not reduce in
     finitely many steps, so its division stops after _TAIL_STEP_CAP
-    reductions.  The leading term stays; nothing reads the ecart after this
-    step, and the returned record carries none."""
-    g, lead_m, lead_c, _ = G[idx]
+    reductions.  The leading term stays."""
+    g, lead_m, lead_c = G[idx]
     tail = dict(g.coeffs)
     del tail[lead_m]
     cap = _TAIL_STEP_CAP if order.mode == "local" else None
     _, r = divide(Polynomial(g.ring, tail), G[:idx] + G[idx + 1 :], order, cap)
-    return Polynomial(g.ring, {lead_m: lead_c, **r.coeffs}), lead_m, lead_c, None
+    return Polynomial(g.ring, {lead_m: lead_c, **r.coeffs}), lead_m, lead_c
 
 
 def _is_reduced(G):
-    for i, (g, _, _, _) in enumerate(G):
+    for i, (g, _, _) in enumerate(G):
         for m in g.coeffs:
-            for j, (_, lt, _, _) in enumerate(G):
+            for j, (_, lt, _) in enumerate(G):
                 if i != j and expo_divides(lt, m):
                     return False
     return True
@@ -410,8 +422,11 @@ def _is_reduced(G):
 
 
 def ideal_member(f: Polynomial, I: IdealPresentation) -> bool:
+    """Whether f lies in I, in the power series ring when I is local."""
     if f.is_zero:
         return True
+    if I.order.mode == "local":
+        return _local_member(f, I.standard_basis(), I.generators, I.order)
     return normal_form(f, I.standard_basis(), I.order).is_zero
 
 
@@ -514,25 +529,17 @@ def contains_monomial(I: IdealPresentation):
     sat = saturate(_as_global(I), prod)
     if not sat.is_unit_ideal():
         return False, None
-    basis = I.standard_basis()
-    witness = None
-    for k in range(1, 65):
-        cand = prod ** k
-        if normal_form(cand, basis, I.order).is_zero:
-            witness = cand
-            break
+    witness = next((prod**k for k in range(1, 65) if ideal_member(prod**k, I)), None)
     if witness is None:
         raise InternalInvariantError("saturation unit but no monomial power found")
     # shrink the witness exponent by exponent, last variable first
     expo = list(witness.support()[0])
     for i in range(len(expo) - 1, -1, -1):
         while expo[i] > 0:
-            trial = list(expo)
-            trial[i] -= 1
-            cand = ring.monomial(trial)
-            if cand.is_zero or not normal_form(cand, basis, I.order).is_zero:
+            expo[i] -= 1
+            if not ideal_member(ring.monomial(expo), I):
+                expo[i] += 1
                 break
-            expo = trial
     return True, ring.monomial(expo)
 
 

@@ -27,9 +27,10 @@ from .errors import (
 )
 from .ideals import (
     IdealPresentation,
+    _entry,
+    _leading_ideal,
     dimension,
     eliminate,
-    ideal_member,
     ideal_quotient,
     ideals_equal,
     presentation,
@@ -618,8 +619,12 @@ def lift_point(problem, seed=0):
             witness=poly_str(membership.witness_monomial),
         )
     sat = saturate(I_cur, ring.monomial((1,) * n))
-    if not all(ideal_member(g, I_cur) for g in sat.generators):
-        I_cur = presentation(ring, sat.generators, "local", w)
+    monic = {_entry(g, sat.order)[0] for g in I_cur.generators}
+    if not monic.issuperset(sat.generators):  # else sat = I_cur
+        local = presentation(ring, sat.generators, "local", w)
+        leads = [_leading_ideal(J.standard_basis(), J.order) for J in (local, I_cur)]
+        if leads[0] != leads[1]:  # equal leads: equal ideals, as I_cur is in sat
+            I_cur = local
     span = rational_span(w)
     r = span.rank
     descents = []

@@ -186,7 +186,8 @@ class _Scalars:
             raise UsageError(
                 "sqrt(%d) conflicts with the session constant d=%d" % (n, self.d)
             )
-        return ValueScalar(0, r, d)
+        # d is squarefree by construction: skip the constructor's check
+        return object.__new__(ValueScalar)._build(Fraction(0), Fraction(r), d)
 
     def name(self, tok, toks):
         raise UsageError("unexpected token %r" % tok)

@@ -302,13 +302,6 @@ class OrderDescriptor:
         )
         self._keys = {}
 
-    def level(self, m):
-        """The weight level of m: <w, m> times a fixed positive scale of the
-        order, an int for rational weights and the exact value scalar
-        otherwise.  Only levels of one order are comparable."""
-        k = (self._keys.get(m) or self.key(m))[0]
-        return -k if self.mode == "local" else k
-
     def key(self, m):
         """Sort key of the exponent tuple m, memoized per order; the leading
         monomial is the maximum."""
@@ -326,14 +319,6 @@ class OrderDescriptor:
                 k = (lvl, expo_deg(m), rev)
             self._keys[m] = k
         return k
-
-    def cmp(self, m1, m2) -> int:
-        if m1 == m2:
-            return 0
-        k1, k2 = self.key(m1), self.key(m2)
-        if k1 == k2:
-            return 0
-        return 1 if k1 > k2 else -1
 
     def describe(self) -> str:
         w = ",".join(str(x) for x in self.weights)
@@ -353,7 +338,8 @@ def compare_monomials(m1, m2, order: OrderDescriptor) -> int:
     m1, m2 = tuple(m1), tuple(m2)
     if len(m1) != len(m2) or len(m1) != len(order.weights):
         raise UsageError("exponent length does not match the order")
-    return -order.cmp(m1, m2)
+    k1, k2 = order.key(m1), order.key(m2)
+    return (k1 < k2) - (k1 > k2)
 
 
 def leading_term(f: Polynomial, order: OrderDescriptor):

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from .errors import UsageError
 from .ideals import (
     IdealPresentation,
+    _rewrite,
     contains_monomial,
     ideal_quotient,
     ideals_equal,
-    normal_form,
     presentation,
 )
 from .linalg import find_strict_point, mat_rank, primitive_row
@@ -87,16 +87,16 @@ class CosetValuationHandle:
     """Evaluator for the weight valuation induced on cosets modulo an ideal.
 
     The value of g is the supremum of weighted orders over the coset
-    g + I.  With a standard basis under the weight-first local order it is
-    the weighted order of the weak normal form of g: the leading monomial
-    of the normal form lies outside the leading ideal, so its initial form
-    lies outside the initial ideal, and the unit factor of a weak normal
-    form does not change the order.
+    g + I: +infinity on members, decided on the generators of I by leading
+    ideals; else the weighted order of g once its initial form, rewritten
+    by the initial forms of the local standard basis at w, survives outside
+    the initial ideal, where no element of the coset can cancel it.
     """
 
     def __init__(self, I, w):
         self.data = initial_ideal(I, w)
         self.order = OrderDescriptor(self.data.weights, "local")
+        self.generators = I.generators
         self.basis = self.data.basis
         self.monomial_free = self.data.is_monomial_free()
         self.ring = self.basis[0].ring
@@ -109,7 +109,7 @@ class CosetValuationHandle:
         if g.ring is not self.ring and not g.ring.same(self.ring):
             raise UsageError("polynomial lives in a different ring")
         return w_order(
-            normal_form(g, list(self.basis), self.order), self.order.weights
+            _rewrite(g, self.basis, self.generators, self.order), self.order.weights
         )
 
 

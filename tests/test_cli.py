@@ -406,6 +406,18 @@ def test_capability_exit_three():
     assert err.startswith("capability limit:")
 
 
+def test_pair_guard_exits_three(monkeypatch):
+    """The S-pair bound of the standard basis engine is a capability limit."""
+    from troplift import ideals
+
+    monkeypatch.setattr(ideals, "_MAX_SPAIRS", 2)
+    code, out, err = cap(
+        ["init-ideal", "--vars", "x,y", "--ideal", "x+y;x-y^2", "--w", "1,1"]
+    )
+    assert (code, out) == (3, "")
+    assert err == "capability limit: standard basis needs over 2 S-pairs\n"
+
+
 def test_help_exits_zero():
     code, _, _ = cap(["--help"])
     assert code == 0

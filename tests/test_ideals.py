@@ -39,6 +39,7 @@ from troplift.polyring import (
     leading_term,
     poly_str,
     substitute_scalars,
+    w_order,
 )
 from troplift.scalars import (
     NumberField,
@@ -128,7 +129,7 @@ def _check_division(f, divisors, order):
     quots, rem = divide(f, records, order)
     assert len(quots) == len(records)
     total = rem
-    for q, (d, _, _, _) in zip(quots, records):
+    for q, (d, _, _) in zip(quots, records):
         total = total + q * d
     assert total == f
     leads = [leading_term(d, order)[0] for d in divisors if not d.is_zero]
@@ -186,7 +187,7 @@ def _divide_by_max_scan(f, records, order):
     while not h.is_zero:
         m = max(h.coeffs, key=order.key)
         c = h.coeffs[m]
-        for q, (g, mg, cg, _) in zip(quots, records):
+        for q, (g, mg, cg) in zip(quots, records):
             if expo_divides(mg, m):
                 q[expo_sub(m, mg)] = _scalar_div(c, cg)
                 h = h - g.mul_term(expo_sub(m, mg), _scalar_div(c, cg))
@@ -292,17 +293,53 @@ def _global_pair(order, a, b, i, j):
     return (expo_deg(m), m, i, j), m == expo_add(a[1], b[1])
 
 
+def _level(m, order):
+    """The weight level of m under a local order: a positive multiple of
+    <w, m>, the negated first entry of its key."""
+    return -order.key(m)[0]
+
+
 def _local_pair(order, a, b, i, j):
     """Pair key by weight level, then degree, of the lcm; no pair is
     skipped."""
     m = expo_lcm(a[1], b[1])
-    return (order.level(m), expo_deg(m), m, i, j), False
+    return (_level(m, order), expo_deg(m), m, i, j), False
+
+
+def _ecart(f, order):
+    """Highest minus lowest weight level of a nonzero f; the Mora divisor
+    selection key."""
+    levels = [_level(m, order) for m in f.coeffs]
+    return max(levels) - min(levels)
+
+
+def _mora_nf(f, records, order):
+    """Mora's weak normal form, the reference for local membership and the
+    local normal form: u*f = sum q_i g_i + r with u a local unit and the
+    leading monomial of r outside the leading ideal; zero exactly for
+    members when the records are those of a standard basis.  The T-set
+    holds (ecart, record) pairs."""
+    T = [(_ecart(rec[0], order), rec) for rec in records]
+    h = f
+    for _ in range(50000):
+        if h.is_zero:
+            return h
+        m, c = leading_term(h, order)
+        cands = [(e, i) for i, (e, rec) in enumerate(T) if expo_divides(rec[1], m)]
+        if not cands:
+            return h
+        eh = _ecart(h, order)
+        eg, (g, mg, cg) = T[min(cands)[1]]
+        if eg > eh:
+            T.append((eh, (h, m, c)))
+        h = h - g.mul_term(expo_sub(m, mg), _scalar_div(c, cg))
+    raise AssertionError("Mora reduction did not terminate")
 
 
 def _mora_std_by_mora(gens, order):
     """Mora's algorithm, the local engine before Lazard's method: the
     tangent-cone normal form inside the loop and every pair reduced."""
-    G, reductions = _old_spair_loop(gens, order, ideals._mora_nf, _local_pair)
+    G, reductions = _old_spair_loop(gens, order, _mora_nf, _local_pair)
     return ideals._finish(G, reductions, order)
 
 
@@ -364,16 +401,16 @@ def test_ideal_quotient_rejects_inexact_division(monkeypatch):
 def _tail_reduce_by_resorting(idx, G, order, max_steps=200):
     """Reference tail reduction: each step re-sorts the whole element and
     reduces its largest tail monomial divisible by a leading monomial."""
-    g, lead_m, lead_c, _ = G[idx]
+    g, lead_m, lead_c = G[idx]
     others = G[:idx] + G[idx + 1 :]
     if not others:
-        return g, lead_m, lead_c, None
+        return g, lead_m, lead_c
     for _ in range(max_steps):
         target = None
         for m in sorted(g.coeffs, key=order.key, reverse=True):
             if m == lead_m:
                 continue
-            for og, om, oc, _ in others:
+            for og, om, oc in others:
                 if expo_divides(om, m):
                     target = (m, og, om, oc)
                     break
@@ -383,7 +420,7 @@ def _tail_reduce_by_resorting(idx, G, order, max_steps=200):
             break
         m, og, om, oc = target
         g = g - og.mul_term(expo_sub(m, om), _scalar_div(g.coeffs[m], oc))
-    return g, lead_m, lead_c, None
+    return g, lead_m, lead_c
 
 
 def _assert_same_tail_reduction(G, order):
@@ -504,6 +541,55 @@ def test_lazard_matches_mora(monkeypatch):
             m.setattr(ideals, "_mora_std", _mora_std_by_mora)
             want = _local_observations(ring, gens, w)
         assert got == want, ([str(g) for g in gens], [str(x) for x in w])
+
+
+# (draw, element) pairs of test_local_membership_matches_mora on which the
+# reference, Mora's weak normal form, runs for more than 0.5 s
+_SLOW_FOR_MORA_NF = {(24, 4)}
+
+
+def test_local_membership_matches_mora():
+    """Membership by leading ideals and the initial-form rewriting against
+    Mora's weak normal form, on seeded local ideals and elements, members
+    among them: the same members, and normal forms of the same weighted
+    order, which is the coset's largest.  Mora's reference runs for
+    seconds against the long tails the 200-step cap leaves, so it is
+    compared where the basis is reduced; combinations of the generators
+    are members whatever the basis."""
+    rng = random.Random(97)
+    checked = members = 0
+    for draw in range(40):
+        R = _ring(*("x", "y", "z")[: rng.randint(2, 3)])
+        order = _random_local_order(rng, R.nvars())
+        gens = _random_local_gens(R, rng, rng.randint(1, 3), rng.randint(2, 4), 3)
+        if not gens:
+            continue
+        I = presentation(R, gens, "local", order.weights)
+        basis = I.standard_basis()
+        records = lead_records(basis, order)
+        reduced = ideals._is_reduced(records)
+
+        def poly(top, most):
+            monos = [tuple(rng.randint(0, top) for _ in range(R.nvars()))
+                     for _ in range(rng.randint(1, most))]
+            return _random_poly(R, rng, monos)
+
+        for k in range(6):
+            # a member, a member plus a term of high weight, or any element
+            f = poly(2, 3) if k % 3 == 2 else sum((g * poly(1, 2) for g in gens), R.zero())
+            if k % 3 == 0:
+                assert ideal_member(f, I), ([str(g) for g in gens], str(f))
+            else:
+                f = f + poly(4, 1) * R.var(0) ** 2 if k % 3 == 1 else f
+            if not reduced or (draw, k) in _SLOW_FOR_MORA_NF:
+                continue
+            want = _mora_nf(f, records, order)
+            assert ideal_member(f, I) == want.is_zero, ([str(g) for g in gens], str(f))
+            got = normal_form(f, basis, order)
+            assert w_order(got, order.weights) == w_order(want, order.weights)
+            checked += 1
+            members += want.is_zero
+    assert checked >= 90 and members >= 40, (checked, members)
 
 
 def test_saturate_examples():

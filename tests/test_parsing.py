@@ -62,6 +62,21 @@ def test_scalar_round_trip():
         assert parse_scalar(scalar_str(x)) == x
 
 
+def test_sqrt_checks_its_radicand_once(monkeypatch):
+    """sqrt(n) finds the squarefree part of n by trial division once; the
+    scalar it builds does not run the constructor's squarefree check."""
+    from troplift import scalars
+
+    calls = []
+    squarefree = scalars._squarefree
+    monkeypatch.setattr(
+        scalars, "_squarefree", lambda n: calls.append(n) or squarefree(n)
+    )
+    got = parse_weights("sqrt(999999999989),1")
+    assert calls == [1]  # the weight 1 alone
+    assert got == (ValueScalar(0, 1, 999999999989), ValueScalar(1))
+
+
 def test_parse_weights_and_query():
     assert parse_weights("2,3") == (ValueScalar(2), ValueScalar(3))
     assert parse_weights("1, 1/2, sqrt(2)") == (

@@ -144,9 +144,11 @@ def test_order_key_sorts_as_exact_weight_dot():
         assert sorted(monos, key=order.key) == expected
         fresh = OrderDescriptor(weights, mode)
         assert sorted(reversed(expected), key=fresh.key) == expected
-        # levels are a positive multiple of <w, m>: same signs of differences
+        # a key's first entry is a positive multiple of <w, m>, negated in
+        # local mode: same signs of differences
+        sign = -1 if mode == "local" else 1
         for a, b in zip(expected, expected[1:]):
-            d_level = fresh.level(a) - fresh.level(b)
+            d_level = sign * (fresh.key(a)[0] - fresh.key(b)[0])
             d_exact = wdot(weights, a) - wdot(weights, b)
             assert ValueScalar.of(d_level).sign() == d_exact.sign()
 
@@ -156,9 +158,9 @@ def test_primitive_row_and_integer_levels():
     assert primitive_row((-4, 6, 0)) == (-2, 3, 0)
     assert primitive_row((0, 0, 0)) == (0, 0, 0)
     # the default global order keeps all-zero weights: every level is 0
-    assert OrderDescriptor((0, 0, 0), "global").level((3, 1, 2)) == 0
+    assert OrderDescriptor((0, 0, 0), "global").key((3, 1, 2))[0] == 0
     half = OrderDescriptor((Fraction(1, 2), Fraction(3, 2)), "local")
-    assert half.level((1, 1)) == 4  # <(1, 3), (1, 1)>
+    assert half.key((1, 1))[0] == -4  # <(1, 3), (1, 1)>, negated locally
 
 
 def test_homogenize_examples():
