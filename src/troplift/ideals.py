@@ -49,8 +49,6 @@ from .scalars import (
     ValueScalar,
     _pgcd,
     _pnorm,
-    _scalar_div,
-    _scalar_is_zero,
     adjoin_root,
     factor_univariate,
     scalar_str,
@@ -75,10 +73,7 @@ def _spoly(a, b):
     f, mf, cf = a
     g, mg, cg = b
     m = expo_lcm(mf, mg)
-    one = Fraction(1)
-    return f.mul_term(expo_sub(m, mf), _scalar_div(one, cf)) - g.mul_term(
-        expo_sub(m, mg), _scalar_div(one, cg)
-    )
+    return f.mul_term(expo_sub(m, mf), 1 / cf) - g.mul_term(expo_sub(m, mg), 1 / cg)
 
 
 def spoly(f: Polynomial, g: Polynomial, order: OrderDescriptor) -> Polynomial:
@@ -202,7 +197,7 @@ def divide(f: Polynomial, records, order: OrderDescriptor, max_steps=None):
         if steps > _MAX_REDUCTION_STEPS:
             raise InternalInvariantError("division did not terminate")
         shift = expo_sub(m, mg)
-        coef = q[shift] = _scalar_div(c, cg)
+        coef = q[shift] = c / cg
         # h -= coef * x^shift * (g minus its leading term)
         for mo, co in g.coeffs.items():
             if mo == mg:
@@ -214,7 +209,7 @@ def divide(f: Polynomial, records, order: OrderDescriptor, max_steps=None):
                 h[mt] = -(co * coef)
             else:
                 v = v - co * coef
-                if _scalar_is_zero(v):
+                if not v:
                     del h[mt]
                 else:
                     h[mt] = v
@@ -279,7 +274,7 @@ def _entry(g, order):
     """The record of g made monic, as g enters a basis."""
     g, m, c = _record(g, order)
     if c != 1:
-        g = g * _scalar_div(Fraction(1), c)
+        g = g * (1 / c)
         c = g.coeffs[m]
     return g, m, c
 
@@ -637,13 +632,13 @@ def _solve_zero_dim(ring, gens, remaining, assignment):
     _, factors = factor_univariate(ring.field, uni)
     ordered = sorted(factors, key=lambda t: (len(t[0]), _fac_str(t[0])))
     for fac, _mult in ordered:
-        if len(fac) == 2 and _scalar_is_zero(fac[0]):
+        if len(fac) == 2 and not fac[0]:
             continue  # root zero: not a torus point
         if len(fac) == 2:
             root = (-fac[0]) / fac[1]
         else:
             _, root = adjoin_root(ring.field, fac)
-        if _scalar_is_zero(root):
+        if not root:
             continue
         trial = dict(assignment)
         trial[var] = root
@@ -695,7 +690,7 @@ def torus_attempts(J: IdealPresentation, seed=0, start=0):
         point = None
         if found is not None:
             point = tuple(found[i] for i in range(n))
-            if any(_scalar_is_zero(x) for x in point) or any(
+            if not all(point) or any(
                 not substitute_scalars(g, found).is_zero for g in J.generators
             ):
                 point = None

@@ -33,8 +33,6 @@ from .scalars import (
     NumberField,
     ValueScalar,
     _MAX_RADICAND,
-    _scalar_div,
-    _scalar_is_zero,
     adjoin_root,
     as_field_element,
     scalar_str,
@@ -245,9 +243,9 @@ class _FieldValues:
 
     def divide(self, a, b, start):
         c = self.constant_value(b)
-        if c is None or _scalar_is_zero(c):
+        if not c:
             raise UsageError("bad denominator %r" % start)
-        return a * self.constant(_scalar_div(Fraction(1), c))
+        return a * self.constant(1 / c)
 
 
 class _Polys(_FieldValues):

@@ -18,7 +18,6 @@ from .scalars import (
     INF,
     AlgebraicNumber,
     ValueScalar,
-    _scalar_is_zero,
     as_field_element,
     scalar_str,
 )
@@ -80,13 +79,13 @@ class PolyRing:
 
     def constant(self, c):
         c = as_field_element(self.field, c)
-        if _scalar_is_zero(c):
+        if not c:
             return Polynomial(self, {})
         return Polynomial(self, {(0,) * len(self.vars): c})
 
     def monomial(self, expo, coeff=1):
         coeff = as_field_element(self.field, coeff)
-        if _scalar_is_zero(coeff):
+        if not coeff:
             return Polynomial(self, {})
         return Polynomial(self, {tuple(expo): coeff})
 
@@ -102,7 +101,7 @@ class PolyRing:
             m = tuple(m)
             c0 = coeffs.get(m)
             c = c if c0 is None else c0 + c
-            if _scalar_is_zero(c):
+            if not c:
                 coeffs.pop(m, None)
             else:
                 coeffs[m] = c
@@ -157,7 +156,7 @@ class Polynomial:
         for m, c in other.coeffs.items():
             c0 = out.get(m)
             c = c if c0 is None else c0 + c
-            if _scalar_is_zero(c):
+            if not c:
                 out.pop(m, None)
             else:
                 out[m] = c
@@ -177,7 +176,8 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, AlgebraicNumber)):
-            if _scalar_is_zero(as_field_element(self.ring.field, other)):
+            other = as_field_element(self.ring.field, other)
+            if not other:
                 return self.ring.zero()
             return Polynomial(
                 self.ring, {m: c * other for m, c in self.coeffs.items()}
@@ -190,7 +190,7 @@ class Polynomial:
                 c = c1 * c2
                 c0 = out.get(m)
                 c = c if c0 is None else c0 + c
-                if _scalar_is_zero(c):
+                if not c:
                     out.pop(m, None)
                 else:
                     out[m] = c

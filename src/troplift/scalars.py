@@ -10,10 +10,14 @@ Two kinds of scalars live here and never mix:
   order, minimum and sum, with ``INF`` the maximum and absorbing ``+``.
   ``ValueScalar.of`` is the one coercion (int, Fraction or ValueScalar).
 * ``AlgebraicNumber`` -- coefficients.  A ``NumberField`` is an append-only
-  tower of simple extensions of Q; elements are polynomials in the top
-  generator with coefficients one level down.  No real or complex embedding is
-  ever chosen: equality is algebraic, so the particular conjugate returned by
-  ``adjoin_root`` is immaterial.
+  tower of simple extensions of Q.  Each element has one normal form: a
+  polynomial in the generator of the lowest level that holds it, with
+  Fraction or lower-level coefficients, and a rational value is a plain
+  Fraction.  Equality compares these parts, and only the Fraction 0 is zero.
+  ``as_field_element`` is the one coercion (int, Fraction or an element of
+  the field).  No real or complex embedding is ever chosen: equality is
+  algebraic, so the particular conjugate returned by ``adjoin_root`` is
+  immaterial.
 
 Univariate factorization over a tower is done by norm/resultant descent to Q
 (Trager's method); the rational leaf is factored over Z by Zassenhaus's
@@ -27,7 +31,7 @@ import math
 import random
 from fractions import Fraction
 
-from .errors import ExtensionUnsupportedError, UsageError
+from .errors import ExtensionUnsupportedError, InternalInvariantError, UsageError
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +84,7 @@ INF = _Infinity()
 # division, so this bounds it to 10^6 steps
 _MAX_RADICAND = 10**12
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 _new = object.__new__
 
 
@@ -304,11 +309,17 @@ def as_value(x):
 # ---------------------------------------------------------------------------
 # number field towers
 #
-# Elements at "level 0" are plain Fractions.  A level-k AlgebraicNumber holds a
-# coefficient vector over level k-1 of length deg(minpoly at level k).  All
-# generic polynomial helpers below work on coefficient lists (ascending
-# powers) whose entries are Fractions or AlgebraicNumbers; the duck-typed
-# arithmetic promotes as needed.
+# Level 0 is Q, whose elements are plain Fractions.  Level k adjoins a root
+# theta_k of a monic minimal polynomial, irreducible over level k-1, with
+# coefficients of lower levels.  Every element has one normal form, built
+# only by _make: a value of level k is sum c_i*theta_k^i (i < deg theta_k),
+# each c_i a Fraction or a normal-form AlgebraicNumber of a lower level, with
+# some c_i (i >= 1) nonzero; a value with no such c_i is just c_0.  As the
+# minimal polynomials are irreducible, the form is unique and never zero:
+# equality and hashing compare parts, and `not c` is the zero test.  In a
+# mixed-level + or *, the lower operand is a constant coefficient of the
+# higher one.  The generic polynomial helpers below work on coefficient lists
+# (ascending powers) of such values.
 
 _MAX_ADJOIN_DEGREE = 8
 _MAX_TOWER_HEIGHT = 3
@@ -319,7 +330,7 @@ class _FieldLevel:
 
     def __init__(self, name, minpoly):
         self.name = name
-        self.minpoly = tuple(minpoly)  # monic, ascending, coeffs one level down
+        self.minpoly = tuple(minpoly)  # monic, ascending, coeffs of lower levels
         self.degree = len(minpoly) - 1
 
 
@@ -333,17 +344,26 @@ class NumberField:
         return len(self.levels)
 
     def generator(self, level: int) -> "AlgebraicNumber":
-        lv = self.levels[level - 1]
-        coeffs = [_lift_to(self, level - 1, Fraction(0))] * lv.degree
-        coeffs[1] = _lift_to(self, level - 1, Fraction(1))
-        return AlgebraicNumber(self, level, tuple(coeffs))
+        coeffs = [_ZERO] * self.levels[level - 1].degree
+        coeffs[1] = _ONE
+        return _make(self, level, coeffs)
 
     def generator_names(self) -> list[str]:
         return [lv.name for lv in self.levels]
 
     def adjoin(self, name, minpoly) -> "AlgebraicNumber":
+        """Adjoin a root of minpoly (ascending coefficients in this field),
+        which must be monic of degree at least 2 and irreducible over the
+        field.  Irreducibility is not checked: the caller guarantees it, and
+        the normal form relies on it."""
         if any(lv.name == name for lv in self.levels):
             raise UsageError(f"generator name {name!r} already in use")
+        minpoly = [as_field_element(self, c) for c in minpoly]
+        if len(minpoly) < 3 or minpoly[-1] != 1:
+            raise UsageError(
+                "a minimal polynomial must be monic of degree at least 2, got "
+                f"[{', '.join(scalar_str(c) for c in minpoly)}]"
+            )
         self.levels.append(_FieldLevel(name, minpoly))
         return self.generator(self.height())
 
@@ -353,150 +373,112 @@ class NumberField:
         return "NumberField(Q(" + ",".join(self.generator_names()) + "))"
 
 
-def _lift_to(field, level, x):
-    """Lift a scalar to an explicit representation at the given level."""
-    if isinstance(x, AlgebraicNumber):
-        if x.field is not field:
-            raise UsageError("cannot mix elements of different number fields")
-        cur = x.level
-        if cur > level:
-            raise UsageError("cannot lower an algebraic number level")
-        y = x
-        while cur < level:
-            cur += 1
-            deg = field.levels[cur - 1].degree
-            coeffs = [_lift_to(field, cur - 1, Fraction(0))] * deg
-            coeffs[0] = y
-            y = AlgebraicNumber(field, cur, tuple(coeffs))
-        return y
-    x = Fraction(x)
-    if level == 0:
-        return x
-    deg = field.levels[level - 1].degree
-    coeffs = [_lift_to(field, level - 1, Fraction(0))] * deg
-    coeffs[0] = _lift_to(field, level - 1, x)
-    return AlgebraicNumber(field, level, tuple(coeffs))
-
-
-def _demote(x):
-    """Shrink a representation back down when the value is lower level."""
-    while isinstance(x, AlgebraicNumber):
-        tail = x.coeffs[1:]
-        if all(_scalar_is_zero(c) for c in tail):
-            x = x.coeffs[0]
-        else:
+def _make(field, level, coeffs):
+    """The normal form of sum coeffs[i]*theta_level^i, for deg theta_level
+    normal-form coefficients of lower levels: an AlgebraicNumber when some
+    coefficient past the first is nonzero, else the first coefficient."""
+    for c in coeffs[1:]:
+        if c:
+            x = _new(AlgebraicNumber)
+            x.field = field
+            x.level = level
+            x.coeffs = tuple(coeffs)
             return x
-    return x
-
-
-def _scalar_is_zero(x) -> bool:
-    if isinstance(x, AlgebraicNumber):
-        return all(_scalar_is_zero(c) for c in x.coeffs)
-    return x == 0
+    return coeffs[0]
 
 
 class AlgebraicNumber:
-    """Element of a NumberField tower, written in the top generator."""
+    """Element of a NumberField tower in normal form, written in the
+    generator of its level; only _make builds one."""
 
     __slots__ = ("field", "level", "coeffs")
 
-    def __init__(self, field, level, coeffs):
-        self.field = field
-        self.level = level
-        self.coeffs = coeffs
+    def _level_of(self, other):
+        """The level of a scalar of this field (0 for int and Fraction);
+        None for anything else."""
+        if other.__class__ is AlgebraicNumber:
+            if other.field is not self.field:
+                raise UsageError("cannot mix elements of different number fields")
+            return other.level
+        if isinstance(other, (int, Fraction)):
+            return 0
+        return None
 
     # -- ring structure
 
-    def _pair(self, other):
-        if isinstance(other, AlgebraicNumber):
-            if other.field is not self.field:
-                raise UsageError("cannot mix elements of different number fields")
-            lvl = max(self.level, other.level)
-        elif isinstance(other, (int, Fraction)):
-            lvl = self.level
-        else:
-            return None
-        a = _lift_to(self.field, lvl, self)
-        b = _lift_to(self.field, lvl, other)
-        return lvl, a, b
-
     def __add__(self, other):
-        p = self._pair(other)
-        if p is None:
+        level = self._level_of(other)
+        if level is None:
             return NotImplemented
-        lvl, a, b = p
-        return _demote(
-            AlgebraicNumber(
-                self.field, lvl, tuple(x + y for x, y in zip(a.coeffs, b.coeffs))
-            )
-        )
+        if level > self.level:
+            return other + self
+        cs = self.coeffs
+        if level < self.level:
+            return _make(self.field, self.level, (cs[0] + other,) + cs[1:])
+        return _make(self.field, level, [a + b for a, b in zip(cs, other.coeffs)])
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        p = self._pair(other)
-        if p is None:
+        level = self._level_of(other)
+        if level is None:
             return NotImplemented
-        lvl, a, b = p
-        return _demote(
-            AlgebraicNumber(
-                self.field, lvl, tuple(x - y for x, y in zip(a.coeffs, b.coeffs))
-            )
+        if level != self.level:
+            return self + (-other)
+        return _make(
+            self.field, level, [a - b for a, b in zip(self.coeffs, other.coeffs)]
         )
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return AlgebraicNumber(self.field, self.level, tuple(-c for c in self.coeffs))
+        return _make(self.field, self.level, [-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return _demote(
-                AlgebraicNumber(
-                    self.field, self.level, tuple(c * other for c in self.coeffs)
-                )
-            )
-        p = self._pair(other)
-        if p is None:
+        level = self._level_of(other)
+        if level is None:
             return NotImplemented
-        lvl, a, b = p
-        prod = _pmul(list(a.coeffs), list(b.coeffs))
-        red = _reduce_mod_minpoly(self.field, lvl, prod)
-        return _demote(AlgebraicNumber(self.field, lvl, tuple(red)))
+        if level > self.level:
+            return other * self
+        if level < self.level:
+            if not other:
+                return _ZERO
+            return _make(
+                self.field, self.level, [c * other if c else c for c in self.coeffs]
+            )
+        prod = _pmul(self.coeffs, other.coeffs)
+        return _make(self.field, level, _reduce_mod_minpoly(self.field, level, prod))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if _scalar_is_zero(self):
-            raise ZeroDivisionError("inverse of zero algebraic number")
-        lvl = self.level
-        mp = list(self.field.levels[lvl - 1].minpoly)
-        g, u, _ = _pgcd_ext(list(self.coeffs), mp)
-        # minpoly irreducible => gcd is a nonzero constant
-        if len(g) != 1:
-            raise ZeroDivisionError("non-invertible element (reducible minpoly?)")
-        inv = [_scalar_div(c, g[0]) for c in u]
-        inv = inv + [Fraction(0)] * (len(mp) - 1 - len(inv))
-        lifted = tuple(_lift_to(self.field, lvl - 1, c) for c in inv[: len(mp) - 1])
-        return _demote(AlgebraicNumber(self.field, lvl, lifted))
+        lv = self.field.levels[self.level - 1]
+        g, u, _ = _pgcd_ext(list(self.coeffs), list(lv.minpoly))
+        if len(g) != 1:  # a nonzero constant when the minpoly is irreducible
+            raise UsageError(f"the minimal polynomial of {lv.name} is reducible")
+        unit = _ONE / g[0]
+        inv = [c * unit for c in u]
+        return _make(self.field, self.level, inv + [_ZERO] * (lv.degree - len(inv)))
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        if isinstance(other, AlgebraicNumber):
+        if other.__class__ is AlgebraicNumber:
             return self * other.inverse()
+        if isinstance(other, (int, Fraction)):
+            return self * (_ONE / other)
         return NotImplemented
 
     def __rtruediv__(self, other):
-        return self.inverse() * other
+        if isinstance(other, (int, Fraction)):
+            return self.inverse() * other
+        return NotImplemented
 
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        out = Fraction(1)
+        out = _ONE
         base = self
         while n:
             if n & 1:
@@ -505,25 +487,21 @@ class AlgebraicNumber:
             n >>= 1
         return out
 
-    # -- identity
-
-    def __bool__(self):
-        return not _scalar_is_zero(self)
+    # -- identity: the normal form is unique and never zero
 
     def __eq__(self, other):
+        if other.__class__ is AlgebraicNumber:
+            return (
+                other.field is self.field
+                and other.level == self.level
+                and other.coeffs == self.coeffs
+            )
         if isinstance(other, (int, Fraction)):
-            return _scalar_is_zero(self - other)
-        if isinstance(other, AlgebraicNumber):
-            if other.field is not self.field:
-                return False
-            return _scalar_is_zero(self - other)
+            return False
         return NotImplemented
 
     def __hash__(self):
-        r = _demote(self)
-        if isinstance(r, Fraction):
-            return hash(r)
-        return hash((r.level, tuple(hash(c) for c in r.coeffs)))
+        return hash((self.level, self.coeffs))
 
     def __str__(self):
         return scalar_str(self)
@@ -532,29 +510,15 @@ class AlgebraicNumber:
         return f"AlgebraicNumber({scalar_str(self)})"
 
 
-def _scalar_div(a, b):
-    """a / b in the coefficient field; exact Fractions for int input."""
-    if isinstance(b, AlgebraicNumber):
-        return b.inverse() * a
-    if isinstance(a, int):
-        a = Fraction(a)
-    return a / b
-
-
 def scalar_str(x) -> str:
     """Canonical text form: polynomial in the tower generators."""
-    if isinstance(x, (ValueScalar, _Infinity)):
-        return str(x)
-    x = _demote(x)
-    if isinstance(x, int):
-        x = Fraction(x)
-    if isinstance(x, Fraction):
+    if not isinstance(x, AlgebraicNumber):
         return str(x)
     name = x.field.levels[x.level - 1].name
     parts = []
     for k in range(len(x.coeffs) - 1, -1, -1):
-        c = _demote(x.coeffs[k])
-        if _scalar_is_zero(c):
+        c = x.coeffs[k]
+        if not c:
             continue
         cs = scalar_str(c)
         composite = ("+" in cs[1:]) or ("-" in cs[1:])
@@ -574,16 +538,21 @@ def scalar_str(x) -> str:
             parts.append("+" + term)
         else:
             parts.append(term)
-    return "".join(parts) if parts else "0"
+    return "".join(parts)
 
 
 def as_field_element(field, x):
-    """Coerce int/Fraction/AlgebraicNumber into the given field."""
-    if isinstance(x, AlgebraicNumber):
+    """The one coercion into a field: an int becomes a Fraction, a Fraction
+    or an element of the field passes, anything else is a UsageError."""
+    if x.__class__ is Fraction:
+        return x
+    if x.__class__ is AlgebraicNumber:
         if x.field is not field:
             raise UsageError("element belongs to a different number field")
         return x
-    return Fraction(x)
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    raise UsageError(f"cannot coerce {x!r} to a field element")
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +561,7 @@ def as_field_element(field, x):
 
 def _pnorm(cs):
     cs = list(cs)
-    while cs and _scalar_is_zero(cs[-1]):
+    while cs and not cs[-1]:
         cs.pop()
     return cs
 
@@ -616,7 +585,7 @@ def _pmul(a, b):
         return []
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if _scalar_is_zero(x):
+        if not x:
             continue
         for j, y in enumerate(b):
             out[i + j] = out[i + j] + x * y
@@ -629,10 +598,10 @@ def _pmonic(a):
     a = _pnorm(a)
     if not a:
         return a
-    lc = a[-1]
-    if isinstance(lc, Fraction) and lc == 1:
+    if a[-1] == 1:
         return a
-    return [_scalar_div(x, lc) for x in a]
+    inv = _ONE / a[-1]
+    return [x * inv for x in a]
 
 def _pdivmod(a, b):
     """Division with remainder; the divisor's leading coefficient must be a
@@ -641,7 +610,7 @@ def _pdivmod(a, b):
     b = _pnorm(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    inv_lc = _scalar_div(Fraction(1), b[-1])
+    inv_lc = _ONE / b[-1]
     q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
     r = list(a)
     while len(r) >= len(b) and _pnorm(r):
@@ -711,18 +680,18 @@ def _presultant(a, b):
 
 
 def _reduce_mod_minpoly(field, level, cs):
+    """The deg theta_level coefficients of cs mod the minimal polynomial."""
     mp = field.levels[level - 1].minpoly
     d = len(mp) - 1
     cs = list(cs)
     for i in range(len(cs) - 1, d - 1, -1):
         c = cs[i]
-        if _scalar_is_zero(c):
+        if not c:
             continue
-        cs[i] = Fraction(0)
         for j in range(d):
-            cs[i - d + j] = cs[i - d + j] - c * mp[j]
-    out = cs[:d] + [Fraction(0)] * max(0, d - len(cs))
-    return [_lift_to(field, level - 1, c) for c in out[:d]]
+            if mp[j]:
+                cs[i - d + j] = cs[i - d + j] - c * mp[j]
+    return cs[:d] + [_ZERO] * (d - len(cs))
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +700,6 @@ def _reduce_mod_minpoly(field, level, cs):
 
 def _scalar_sort_key(x):
     # rational values sort before proper algebraic ones
-    x = _demote(x)
     return (isinstance(x, AlgebraicNumber), scalar_str(x))
 
 def _poly_sort_key(cs):
@@ -967,11 +935,14 @@ def _bivariate_norm(field, level, f, s):
     mp = list(field.levels[level - 1].minpoly)
     dm = len(mp) - 1
     n = _pdeg(f)
-    # coefficient vectors of f over level-1 (polynomials in x)
+    # coefficient vectors of f over level-1 (polynomials in x); a lower
+    # level coefficient is a constant
     vecs = []
     for c in f:
-        c = _lift_to(field, level, c)
-        vecs.append(_pnorm(list(c.coeffs)))
+        if c.__class__ is AlgebraicNumber and c.level == level:
+            vecs.append(_pnorm(c.coeffs))
+        else:
+            vecs.append([c] if c else [])
     # F(x, z) = sum_i vec_i(x) * (z - s*x)^i as polynomial in z over (level-1)[x]
     zsx = [[Fraction(0), Fraction(-s)], [Fraction(1)]]  # (z - s*x): z-coeffs in x
     power = [[Fraction(1)]]
@@ -1059,17 +1030,16 @@ def _factor_squarefree(field, level, f):
         )
     sub_factors = _factor_squarefree(field, level - 1, norm)
     out = []
-    rest = [_lift_to(field, level, c) for c in f]
+    rest = f
     for h in sorted(sub_factors, key=_poly_sort_key):
         if _pdeg(rest) <= 0:
             break
-        h_up = [_lift_to(field, level, c) for c in h]
-        shifted = _pshift(h_up, theta * s) if s else h_up
-        g = _pgcd(rest, shifted)
+        g = _pgcd(rest, _pshift(h, theta * s) if s else h)
         if _pdeg(g) >= 1:
-            out.append([_demote(c) for c in _pmonic(g)])
+            out.append(g)
             rest, r = _pdivmod(rest, g)
-            assert not r
+            if r:
+                raise InternalInvariantError("a factor of f does not divide it")
     out.sort(key=_poly_sort_key)
     return out
 
@@ -1109,13 +1079,12 @@ def factor_univariate(field, coeffs):
     if _pdeg(cs) == 0:
         return lc, []
     level = field.height()
-    cs = [_lift_to(field, level, c) for c in cs] if level else cs
     out = []
     for sf, mult in squarefree_decomposition(cs):
         for irr in _factor_squarefree(field, level, sf):
-            out.append(([_demote(c) for c in irr], mult))
+            out.append((irr, mult))
     out.sort(key=lambda t: _poly_sort_key(t[0]))
-    return _demote(lc), out
+    return lc, out
 
 
 def adjoin_root(field, coeffs, name=None):
@@ -1138,7 +1107,7 @@ def adjoin_root(field, coeffs, name=None):
     _, factors = factor_univariate(field, cs)
     linear = [f for f, _ in factors if len(f) == 2]
     if linear:
-        roots = sorted((_demote(-f[0]) for f in linear), key=_scalar_sort_key)
+        roots = sorted((-f[0] for f in linear), key=_scalar_sort_key)
         return field, roots[0]
     return field, _adjoin_factor(field, factors[0][0], name)
 
@@ -1176,24 +1145,18 @@ def roots_in_extension(field, coeffs):
             )
         poly, mult = pending.pop(0)
         if len(poly) == 2:  # solved, not factored
-            out.append((_demote(-poly[0] / poly[1]), mult))
+            out.append((-poly[0] / poly[1], mult))
             continue
         _, factors = factor_univariate(field, poly)
         nonlinear = [(f, m) for f, m in factors if len(f) > 2]
         for f, m in factors:
             if len(f) == 2:
-                out.append((_demote(-f[0]), mult * m))
+                out.append((-f[0], mult * m))
         if nonlinear:
             _adjoin_factor(field, nonlinear[0][0])
             for f, m in nonlinear:
                 pending.append((f, mult * m))
-    merged: list[list] = []
+    merged = {}
     for r, m in out:
-        for entry in merged:
-            if entry[0] == r:
-                entry[1] += m
-                break
-        else:
-            merged.append([r, m])
-    merged.sort(key=lambda t: _scalar_sort_key(t[0]))
-    return field, [(r, m) for r, m in merged]
+        merged[r] = merged.get(r, 0) + m
+    return field, sorted(merged.items(), key=lambda t: _scalar_sort_key(t[0]))

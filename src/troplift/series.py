@@ -18,7 +18,6 @@ from .polyring import Polynomial
 from .scalars import (
     INF,
     ValueScalar,
-    _scalar_is_zero,
     as_field_element,
     as_value,
     scalar_str,
@@ -68,7 +67,7 @@ class ValuedSeries:
             if truncation is not INF and exp >= truncation:
                 continue
             coeff = merged[exp]
-            if _scalar_is_zero(coeff):
+            if not coeff:
                 continue
             if mode == "puiseux" and not exp.is_rational:
                 raise UsageError(
@@ -181,7 +180,7 @@ class ValuedSeries:
     def scale(self, c):
         """Multiply by an exact scalar coefficient."""
         c = as_field_element(self.field, c)
-        if _scalar_is_zero(c):
+        if not c:
             return ValuedSeries.zero(self.field, self.truncation, self.mode)
         return ValuedSeries(
             self.field,

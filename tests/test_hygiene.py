@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 defines a top-level function or class nothing references, or imports inside
-a function body; commands that factor never load sympy; every name the
-benchmark tracer wraps exists."""
+a function body, or holds an assert statement (python -O strips them);
+commands that factor never load sympy; every name the benchmark tracer
+wraps exists."""
 
 import ast
 import importlib
@@ -144,6 +145,21 @@ def test_no_function_local_imports():
             if (path.name, fn, module) not in _LOCAL_IMPORTS_ALLOWED:
                 found.append(f"{path.name}: {fn} imports {module}")
     assert not found, "function-local imports:\n" + "\n".join(found)
+
+
+def assert_lines(source):
+    """Line of each assert statement in source."""
+    return [n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Assert)]
+
+
+def test_scan_finds_an_assert():
+    assert assert_lines("def f(x):\n    assert x\n    return x\n") == [2]
+
+
+def test_no_assert_statements():
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in assert_lines(path.read_text())]
+    assert not found, "assert statements (stripped by python -O):\n" + "\n".join(found)
 
 
 # -- the package factors over Q without sympy

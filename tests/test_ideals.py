@@ -44,8 +44,6 @@ from troplift.polyring import (
 from troplift.scalars import (
     NumberField,
     ValueScalar,
-    _scalar_div,
-    _scalar_is_zero,
     as_field_element,
     scalar_str,
 )
@@ -189,8 +187,8 @@ def _divide_by_max_scan(f, records, order):
         c = h.coeffs[m]
         for q, (g, mg, cg) in zip(quots, records):
             if expo_divides(mg, m):
-                q[expo_sub(m, mg)] = _scalar_div(c, cg)
-                h = h - g.mul_term(expo_sub(m, mg), _scalar_div(c, cg))
+                q[expo_sub(m, mg)] = c / cg
+                h = h - g.mul_term(expo_sub(m, mg), c / cg)
                 break
         else:
             rem[m] = c
@@ -332,7 +330,7 @@ def _mora_nf(f, records, order):
         eg, (g, mg, cg) = T[min(cands)[1]]
         if eg > eh:
             T.append((eh, (h, m, c)))
-        h = h - g.mul_term(expo_sub(m, mg), _scalar_div(c, cg))
+        h = h - g.mul_term(expo_sub(m, mg), c / cg)
     raise AssertionError("Mora reduction did not terminate")
 
 
@@ -419,7 +417,7 @@ def _tail_reduce_by_resorting(idx, G, order, max_steps=200):
         if target is None:
             break
         m, og, om, oc = target
-        g = g - og.mul_term(expo_sub(m, om), _scalar_div(g.coeffs[m], oc))
+        g = g - og.mul_term(expo_sub(m, om), g.coeffs[m] / oc)
     return g, lead_m, lead_c
 
 
@@ -758,7 +756,7 @@ def _old_torus_point(J, seed=0, max_attempts=16, start_attempt=0):
         if found is None:
             continue
         point = tuple(found[i] for i in range(n))
-        if any(_scalar_is_zero(x) for x in point):
+        if not all(point):
             continue
         ok = True
         for g in J.generators:

@@ -21,7 +21,8 @@ from troplift.scalars import (
     roots_in_extension,
     scalar_str,
 )
-from troplift.polyring import INF
+from troplift.polyring import INF, PolyRing
+from troplift.series import ValuedSeries
 
 
 def test_cmp_examples():
@@ -302,6 +303,133 @@ def test_field_axioms_on_tower():
         assert a * b == b * a
         if a != zero:
             assert a * (one / a) == one
+
+
+# -- the normal form of tower elements
+
+
+def _normal_form_errors(x, level=None):
+    """Where x breaks the normal form of a value of level below level."""
+    if isinstance(x, Fraction):
+        return []
+    if not isinstance(x, AlgebraicNumber):
+        return [f"{x!r} is neither a Fraction nor an AlgebraicNumber"]
+    out = []
+    if level is not None and x.level >= level:
+        out.append(f"{x} of level {x.level} is a coefficient at level {level}")
+    if len(x.coeffs) != x.field.levels[x.level - 1].degree:
+        out.append(f"{x} has {len(x.coeffs)} coefficients")
+    if not any(x.coeffs[1:]):
+        out.append(f"{x} is a constant at level {x.level}")
+    for c in x.coeffs:
+        out += _normal_form_errors(c, x.level)
+    return out
+
+
+def test_tower_normal_form_properties():
+    """Seeded draws on Q(sqrt 2)(cbrt 3), of degree 6: field laws by ==, one
+    normal form per value whatever the route, and == against a real
+    embedding."""
+    F = NumberField()
+    s = F.adjoin("s", [Fraction(-2), Fraction(0), Fraction(1)])
+    c = F.adjoin("c", [Fraction(-3), Fraction(0), Fraction(0), Fraction(1)])
+    rng = random.Random(61)
+    embedding = {1: mpmath.sqrt(2), 2: mpmath.cbrt(3)}
+
+    def value(x):
+        if isinstance(x, Fraction):
+            return mpmath.mpf(x.numerator) / x.denominator
+        theta = embedding[x.level]
+        return sum(value(a) * theta**i for i, a in enumerate(x.coeffs))
+
+    def parts():
+        """Rational parts q[i][j] of the basis s^i c^j, i < 2 and j < 3; a
+        draw keeps only the first few i and j, so that its value may lie in
+        Q or Q(s)."""
+        ni, nj = rng.choice((1, 2)), rng.choice((1, 1, 2, 3))
+        return [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if i < ni and j < nj
+                 else Fraction(0) for j in range(3)] for i in range(2)]
+
+    def by_sum(q):
+        total = Fraction(0)
+        for i in range(2):
+            for j in range(3):
+                total = total + q[i][j] * s**i * c**j
+        return total
+
+    def by_horner(q):
+        """The same value, summed in c over coefficients a + b*s."""
+        total = Fraction(0)
+        for j in (2, 1, 0):
+            total = total * c + (s * q[1][j] + q[0][j])
+        return total
+
+    pool = [parts() for _ in range(12)]
+    with mpmath.workdps(60):
+        draws, outcomes = [], set()
+        for _ in range(30):
+            q = rng.choice(pool)  # repeats reach equal values by new routes
+            x, y = by_sum(q), by_horner(q)
+            assert x == y and hash(x) == hash(y)
+            assert type(x) is type(y) and getattr(x, "coeffs", x) == getattr(y, "coeffs", y)
+            assert not _normal_form_errors(x)
+            assert type(x - y) is Fraction and x - y == 0
+            draws.append(rng.choice((x, y)))
+        assert {type(x) for x in draws} == {Fraction, AlgebraicNumber}
+        assert {x.level for x in draws if isinstance(x, AlgebraicNumber)} == {1, 2}
+        for _ in range(60):
+            a, b, d = (rng.choice(draws) for _ in range(3))
+            assert (a + b) + d == a + (b + d)
+            assert (a * b) * d == a * (b * d)
+            assert a * (b + d) == a * b + a * d
+            for x in (a + b, a * b, a - b * d, -a):
+                assert not _normal_form_errors(x)
+            if a:
+                inv = a.inverse() if isinstance(a, AlgebraicNumber) else 1 / a
+                assert a * inv == 1 and (b * a) / a == b
+            close = abs(value(a) - value(b)) < mpmath.mpf(10) ** -40
+            assert (a == b) == close, (a, b)
+            outcomes.add(close)
+            twin = b + (a - b)  # equal to a, reached through b
+            assert twin == a and hash(twin) == hash(a)
+    assert outcomes == {True, False}
+    assert c**3 == 3 and type(c**3) is Fraction
+    assert type((s * c) * (s * c).inverse()) is Fraction
+
+
+def test_field_coercion_takes_only_int_fraction_or_a_field_element():
+    F = NumberField()
+    ring = PolyRing(F, ("x",))
+    x = ring.var(0)
+    with pytest.raises(UsageError):
+        x + 0.1
+    with pytest.raises(UsageError):
+        ring.constant("2/3")
+    with pytest.raises(UsageError):
+        ValuedSeries(F, [(1, 0.25)])
+    other = NumberField()
+    with pytest.raises(UsageError):
+        as_field_element(F, other.adjoin("b", [Fraction(-2), Fraction(0), Fraction(1)]))
+    three = as_field_element(F, 3)
+    assert type(three) is Fraction and three == 3
+
+
+def test_adjoin_checks_the_minimal_polynomial_first():
+    F = NumberField()
+    other = NumberField()
+    foreign = other.adjoin("b", [Fraction(-2), Fraction(0), Fraction(1)])
+    for bad in (
+        [Fraction(-2), Fraction(1)],  # degree 1
+        [Fraction(-2), Fraction(0), Fraction(2)],  # not monic
+        [Fraction(-2), Fraction(0), Fraction(0)],  # leading zero
+        [0.5, 0, 1],  # not a field element
+        [foreign, 0, 1],  # from another field
+    ):
+        with pytest.raises(UsageError):
+            F.adjoin("b", bad)
+        assert F.height() == 0
+    b = F.adjoin("b", [-2, 0, 1])
+    assert F.height() == 1 and b * b == 2
 
 
 def test_roots_in_extension_counts_multiplicity():
