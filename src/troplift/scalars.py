@@ -22,7 +22,12 @@ Two kinds of scalars live here and never mix:
 Univariate factorization over a tower is done by norm/resultant descent to Q
 (Trager's method); the rational leaf is factored over Z by Zassenhaus's
 method: factor modulo a small prime, Hensel-lift the factors and recombine
-them by trial division.
+them by trial division.  ``roots_in_extension`` adjoins a root theta of one
+irreducible factor f at a time and divides f by z - theta, so only the
+cofactor is factored over the extended field, never f itself.  Factoring a
+degree-n polynomial over a tower of degree D is capped at n * D <= 8 (the
+degree of the norm down to Q), and the cap still applies to f as a whole
+once theta is adjoined.
 """
 
 from __future__ import annotations
@@ -1002,21 +1007,27 @@ def _interpolate(samples):
     return _pnorm(out)
 
 
-def _factor_squarefree(field, level, f):
-    """Irreducible monic factors of a squarefree monic polynomial."""
-    f = _pmonic(f)
-    if _pdeg(f) <= 1:
-        return [f]
-    # the norm one level down has degree deg f * deg(level), and so on down
-    # to Q: fail at the first one beyond the cap, before building any
+def _check_degree_cap(field, level, n):
+    """Raise ExtensionUnsupportedError when factoring a degree-n polynomial
+    over the given level needs a norm beyond the cap.  The norm one level
+    down has degree n * deg(level), and so on down to Q: fail at the first
+    one beyond the cap, before building any."""
     degree = 1
-    for d in [_pdeg(f)] + [lv.degree for lv in reversed(field.levels[:level])]:
+    for d in [n] + [lv.degree for lv in reversed(field.levels[:level])]:
         degree *= d
         if degree > _MAX_ADJOIN_DEGREE:
             raise ExtensionUnsupportedError(
                 f"extension unsupported: irreducibility testing beyond degree "
                 f"{_MAX_ADJOIN_DEGREE} (got degree {degree})"
             )
+
+
+def _factor_squarefree(field, level, f):
+    """Irreducible monic factors of a squarefree monic polynomial."""
+    f = _pmonic(f)
+    if _pdeg(f) <= 1:
+        return [f]
+    _check_degree_cap(field, level, _pdeg(f))
     if level == 0:
         return _factor_rational_squarefree(f)
     theta = field.generator(level)
@@ -1129,13 +1140,21 @@ def roots_in_extension(field, coeffs):
     """All roots of the polynomial, adjoining as needed.
 
     Returns (field, [(root, multiplicity)]) with the list in deterministic
-    order and total multiplicity equal to the degree.
+    order and total multiplicity equal to the degree.  The polynomial is
+    factored over the current field; the canonically first nonlinear factor
+    f is adjoined as theta, which is a root with f's multiplicity, and f is
+    deflated to f / (z - theta), so no adjoined factor is factored again.
+    The degree cap still applies to f as a whole over the extended field,
+    and fails when its cofactor comes up, before the cofactor is solved or
+    factored.
     """
     cs = _pnorm([as_field_element(field, c) for c in coeffs])
     if _pdeg(cs) < 1:
         raise UsageError("roots_in_extension needs a nonconstant polynomial")
     out = []
-    pending = [(cs, 1)]
+    # (polynomial, multiplicity, degree of the adjoined factor it is the
+    # cofactor of, or None)
+    pending = [(cs, 1, None)]
     guard = 0
     while pending:
         guard += 1
@@ -1143,19 +1162,26 @@ def roots_in_extension(field, coeffs):
             raise ExtensionUnsupportedError(
                 "extension unsupported: root enumeration did not stabilize"
             )
-        poly, mult = pending.pop(0)
+        poly, mult, adjoined = pending.pop(0)
+        if adjoined is not None:
+            _check_degree_cap(field, field.height(), adjoined)
         if len(poly) == 2:  # solved, not factored
             out.append((-poly[0] / poly[1], mult))
             continue
         _, factors = factor_univariate(field, poly)
-        nonlinear = [(f, m) for f, m in factors if len(f) > 2]
+        nonlinear = [(f, mult * m) for f, m in factors if len(f) > 2]
         for f, m in factors:
             if len(f) == 2:
                 out.append((-f[0], mult * m))
         if nonlinear:
-            _adjoin_factor(field, nonlinear[0][0])
-            for f, m in nonlinear:
-                pending.append((f, mult * m))
+            f, m = nonlinear[0]
+            theta = _adjoin_factor(field, f)
+            cofactor, rest = _pdivmod(f, [-theta, _ONE])
+            if rest:
+                raise InternalInvariantError("an adjoined root does not divide its factor")
+            out.append((theta, m))
+            pending.append((cofactor, m, _pdeg(f)))
+            pending.extend((g, k, None) for g, k in nonlinear[1:])
     merged = {}
     for r, m in out:
         merged[r] = merged.get(r, 0) + m

@@ -9,7 +9,7 @@ import sympy
 from hypothesis import assume, given, seed, settings, strategies as st
 
 from troplift import scalars
-from troplift.errors import ExtensionUnsupportedError, UsageError
+from troplift.errors import ExtensionUnsupportedError, TropliftError, UsageError
 from troplift.scalars import (
     AlgebraicNumber,
     NumberField,
@@ -507,6 +507,113 @@ def test_linear_roots_are_solved_not_factored(monkeypatch):
     assert calls == [] and F2 is F and F.height() == 1 and mult == 1
     assert root == -factor[0] and scalar_str(root) == scalar_str(-factor[0])
     assert 3 * a1 * root + 1 + a1 == 0
+
+
+def test_adjoined_factor_is_deflated_not_factored_again(monkeypatch):
+    calls = {"factor_univariate": [], "_bivariate_norm": []}
+    for name in calls:
+        fn = getattr(scalars, name)
+        monkeypatch.setattr(
+            scalars, name, lambda *args, fn=fn, name=name: calls[name].append(args) or fn(*args)
+        )
+    F, roots = roots_in_extension(NumberField(), [-2, 0, 1])
+    assert len(calls["factor_univariate"]) == 1 and calls["_bivariate_norm"] == []
+    assert F.height() == 1 and sorted(m for _, m in roots) == [1, 1]
+    # (z^2 - 2)(z^2 - 3): the only norms are of z^2 - 3 over Q(sqrt 2)
+    calls["factor_univariate"].clear()
+    F, roots = roots_in_extension(NumberField(), [6, 0, -5, 0, 1])
+    assert F.height() == 2 and len(roots) == 4
+    assert len(calls["factor_univariate"]) == 2 and calls["_bivariate_norm"]
+    for _, level, f, _ in calls["_bivariate_norm"]:
+        assert level == 1 and f == [-3, 0, 1]
+    # adjoining a root of z^4 - 2 leaves a cubic over a quartic field: the
+    # cap still fails on the quartic as a whole, with the same field state
+    calls["factor_univariate"].clear()
+    calls["_bivariate_norm"].clear()
+    F = NumberField()
+    with pytest.raises(ExtensionUnsupportedError, match=r"got degree 16\)"):
+        roots_in_extension(F, [-2, 0, 0, 0, 1])
+    assert F.height() == 1 and len(calls["factor_univariate"]) == 1
+    assert calls["_bivariate_norm"] == []
+
+
+def _roots_by_refactoring(field, coeffs):
+    """roots_in_extension before deflation, the reference: an adjoined factor
+    goes back on the queue and is factored again over the extended field."""
+    cs = scalars._pnorm([as_field_element(field, c) for c in coeffs])
+    out = []
+    pending = [(cs, 1)]
+    while pending:
+        poly, mult = pending.pop(0)
+        if len(poly) == 2:
+            out.append((-poly[0] / poly[1], mult))
+            continue
+        _, factors = factor_univariate(field, poly)
+        nonlinear = [(f, m) for f, m in factors if len(f) > 2]
+        for f, m in factors:
+            if len(f) == 2:
+                out.append((-f[0], mult * m))
+        if nonlinear:
+            scalars._adjoin_factor(field, nonlinear[0][0])
+            for f, m in nonlinear:
+                pending.append((f, mult * m))
+    merged = {}
+    for r, m in out:
+        merged[r] = merged.get(r, 0) + m
+    return field, sorted(merged.items(), key=lambda t: scalars._scalar_sort_key(t[0]))
+
+
+# minimal polynomials of the base fields Q, Q(sqrt 2) and Q(sqrt 2, sqrt 3)
+_BASES = ((), ((-2, 0, 1),), ((-2, 0, 1), (-3, 0, 1)))
+
+
+def _random_factors(rng):
+    """(base, factors): 1-3 monic factors of degree 1-4, low degrees
+    likelier, some repeated, of total degree at most 8; each coefficient is
+    a list of small integers, one per basis element 1, s1, s2 of the base."""
+    while True:
+        base = rng.randrange(len(_BASES))
+        factors = []
+        for _ in range(rng.choice((1, 1, 2, 2, 3))):
+            deg = rng.choice((1, 1, 1, 1, 2, 2, 3, 4))
+            f = [[rng.randint(-3, 3) for _ in range(1 + base)] for _ in range(deg)]
+            factors += [f, f] if rng.random() < 0.25 else [f]
+        if sum(len(f) for f in factors) <= 8:
+            return base, factors
+
+
+def _roots_outcome(solve, base, factors):
+    """Roots with multiplicities (or the error) and the tower afterwards, as
+    text, from solve on the product of the factors over a fresh base field."""
+    F = NumberField()
+    for i, minpoly in enumerate(_BASES[base]):
+        F.adjoin(f"s{i + 1}", minpoly)
+    basis = [Fraction(1)] + [F.generator(i + 1) for i in range(base)]
+    poly = [Fraction(1)]
+    for f in factors:
+        cs = [sum((b * k for b, k in zip(basis, c)), Fraction(0)) for c in f]
+        poly = scalars._pmul(poly, cs + [Fraction(1)])
+    try:
+        _, roots = solve(F, poly)
+        result = [(scalar_str(r), m) for r, m in roots]
+    except TropliftError as e:
+        result = (type(e).__name__, str(e))
+    tower = [(lv.name, [scalar_str(c) for c in lv.minpoly]) for lv in F.levels]
+    return result, tower
+
+
+def test_deflating_the_adjoined_factor_matches_refactoring_it():
+    """Seeded products over Q, Q(sqrt 2) and Q(sqrt 2, sqrt 3): the same
+    roots, multiplicities, tower and errors as the re-factoring reference,
+    the degree-cap failures included."""
+    rng = random.Random(3)
+    solved = 0
+    for _ in range(240):
+        base, factors = _random_factors(rng)
+        new = _roots_outcome(roots_in_extension, base, factors)
+        assert new == _roots_outcome(_roots_by_refactoring, base, factors), factors
+        solved += isinstance(new[0], list)
+    assert solved >= 100
 
 
 def _interpolate_cubic(samples):
