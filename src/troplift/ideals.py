@@ -47,6 +47,7 @@ from .polyring import (
 )
 from .scalars import (
     ValueScalar,
+    _adjoin_factor,
     _pgcd,
     _pnorm,
     adjoin_root,
@@ -629,6 +630,7 @@ def _solve_zero_dim(ring, gens, remaining, assignment):
         trial = dict(assignment)
         trial[var] = Fraction(1)
         return _solve_zero_dim(ring, gens, rest, trial)
+    height = ring.field.height()
     _, factors = factor_univariate(ring.field, uni)
     ordered = sorted(factors, key=lambda t: (len(t[0]), _fac_str(t[0])))
     for fac, _mult in ordered:
@@ -636,7 +638,9 @@ def _solve_zero_dim(ring, gens, remaining, assignment):
             continue  # root zero: not a torus point
         if len(fac) == 2:
             root = (-fac[0]) / fac[1]
-        else:
+        elif ring.field.height() == height:  # irreducible here: not factored again
+            root = _adjoin_factor(ring.field, fac)
+        else:  # a failed branch grew the field, over which fac may split
             _, root = adjoin_root(ring.field, fac)
         if not root:
             continue

@@ -381,30 +381,67 @@ def _hull_at(hull, i):
     raise InternalInvariantError("abscissa outside the polygon")
 
 
-def _taylor_shift(coeffs, c, omega, field, mode):
+def _ratio(a, n):
+    """a / n for a positive int n, and an int when n divides the int a."""
+    if a.__class__ is int and not a % n:
+        return a // n
+    return a / Fraction(n)
+
+
+def _grid(coeffs, mode):
+    """The maps into and out of the walk's exponent units: e -> e*L in
+    puiseux mode, the identity in hahn mode.  L = L0*lcm(1..d), with L0 the
+    common denominator of the exponents and truncations and d the degree: a
+    root of a degree-d polynomial over k((t^(1/L0))) has ramification index
+    at most d, so its exponents, and the slopes and shifts that reach them,
+    are ints.  A value off the grid, such as a separation bound, stays an
+    exact Fraction; an irrational one stays a ValueScalar."""
+    if mode == "hahn":
+        return as_value, as_value
+    L0 = 1
+    for c in coeffs:
+        for x in (c.truncation, *(e for e, _ in c.terms)):
+            if x is not INF and not x.b:
+                L0 = lcm(L0, x.a.denominator)
+    L = L0 * lcm(*range(1, len(coeffs)))
+
+    def into(x):
+        if x is INF or x.b:
+            return x if x is INF else x * L
+        q = x.a * L
+        return q.numerator if q.denominator == 1 else q
+
+    def back(x):
+        if x is INF or x.__class__ is ValueScalar:
+            return x if x is INF else x / L
+        return object.__new__(ValueScalar)._build(Fraction(x, L), Fraction(0), 1)
+
+    return into, back
+
+
+def _taylor_shift(coeffs, c, omega):
     """Coefficients of p(z + c*t^omega) for p = sum coeffs[i] z^i.
 
-    Coefficient j is the sum over i >= j of
+    Coefficients are (truncation, sorted nonzero terms) pairs in the
+    walk's exponent units.  Coefficient j is the sum over i >= j of
     comb(i, j) * c^(i-j) * t^((i-j)*omega) * coeffs[i]; it is known below
-    the least coeffs[i].truncation + (i-j)*omega.  Terms at or above that
-    bound are skipped before their coefficients are multiplied, the rest
-    are summed in one dict keyed by exponent, and each series is built
-    from its sorted nonzero terms without re-validation.
+    the least truncation_i + (i-j)*omega.  Terms at or above that bound are
+    skipped before their coefficients are multiplied, and the rest are
+    summed in one dict keyed by exponent, an int on the puiseux grid.
     """
     d = len(coeffs) - 1
-    c_pows, w_pows = [Fraction(1)], [ValueScalar(0)]
+    c_pows, w_pows = [Fraction(1)], [omega * k for k in range(d + 1)]
     for _ in range(d):
         c_pows.append(c_pows[-1] * c)
-        w_pows.append(w_pows[-1] + omega)
     out = []
     for j in range(d + 1):
         trunc = INF
         for i in range(j, d + 1):
-            trunc = min(trunc, coeffs[i].truncation + w_pows[i - j])
+            trunc = min(trunc, coeffs[i][0] + w_pows[i - j])
         sums = {}
         for i in range(j, d + 1):
             offset, scale = w_pows[i - j], None
-            for e, a in coeffs[i].terms:
+            for e, a in coeffs[i][1]:
                 if i > j:  # else the offset is 0 and the scale 1
                     e = e + offset
                 if trunc is not INF and e >= trunc:
@@ -414,8 +451,7 @@ def _taylor_shift(coeffs, c, omega, field, mode):
                         scale = comb(i, j) * c_pows[i - j]
                     a = a * scale
                 sums[e] = sums[e] + a if e in sums else a
-        terms = [(e, sums[e]) for e in sorted(sums) if sums[e]]
-        out.append(object.__new__(ValuedSeries)._build(field, terms, trunc, mode))
+        out.append((trunc, [(e, sums[e]) for e in sorted(sums) if sums[e]]))
     return out
 
 
@@ -427,7 +463,9 @@ def newton_puiseux(coeffs, N, mode="puiseux"):
     the certain part, counted with multiplicity: exact when the
     iteration terminates, truncated at an exponent >= N otherwise.
     Raises when some coefficient is not known well enough to place the
-    Newton polygon.
+    Newton polygon.  The walk runs on (truncation, terms) pairs in the
+    exponent units of _grid; a ValueScalar is built only for the exponents
+    of a returned root or an error message.
     """
     coeffs = list(coeffs)
     if not coeffs:
@@ -443,6 +481,9 @@ def newton_puiseux(coeffs, N, mode="puiseux"):
         raise UsageError("the precision target must be finite")
     if N.sign() <= 0:
         raise UsageError("the precision target must be positive")
+    into, back = _grid(coeffs, mode)
+    N = into(N)
+    coeffs = [(into(c.truncation), [(into(e), a) for e, a in c.terms]) for c in coeffs]
     # depth-first walk of the Newton polygon tree on an explicit stack of
     # node generators, so the depth is bounded by the node budget alone
     budget = _NP_NODE_LIMIT
@@ -453,79 +494,83 @@ def newton_puiseux(coeffs, N, mode="puiseux"):
             budget -= 1
             if budget < 0:
                 raise CapabilityError("root search exceeded its node budget")
-            stack.append(_np_node(*child, N, mode, field))
+            stack.append(_np_node(*child, N, field, back))
             roots = None
         try:
             child = stack[-1].send(roots)
         except StopIteration as done:
             stack.pop()
             if not stack:
-                return done.value
+                return [
+                    object.__new__(ValuedSeries)._build(
+                        field, [(back(e), a) for e, a in acc], back(t), mode
+                    )
+                    for acc, t in done.value
+                ]
             child, roots = None, done.value
 
 
-def _np_node(coeffs, acc, slope_bound, N, mode, field):
+def _np_node(coeffs, acc, slope_bound, N, field, back):
     """One node of the Newton polygon tree, as a generator: it yields
     (coeffs, acc, slope bound) for each child branch in turn, is sent that
-    branch's roots, and returns the roots of the node.
+    branch's roots, and returns the roots of the node as (acc, truncation)
+    pairs.  Exponents are in the walk's units (back maps them out).
 
     acc holds the (exponent, coefficient) terms chosen above the node.
     Slopes strictly increase along a branch and edge roots are nonzero, so
     appending keeps it sorted, and each root is built from it once."""
-    certain = [i for i, c in enumerate(coeffs) if c.terms]
+    certain = [i for i, (_, terms) in enumerate(coeffs) if terms]
     if not certain:
-        if all(c.is_exact_zero for c in coeffs):
+        if all(trunc is INF for trunc, _ in coeffs):
             raise UsageError("the polynomial is identically zero")
         raise InsufficientTruncationError(
             "every coefficient vanishes below its truncation"
         )
     i_min, top = certain[0], certain[-1]
-    vals = {i: coeffs[i].terms[0][0] for i in certain}
+    vals = {i: coeffs[i][1][0][0] for i in certain}
     roots = []
-    if i_min > 0:
-        low = coeffs[:i_min]
-        if all(c.is_exact_zero for c in low):
-            bound = INF
-        else:
-            v_min = vals[i_min]
-            bound = min(
-                (c.truncation - v_min) / Fraction(i_min - i)
-                for i, c in enumerate(low)
-                if not c.is_exact_zero
+    if i_min > 0:  # the coefficients below i_min have no terms
+        bound = min(
+            (
+                _ratio(trunc - vals[i_min], i_min - i)
+                for i, (trunc, _) in enumerate(coeffs[:i_min])
+                if trunc is not INF
+            ),
+            default=INF,
+        )
+        if bound < N:
+            raise InsufficientTruncationError(
+                "roots near the accumulator are only separated up to t^(%s)"
+                % back(bound)
             )
-            if bound < N:
-                raise InsufficientTruncationError(
-                    "roots near the accumulator are only separated up to t^(%s)"
-                    % bound
-                )
-        roots.extend([ValuedSeries(field, acc, bound, mode)] * i_min)
+        roots.extend([(acc, bound)] * i_min)
     if i_min == top:
         return roots
     hull = _lower_hull([(i, vals[i]) for i in certain])
     for i in range(i_min + 1, top):
-        c = coeffs[i]
-        if c.terms or c.is_exact_zero:
+        trunc, terms = coeffs[i]
+        if terms or trunc is INF:
             continue
-        if c.truncation <= _hull_at(hull, i):
+        if trunc <= _hull_at(hull, i):
             raise InsufficientTruncationError(
                 "coefficient %d is only known above the Newton polygon" % i
             )
     for (i1, v1), (i2, v2) in zip(hull, hull[1:]):
-        omega = (v1 - v2) / Fraction(i2 - i1)
+        omega = _ratio(v1 - v2, i2 - i1)
         if slope_bound is not None and omega <= slope_bound:
             continue
         if omega >= N:
-            roots.extend([ValuedSeries(field, acc, omega, mode)] * (i2 - i1))
+            roots.extend([(acc, omega)] * (i2 - i1))
             continue
         phi = []
         for i in range(i1, i2 + 1):
             if i in vals and vals[i] == _hull_at(hull, i):
-                phi.append(coeffs[i].terms[0][1])
+                phi.append(coeffs[i][1][0][1])
             else:
                 phi.append(Fraction(0))
         _, phi_roots = roots_in_extension(field, phi)
         for root_c, mult in phi_roots:
-            new_coeffs = _taylor_shift(coeffs, root_c, omega, field, mode)
+            new_coeffs = _taylor_shift(coeffs, root_c, omega)
             branch = yield new_coeffs, acc + ((omega, root_c),), omega
             if len(branch) != mult:
                 raise InternalInvariantError(

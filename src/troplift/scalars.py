@@ -1109,12 +1109,7 @@ def adjoin_root(field, coeffs, name=None):
     cs = _pnorm([as_field_element(field, c) for c in coeffs])
     if _pdeg(cs) < 1:
         raise UsageError("adjoin_root needs a nonconstant polynomial")
-    if _pdeg(cs) > _MAX_ADJOIN_DEGREE:
-        raise ExtensionUnsupportedError(
-            f"extension unsupported: degree {_pdeg(cs)} exceeds "
-            f"{_MAX_ADJOIN_DEGREE} for polynomial with coefficients "
-            f"[{', '.join(scalar_str(c) for c in cs)}]"
-        )
+    _check_adjoin_degree(cs)
     _, factors = factor_univariate(field, cs)
     linear = [f for f, _ in factors if len(f) == 2]
     if linear:
@@ -1123,9 +1118,20 @@ def adjoin_root(field, coeffs, name=None):
     return field, _adjoin_factor(field, factors[0][0], name)
 
 
+def _check_adjoin_degree(cs):
+    if _pdeg(cs) > _MAX_ADJOIN_DEGREE:
+        raise ExtensionUnsupportedError(
+            f"extension unsupported: degree {_pdeg(cs)} exceeds "
+            f"{_MAX_ADJOIN_DEGREE} for polynomial with coefficients "
+            f"[{', '.join(scalar_str(c) for c in cs)}]"
+        )
+
+
 def _adjoin_factor(field, fac, name=None):
     """A root of the monic irreducible factor fac, adjoined as the next
-    tower level (named a<level> by default) within the height bound."""
+    tower level (named a<level> by default) within the degree and height
+    bounds."""
+    _check_adjoin_degree(fac)
     if field.height() >= _MAX_TOWER_HEIGHT:
         raise ExtensionUnsupportedError(
             f"extension unsupported: tower height {_MAX_TOWER_HEIGHT} reached; "

@@ -223,6 +223,28 @@ def test_np_solve_insufficient_truncation():
     assert err.startswith("capability limit:")
 
 
+def test_np_solve_truncation_errors_name_their_exponents():
+    """The two truncation errors of the Newton walk, with the separation
+    bound printed in t's exponents, not in the walk's units, also when a
+    truncation is irrational."""
+    code, out, err = cap(["np-solve", "--coeffs=O(t^(5));O(t^(9));1", "--N", "3"])
+    assert (code, out) == (3, "")
+    assert err == (
+        "capability limit: roots near the accumulator are only separated"
+        " up to t^(5/2)\n"
+    )
+    code, out, err = cap(
+        ["np-solve", "--coeffs=O(t^(sqrt(2)));O(t^(sqrt(2)));1", "--N", "1"]
+    )
+    assert (code, out) == (3, "")
+    assert err.endswith(" up to t^(1/2*sqrt(2))\n")
+    code, out, err = cap(["np-solve", "--coeffs=t^(1);O(t^(1));t^(4)", "--N", "3"])
+    assert (code, out) == (3, "")
+    assert err == (
+        "capability limit: coefficient 1 is only known above the Newton polygon\n"
+    )
+
+
 def test_np_solve_goldens():
     for argv, want in (
         (["np-solve", "--coeffs=-2*t^(2);0;1", "--N", "4"],

@@ -1,6 +1,7 @@
 """Standard and Groebner bases, ideal predicates, torus witness points."""
 
 import heapq
+import io
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -8,7 +9,7 @@ from itertools import combinations
 import pytest
 
 from test_acceptance import _CORPUS, _grid
-from troplift import ideals
+from troplift import cli, ideals, scalars
 from troplift.errors import InternalInvariantError, UsageError, WitnessSearchError
 from troplift.ideals import (
     contains_monomial,
@@ -732,6 +733,38 @@ def test_torus_point_respects_monomial_freeness():
     R = _ring("x", "y")
     with pytest.raises(UsageError):
         torus_point(_ideal(R, ["x*y"]))
+
+
+def test_torus_point_factors_each_eliminant_factor_once(monkeypatch):
+    """The lift of x^2+y^2+z^2 at (1,1,1) adjoins a root of z^2 + 2 from
+    the factorization of its eliminant, without factoring it again: no
+    polynomial is factored twice at one tower height."""
+    calls = []
+    factor = scalars.factor_univariate
+
+    def counting_factor(field, coeffs):
+        calls.append((tuple(scalar_str(c) for c in coeffs), field.height()))
+        return factor(field, coeffs)
+
+    monkeypatch.setattr(scalars, "factor_univariate", counting_factor)
+    monkeypatch.setattr(ideals, "factor_univariate", counting_factor)
+    argv = ["lift", "--vars", "x,y,z", "--ideal", "x^2+y^2+z^2", "--w", "1,1,1",
+            "--N", "3"]
+    assert cli.run(argv, io.StringIO(), io.StringIO()) == 0
+    assert (("2", "0", "1"), 0) in calls
+    assert len(calls) == len(set(calls)), calls
+
+
+def test_torus_point_splits_a_factor_over_a_grown_field():
+    """y = sqrt(2) forces x = 0, so that branch fails after adjoining
+    sqrt(2); y^2 - 8 then splits over the grown field and is not adjoined
+    as a reducible level."""
+    R = _ring("x", "y")
+    witness = torus_point(_ideal(R, ["(y^2-2)*(y^2-8)", "6*x-y^2+2"]))
+    assert [scalar_str(c) for c in witness.point] == ["1", "-2*a1"]
+    assert [[scalar_str(c) for c in level.minpoly] for level in R.field.levels] == [
+        ["-2", "0", "1"]
+    ]
 
 
 def _old_torus_point(J, seed=0, max_attempts=16, start_attempt=0):

@@ -3,6 +3,7 @@
 import json
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -13,12 +14,15 @@ from troplift import ideals, lifting, scalars
 from troplift.errors import (
     CapabilityError,
     DescentWitnessError,
+    InsufficientTruncationError,
+    InternalInvariantError,
     NonMemberError,
     UsageError,
 )
 from troplift.ideals import dimension, ideal_member, presentation
 from troplift.lifting import (
     LiftProblem,
+    _grid,
     _taylor_shift,
     descend,
     lift_point,
@@ -28,7 +32,14 @@ from troplift.lifting import (
 )
 from troplift.parsing import parse_poly
 from troplift.polyring import INF, PolyRing, initial_form
-from troplift.scalars import NumberField, ValueScalar, adjoin_root, as_value
+from troplift.scalars import (
+    NumberField,
+    ValueScalar,
+    adjoin_root,
+    as_value,
+    roots_in_extension,
+    scalar_str,
+)
 from troplift.series import AtLeast, ValuedSeries, substitute
 from troplift.tropical import trop_member
 
@@ -282,6 +293,19 @@ def _taylor_shift_by_products(coeffs, shift, field, mode):
     return out
 
 
+def _shift_series(coeffs, c, omega, field, mode):
+    """_taylor_shift on series: into the walk's exponent units, shifted,
+    and back, with each result built unchecked so nothing is normalized."""
+    into, back = _grid(coeffs, mode)
+    pairs = [(into(s.truncation), [(into(e), a) for e, a in s.terms]) for s in coeffs]
+    return [
+        object.__new__(ValuedSeries)._build(
+            field, [(back(e), a) for e, a in terms], back(trunc), mode
+        )
+        for trunc, terms in _taylor_shift(pairs, c, into(omega))
+    ]
+
+
 def _random_exponent(rng, mode):
     a = Fraction(rng.randint(0, 6), rng.choice([1, 2, 3]))
     if mode == "hahn" and rng.random() < 0.5:
@@ -323,7 +347,7 @@ def test_taylor_shift_matches_series_products():
             c = rng.choice(scalars)
             omega = _random_exponent(rng, mode) + Fraction(1, rng.randint(1, 3))
             shift = ValuedSeries.monomial(field, omega, c, mode)
-            got = _taylor_shift(coeffs, c, omega, field, mode)
+            got = _shift_series(coeffs, c, omega, field, mode)
             want = _taylor_shift_by_products(coeffs, shift, field, mode)
             assert len(got) == len(want)
             for g, h in zip(got, want):
@@ -369,7 +393,7 @@ def test_taylor_shift_matches_the_constructor_reference():
             ]
             c = rng.choice(scalars)
             omega = _random_exponent(rng, mode) + Fraction(1, rng.randint(1, 3))
-            got = _taylor_shift(coeffs, c, omega, field, mode)
+            got = _shift_series(coeffs, c, omega, field, mode)
             want = _taylor_shift_by_constructor(coeffs, c, omega, field, mode)
             assert [(g.terms, g.truncation, g.mode) for g in got] == [
                 (h.terms, h.truncation, h.mode) for h in want
@@ -411,6 +435,300 @@ def test_newton_puiseux_hahn_product_of_known_factors():
             assert hits, (f, roots)
             assert hits[0].truncation >= N
             free.remove(hits[0])
+
+
+# -- the Newton walk on ValueScalar exponents, as it ran before the exponent
+# grid: the reference of the differential test below
+
+
+def _ref_lower_hull(points):
+    hull = []
+    for p in points:
+        while len(hull) >= 2:
+            (i1, v1), (i2, v2) = hull[-2], hull[-1]
+            i3, v3 = p
+            lhs = (v2 - v1) * (i3 - i1)
+            rhs = (v3 - v1) * (i2 - i1)
+            if lhs >= rhs:
+                hull.pop()
+            else:
+                break
+        hull.append(p)
+    return hull
+
+
+def _ref_hull_at(hull, i):
+    for (i1, v1), (i2, v2) in zip(hull, hull[1:]):
+        if i1 <= i <= i2:
+            return v1 + (v2 - v1) * Fraction(i - i1, i2 - i1)
+    raise InternalInvariantError("abscissa outside the polygon")
+
+
+def _ref_taylor_shift(coeffs, c, omega, field, mode):
+    d = len(coeffs) - 1
+    c_pows, w_pows = [Fraction(1)], [ValueScalar(0)]
+    for _ in range(d):
+        c_pows.append(c_pows[-1] * c)
+        w_pows.append(w_pows[-1] + omega)
+    out = []
+    for j in range(d + 1):
+        trunc = INF
+        for i in range(j, d + 1):
+            trunc = min(trunc, coeffs[i].truncation + w_pows[i - j])
+        sums = {}
+        for i in range(j, d + 1):
+            offset, scale = w_pows[i - j], None
+            for e, a in coeffs[i].terms:
+                if i > j:
+                    e = e + offset
+                if trunc is not INF and e >= trunc:
+                    break
+                if i > j:
+                    if scale is None:
+                        scale = comb(i, j) * c_pows[i - j]
+                    a = a * scale
+                sums[e] = sums[e] + a if e in sums else a
+        terms = [(e, sums[e]) for e in sorted(sums) if sums[e]]
+        out.append(object.__new__(ValuedSeries)._build(field, terms, trunc, mode))
+    return out
+
+
+def _ref_newton_puiseux(coeffs, N, mode="puiseux"):
+    coeffs = list(coeffs)
+    if not coeffs:
+        raise UsageError("no coefficients")
+    field = coeffs[0].field
+    for c in coeffs:
+        if c.field is not field:
+            raise UsageError("coefficients live over different fields")
+        if c.mode != mode:
+            raise UsageError("coefficient mode does not match")
+    N = as_value(N)
+    if N is INF:
+        raise UsageError("the precision target must be finite")
+    if N.sign() <= 0:
+        raise UsageError("the precision target must be positive")
+    budget = lifting._NP_NODE_LIMIT
+    stack, roots = [], None
+    child = (coeffs, (), None)
+    while True:
+        if child is not None:
+            budget -= 1
+            if budget < 0:
+                raise CapabilityError("root search exceeded its node budget")
+            stack.append(_ref_np_node(*child, N, mode, field))
+            roots = None
+        try:
+            child = stack[-1].send(roots)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            child, roots = None, done.value
+
+
+def _ref_np_node(coeffs, acc, slope_bound, N, mode, field):
+    certain = [i for i, c in enumerate(coeffs) if c.terms]
+    if not certain:
+        if all(c.is_exact_zero for c in coeffs):
+            raise UsageError("the polynomial is identically zero")
+        raise InsufficientTruncationError(
+            "every coefficient vanishes below its truncation"
+        )
+    i_min, top = certain[0], certain[-1]
+    vals = {i: coeffs[i].terms[0][0] for i in certain}
+    roots = []
+    if i_min > 0:
+        low = coeffs[:i_min]
+        if all(c.is_exact_zero for c in low):
+            bound = INF
+        else:
+            v_min = vals[i_min]
+            bound = min(
+                (c.truncation - v_min) / Fraction(i_min - i)
+                for i, c in enumerate(low)
+                if not c.is_exact_zero
+            )
+            if bound < N:
+                raise InsufficientTruncationError(
+                    "roots near the accumulator are only separated up to t^(%s)"
+                    % bound
+                )
+        roots.extend([ValuedSeries(field, acc, bound, mode)] * i_min)
+    if i_min == top:
+        return roots
+    hull = _ref_lower_hull([(i, vals[i]) for i in certain])
+    for i in range(i_min + 1, top):
+        c = coeffs[i]
+        if c.terms or c.is_exact_zero:
+            continue
+        if c.truncation <= _ref_hull_at(hull, i):
+            raise InsufficientTruncationError(
+                "coefficient %d is only known above the Newton polygon" % i
+            )
+    for (i1, v1), (i2, v2) in zip(hull, hull[1:]):
+        omega = (v1 - v2) / Fraction(i2 - i1)
+        if slope_bound is not None and omega <= slope_bound:
+            continue
+        if omega >= N:
+            roots.extend([ValuedSeries(field, acc, omega, mode)] * (i2 - i1))
+            continue
+        phi = []
+        for i in range(i1, i2 + 1):
+            if i in vals and vals[i] == _ref_hull_at(hull, i):
+                phi.append(coeffs[i].terms[0][1])
+            else:
+                phi.append(Fraction(0))
+        _, phi_roots = roots_in_extension(field, phi)
+        for root_c, mult in phi_roots:
+            new_coeffs = _ref_taylor_shift(coeffs, root_c, omega, field, mode)
+            branch = yield new_coeffs, acc + ((omega, root_c),), omega
+            if len(branch) != mult:
+                raise InternalInvariantError(
+                    "edge branch returned %d roots, expected %d"
+                    % (len(branch), mult)
+                )
+            roots.extend(branch)
+    return roots
+
+
+def _poly_product(field, factors, mode):
+    one = ValuedSeries.constant(field, 1, mode)
+    zero = ValuedSeries.zero(field, INF, mode)
+    coeffs = [one]
+    for f in factors:
+        out = [zero] * (len(coeffs) + len(f) - 1)
+        for i, a in enumerate(coeffs):
+            for j, b in enumerate(f):
+                out[i + j] = out[i + j] + a * b
+        coeffs = out
+    return coeffs
+
+
+def _np_case(seed):
+    """A seeded input on a fresh field: (field, coeffs, N, mode).
+
+    The polynomial is a product of known factors z - s, with exponent
+    denominators 1-3 (plus sqrt(2) parts in hahn mode), sometimes the
+    factor z, and conjugate pairs z^2 - d*u^2, whose edge roots +-sqrt(d)
+    are algebraic.  Its coefficients are exact, or some are truncated at one
+    cut; N is sometimes off the exponent grid or irrational."""
+    rng = random.Random(seed)
+    mode = rng.choice(["puiseux", "hahn"])
+    field = NumberField()
+
+    def series():
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            e = ValueScalar(Fraction(rng.randint(0, 8), rng.randint(1, 3)))
+            if mode == "hahn" and rng.random() < 0.3:
+                e = e + ValueScalar(0, Fraction(1, rng.randint(1, 2)), 2)
+            terms.append((e, Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2))))
+        return ValuedSeries(field, terms, INF, mode)
+
+    one = ValuedSeries.constant(field, 1, mode)
+    zero = ValuedSeries.zero(field, INF, mode)
+    factors = [[-series(), one] for _ in range(rng.randint(1, 2))]
+    if rng.random() < 0.2:
+        factors.append([zero, one])
+    for _ in range(rng.choice([0, 1, 1, 2])):
+        u = series()
+        factors.append([-(u * u).scale(rng.choice([2, 3, 5])), zero, one])
+    coeffs = _poly_product(field, factors, mode)
+    if rng.random() < 0.4:
+        cut = ValueScalar(Fraction(rng.randint(2, 16), rng.randint(1, 3)))
+        coeffs = [c.truncate(cut) if rng.random() < 0.7 else c for c in coeffs]
+    N = ValueScalar(Fraction(rng.randint(1, 8), rng.randint(1, 2)))
+    if rng.random() < 0.1:
+        N = N + ValueScalar(0, 1, 2)
+    return field, coeffs, N, mode
+
+
+def _np_outcome(solve, seed):
+    """The roots' texts, exponents and truncations and the field tower, or
+    the error's type and text."""
+    field, coeffs, N, mode = _np_case(seed)
+    try:
+        roots = solve(coeffs, N, mode)
+    except (CapabilityError, UsageError) as exc:
+        return type(exc), str(exc)
+    for r in roots:
+        assert all(e.__class__ is ValueScalar for e, _ in r.terms)
+        assert r.truncation is INF or r.truncation.__class__ is ValueScalar
+    tower = [
+        (name, [scalar_str(c) for c in level.minpoly])
+        for name, level in zip(field.generator_names(), field.levels)
+    ]
+    return (
+        [str(r) for r in roots],
+        [(r.truncation, [e for e, _ in r.terms]) for r in roots],
+        tower,
+    )
+
+
+def test_grid_walk_matches_the_value_scalar_walk(monkeypatch):
+    """newton_puiseux on the exponent grid gives the roots, truncations,
+    tower and errors of the walk on ValueScalar exponents, in both modes.
+    On a grid too coarse for the roots (L0 of the constant coefficient
+    alone), slopes and bounds fall off it as Fractions, and the puiseux
+    walk still matches exactly."""
+    grid, ratio = lifting._grid, lifting._ratio
+    off_grid = []
+
+    def counting_ratio(a, n):
+        q = ratio(a, n)
+        if q.__class__ is Fraction:
+            off_grid.append(q)
+        return q
+
+    kinds = Counter()
+    for seed in range(160):
+        want = _np_outcome(_ref_newton_puiseux, seed)
+        assert _np_outcome(newton_puiseux, seed) == want, seed
+        field, coeffs, N, mode = _np_case(seed)
+        if mode == "puiseux":
+            with monkeypatch.context() as m:
+                m.setattr(lifting, "_grid", lambda coeffs, mode: grid(coeffs[:1], mode))
+                m.setattr(lifting, "_ratio", counting_ratio)
+                assert _np_outcome(newton_puiseux, seed) == want, seed
+        if len(want) == 2:
+            kinds[mode, want[0].__name__] += 1
+        else:
+            kinds[mode, "tower" if want[2] else "rational"] += 1
+            if any(c.truncation is not INF for c in coeffs):
+                kinds[mode, "truncated"] += 1
+    for mode in ("puiseux", "hahn"):
+        for kind in ("InsufficientTruncationError", "tower", "rational", "truncated"):
+            assert kinds[mode, kind] >= 2, kinds
+    assert len(off_grid) >= 10
+
+
+def test_newton_puiseux_builds_value_scalars_only_for_its_roots(monkeypatch):
+    """On the exponent grid the walk builds no ValueScalar: one per term
+    and truncation of each returned root, and a few for the input."""
+    field = NumberField()
+    t = [ValuedSeries.monomial(field, e, 1) for e in range(5)]
+    one = t[0]
+    # (z - t - t^2)(z + 2t - t^3)(z^2 - 3t^3 - t^4): one pair of roots
+    # +-sqrt(3) t^(3/2) (1 + ...) that runs to N
+    coeffs = _poly_product(field, [
+        [-(t[1] + t[2]), one],
+        [t[1].scale(2) - t[3], one],
+        [-(t[3].scale(3) + t[4]), ValuedSeries.zero(field), one],
+    ], "puiseux")
+    built = []
+    build = ValueScalar._build
+
+    def counting_build(self, a, b, d):
+        built.append(1)
+        return build(self, a, b, d)
+
+    monkeypatch.setattr(ValueScalar, "_build", counting_build)
+    roots = newton_puiseux(coeffs, 12)
+    monkeypatch.undo()
+    assert len(roots) == 4
+    assert sum(len(r.terms) for r in roots) >= 20
+    assert len(built) <= sum(len(r.terms) for r in roots) + len(roots) + 4
 
 
 def test_lift_cusp_exact():
