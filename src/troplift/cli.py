@@ -34,7 +34,7 @@ from .parsing import (
     parse_weights,
 )
 from .polyring import PolyRing, initial_form, poly_str, w_order
-from .scalars import NumberField
+from .scalars import _MAX_RADICAND, NumberField, _squarefree
 from .tropical import trop_enumerate, trop_hypersurface, trop_member
 from .valfan import (
     CosetValuationHandle,
@@ -473,6 +473,10 @@ def run(argv, stdout=None, stderr=None):
         args = _build_parser().parse_args(argv)
         if args.command is None:
             raise UsageError("a subcommand is required")
+        # once per run: the squarefree test is trial division, and d above
+        # the bound is reported where the weights are parsed
+        if args.d is not None and args.d <= _MAX_RADICAND and not _squarefree(args.d):
+            raise UsageError("d=%d is not a positive squarefree integer" % args.d)
         return _COMMANDS[args.command](args, out)
     except SystemExit as exc:  # argparse --help
         code = exc.code

@@ -75,10 +75,6 @@ class RationalSpan:
     gamma: tuple
     matrix: tuple
 
-    @property
-    def r(self):
-        return self.rank
-
 
 def rational_span(w):
     entries = [as_value(x) for x in w]

@@ -19,15 +19,16 @@ Two kinds of scalars live here and never mix:
   algebraic, so the particular conjugate returned by ``adjoin_root`` is
   immaterial.
 
-Univariate factorization over a tower is done by norm/resultant descent to Q
-(Trager's method); the rational leaf is factored over Z by Zassenhaus's
-method: factor modulo a small prime, Hensel-lift the factors and recombine
-them by trial division.  ``roots_in_extension`` adjoins a root theta of one
-irreducible factor f at a time and divides f by z - theta, so only the
-cofactor is factored over the extended field, never f itself.  Factoring a
-degree-n polynomial over a tower of degree D is capped at n * D <= 8 (the
-degree of the norm down to Q), and the cap still applies to f as a whole
-once theta is adjoined.
+Univariate factorization over a tower is done by Trager's norm descent to Q,
+each norm the characteristic polynomial of a multiplication map one level
+down; the rational leaf is factored over Z by Zassenhaus's method: factor
+modulo the first odd prime that keeps the polynomial squarefree, Hensel-lift
+the factors and recombine them by trial division.  ``roots_in_extension``
+adjoins a root theta of one irreducible factor f at a time and divides f by
+z - theta, so only the cofactor is factored over the extended field, never
+f itself.  Factoring a degree-n polynomial over a tower of degree D is
+capped at n * D <= 8 (the degree of the norm down to Q), and the cap still
+applies to f as a whole once theta is adjoined.
 """
 
 from __future__ import annotations
@@ -662,28 +663,6 @@ def _pshift(a, c):
         out = _padd(_pmul(out, [c, Fraction(1)]), [coeff])
     return out
 
-def _presultant(a, b):
-    """Resultant of two univariate polynomials over a field, by Euclid."""
-    a = _pnorm(a)
-    b = _pnorm(b)
-    if not a or not b:
-        return Fraction(0)
-    res = Fraction(1)
-    sign = 1
-    while True:
-        da, db = _pdeg(a), _pdeg(b)
-        if db == 0:
-            return res * (b[0] ** da) * sign
-        r = _pmod(a, b)
-        if not r:
-            return Fraction(0)
-        dr = _pdeg(r)
-        if (da * db) % 2 == 1:
-            sign = -sign
-        res = res * (b[-1] ** (da - dr))
-        a, b = b, r
-
-
 def _reduce_mod_minpoly(field, level, cs):
     """The deg theta_level coefficients of cs mod the minimal polynomial."""
     mp = field.levels[level - 1].minpoly
@@ -715,10 +694,6 @@ def _poly_sort_key(cs):
 # Gerhard, Modern Computer Algebra, ch. 14-15).  Polynomials mod m are
 # lists of ints in [0, m), ascending, with no trailing zeros; m is a prime
 # p or, while Hensel lifting, a power of p.
-
-_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
-           67, 71, 73, 79, 83, 89, 97)
-
 
 def _zp_trim(a):
     while a and not a[-1]:
@@ -884,17 +859,16 @@ def _factor_rational_squarefree(cs):
         den = den * c.denominator // math.gcd(den, c.denominator)
     f = _z_primitive([int(c * den) for c in cs])
     n, lc = len(f) - 1, f[-1]
-    for p in _PRIMES:
-        if lc % p:
+    # the first odd prime dividing neither lc nor the discriminant, which is
+    # nonzero as f is squarefree
+    p = 1
+    while True:
+        p += 2
+        if lc % p and all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
             fp = _zp_monic([c % p for c in f], p)
             dfp = _zp_trim([c * i % p for i, c in enumerate(fp) if i])
             if dfp and len(_zp_gcd(fp, dfp, p)) == 1:
                 break
-    else:
-        raise ExtensionUnsupportedError(
-            "extension unsupported: every odd prime below 100 divides the "
-            "discriminant or the leading coefficient"
-        )
     rng = random.Random(0)
     modular = []
     for g, d in _distinct_degree(fp, p):
@@ -932,79 +906,71 @@ def _factor_rational_squarefree(cs):
 
 
 def _bivariate_norm(field, level, f, s):
-    """Res_x(minpoly(x), f(z - s*x) with the top generator replaced by x).
+    """Trager's norm N(f(z - s*theta)) of a monic f over the given level,
+    theta its generator, as a monic coefficient list over level-1.
 
-    Returns the norm as a coefficient list over level-1.  Computed by exact
-    expansion in (x, z) followed by evaluation/interpolation in z.
+    It is det(z - M), M the matrix over level-1 of multiplication by
+    z + s*theta on level[z]/(f) in the basis theta^j*z^k: the eigenvalues of
+    M are alpha + s*theta' over the conjugates theta' of theta and the roots
+    alpha of the matching conjugate of f.
     """
-    mp = list(field.levels[level - 1].minpoly)
-    dm = len(mp) - 1
+    dm = field.levels[level - 1].degree
     n = _pdeg(f)
-    # coefficient vectors of f over level-1 (polynomials in x); a lower
-    # level coefficient is a constant
-    vecs = []
-    for c in f:
-        if c.__class__ is AlgebraicNumber and c.level == level:
-            vecs.append(_pnorm(c.coeffs))
-        else:
-            vecs.append([c] if c else [])
-    # F(x, z) = sum_i vec_i(x) * (z - s*x)^i as polynomial in z over (level-1)[x]
-    zsx = [[Fraction(0), Fraction(-s)], [Fraction(1)]]  # (z - s*x): z-coeffs in x
-    power = [[Fraction(1)]]
-    F = []  # list over z-power of x-coefficient lists
-    for i, vec in enumerate(vecs):
-        if i > 0:
-            # power = power * (z - s*x)
-            new = [[] for _ in range(len(power) + 1)]
-            for zi, xs in enumerate(power):
-                for zj, xs2 in enumerate(zsx):
-                    new[zi + zj] = _padd(new[zi + zj], _pmul(xs, xs2))
-            power = new
-        if vec:
-            while len(F) < len(power):
-                F.append([])
-            for zi, xs in enumerate(power):
-                F[zi] = _padd(F[zi], _pmul(xs, vec))
-    F = [_pnorm(xs) for xs in F]
-    degx = max((len(xs) - 1 for xs in F if xs), default=0)
-    target = dm * n
-    samples = []
-    q = 0
-    while len(samples) < target + 1:
-        fq = []
-        for zi in range(len(F)):
-            fq = _padd(fq, _pscale(F[zi], Fraction(q) ** zi))
-        fq = _pnorm(fq)
-        if _pdeg(fq) == degx or degx == 0:
-            samples.append((Fraction(q), _presultant(mp, fq) if fq else Fraction(0)))
-        q = -q if q > 0 else -q + 1
-    return _interpolate(samples)
+    theta = field.generator(level)
+    powers = [theta**j for j in range(dm + 1)]
+    cols = []  # column k*dm + j is the image of theta^j*z^k
+    for k in range(n):
+        for j in range(dm):
+            if k + 1 < n:
+                image = [_ZERO] * n
+                image[k + 1] = powers[j]
+            else:  # z^n = -(f_0 + ... + f_(n-1) z^(n-1))
+                image = [-powers[j] * c for c in f[:n]]
+            image[k] = image[k] + s * powers[j + 1]
+            col = []
+            for c in image:
+                if c.__class__ is AlgebraicNumber and c.level == level:
+                    col += c.coeffs
+                else:
+                    col += [c] + [_ZERO] * (dm - 1)
+            cols.append(col)
+    return _charpoly([list(row) for row in zip(*cols)])
 
 
-def _interpolate(samples):
-    """Lagrange interpolation: sum yi * prod_{j != i} (z - xj)/(xi - xj).
-
-    O(n^2): M = prod_j (z - xj) is formed once and each basis numerator is
-    M / (z - xi) by synthetic division (von zur Gathen and Gerhard, Modern
-    Computer Algebra, 5.2), so no basis polynomial is rebuilt from its
-    factors.
-    """
-    m = [Fraction(1)]
-    for xj, _ in samples:  # m = m * (z - xj)
-        m = [-xj * m[0]] + [m[k - 1] - xj * m[k] for k in range(1, len(m))] + [m[-1]]
-    out = [Fraction(0)] * (len(m) - 1)
-    for i, (xi, yi) in enumerate(samples):
-        num = [m[-1]]
-        for k in range(len(m) - 2, 0, -1):
-            num.append(m[k] + xi * num[-1])
-        num.reverse()
-        den = Fraction(1)
-        for j, (xj, _) in enumerate(samples):
-            if j != i:
-                den *= xi - xj
-        w = Fraction(1) / den
-        out = [o + c * w * yi for o, c in zip(out, num)]
-    return _pnorm(out)
+def _charpoly(m):
+    """det(z - m), ascending, of a square matrix over a field (Cohen, A
+    Course in Computational Algebraic Number Theory, Alg. 2.2.9): similarity
+    transforms bring m to upper Hessenberg form in place, and the
+    characteristic polynomials of its leading blocks follow by recurrence."""
+    n = len(m)
+    for c in range(n - 2):
+        r = c + 1
+        while r < n and not m[r][c]:
+            r += 1
+        if r == n:  # column c is already zero below the subdiagonal
+            continue
+        if r > c + 1:  # swap rows and columns r and c + 1
+            m[r], m[c + 1] = m[c + 1], m[r]
+            for row in m:
+                row[r], row[c + 1] = row[c + 1], row[r]
+        pivot = m[c + 1][c]
+        for i in range(c + 2, n):
+            u = m[i][c] / pivot
+            if u:  # row i -= u * row c+1, then column c+1 += u * column i
+                m[i] = [a - u * b for a, b in zip(m[i], m[c + 1])]
+                for row in m:
+                    row[c + 1] = row[c + 1] + u * row[i]
+    p = [[_ONE]]  # p[k] = det(z - the leading k x k block)
+    for k in range(n):
+        q = _psub([_ZERO] + p[k], _pscale(p[k], m[k][k]))
+        t = _ONE
+        for i in range(k - 1, -1, -1):
+            t = t * m[i + 1][i]
+            if not t:
+                break
+            q = _psub(q, _pscale(p[i], m[i][k] * t))
+        p.append(q)
+    return p[n]
 
 
 def _check_degree_cap(field, level, n):

@@ -400,15 +400,15 @@ def test_criterion_10_abhyankar_bound():
             if not member:
                 continue
             span = rational_span(w)
-            assert span.r <= dim, (texts, w, span.r, dim)
+            assert span.rank <= dim, (texts, w, span.rank, dim)
             points += 1
     # the irrational member point of the hahn criterion as well
     rt = ValueScalar(0, 1, 2)
     mid = ValueScalar(Fraction(1, 2), Fraction(1, 2), 2)
     ring, I = _fresh_ideal(("x", "y", "z"), ["x*y - z^2"])
     span = rational_span((ValueScalar(1), rt, mid))
-    assert span.r == 2
-    assert span.r <= dimension(I)
+    assert span.rank == 2
+    assert span.rank <= dimension(I)
     points += 1
     assert points >= 50
 

@@ -327,6 +327,12 @@ def test_weight_sqrt_takes_out_the_square_part():
     assert cap(base + ["sqrt(9)/3,1", "--d", "5"]) == (0, "w=1,1: member=true\n", "")
     assert cap(base + ["sqrt(8),1", "--d", "3"]) == (
         2, "", "usage error: sqrt(8) conflicts with the session constant d=3\n")
+    # --d itself must be a positive squarefree integer
+    for d in ("12", "0", "-3"):
+        assert cap(base + ["1,1", "--d", d]) == (
+            2, "", f"usage error: d={d} is not a positive squarefree integer\n")
+    assert cap(base + ["sqrt(12),2*sqrt(3)", "--d", "3"]) == (
+        0, "w=2*sqrt(3),2*sqrt(3): member=true\n", "")
 
 
 def test_sqrt_is_not_a_variable_name():

@@ -66,13 +66,13 @@ def _reconstruct(span, w):
 
 def test_rational_span_rank_one():
     span = rational_span((2, 3))
-    assert span.r == 1
+    assert span.rank == 1
     assert span.gamma == (ValueScalar(1),)
     assert span.matrix == ((2,), (3,))
 
     rt = ValueScalar(0, 1, 2)
     span2 = rational_span((rt, rt + rt))
-    assert span2.r == 1
+    assert span2.rank == 1
     assert span2.gamma == (rt,)
     assert span2.matrix == ((1,), (2,))
 
@@ -82,7 +82,7 @@ def test_rational_span_rank_two():
     mid = ValueScalar(Fraction(1, 2), Fraction(1, 2), 2)
     w = (ValueScalar(1), rt, mid)
     span = rational_span(w)
-    assert span.r == 2
+    assert span.rank == 2
     assert len(span.gamma) == 2
     # gamma spans (1, sqrt 2) over Q: one rational, one pure radical
     assert span.gamma[0].is_rational
@@ -93,7 +93,7 @@ def test_rational_span_rank_two():
 def test_rational_span_fractional_entries():
     w = (Fraction(1, 2), Fraction(3, 4))
     span = rational_span(w)
-    assert span.r == 1
+    assert span.rank == 1
     _reconstruct(span, w)
 
 

@@ -1,5 +1,6 @@
 """Exact scalar arithmetic: quadratic value scalars and field towers."""
 
+import io
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, seed, settings, strategies as st
 
-from troplift import scalars
+from troplift import cli, scalars
 from troplift.errors import ExtensionUnsupportedError, TropliftError, UsageError
 from troplift.scalars import (
     AlgebraicNumber,
@@ -616,44 +617,122 @@ def test_deflating_the_adjoined_factor_matches_refactoring_it():
     assert solved >= 100
 
 
-def _interpolate_cubic(samples):
-    """Lagrange interpolation rebuilding each basis polynomial: the reference."""
-    out = []
+def _norm_by_resultants(field, level, f, s):
+    """Trager's norm by evaluation, resultants and interpolation, the
+    reference: Res_x(minpoly(x), f(z - s*x)) with the generator of level
+    read as x, sampled at integers z where the x-degree does not drop."""
+    mp = list(field.levels[level - 1].minpoly)
+    vecs = []  # f's coefficients as polynomials in x over level-1
+    for c in f:
+        if c.__class__ is AlgebraicNumber and c.level == level:
+            vecs.append(scalars._pnorm(c.coeffs))
+        else:
+            vecs.append([c] if c else [])
+    zsx = [[Fraction(0), Fraction(-s)], [Fraction(1)]]  # z - s*x, by z-power
+    power, F = [[Fraction(1)]], []  # F(x, z) as x-polynomials by z-power
+    for i, vec in enumerate(vecs):
+        if i > 0:
+            new = [[] for _ in range(len(power) + 1)]
+            for zi, xs in enumerate(power):
+                for zj, xs2 in enumerate(zsx):
+                    new[zi + zj] = scalars._padd(new[zi + zj], scalars._pmul(xs, xs2))
+            power = new
+        if vec:
+            F += [[] for _ in range(len(power) - len(F))]
+            for zi, xs in enumerate(power):
+                F[zi] = scalars._padd(F[zi], scalars._pmul(xs, vec))
+    F = [scalars._pnorm(xs) for xs in F]
+    degx = max((len(xs) - 1 for xs in F if xs), default=0)
+    samples, q = [], 0
+    while len(samples) < (len(mp) - 1) * scalars._pdeg(f) + 1:
+        fq = []
+        for zi, xs in enumerate(F):
+            fq = scalars._padd(fq, scalars._pscale(xs, Fraction(q) ** zi))
+        fq = scalars._pnorm(fq)
+        if scalars._pdeg(fq) == degx or degx == 0:
+            samples.append((Fraction(q), _resultant(mp, fq) if fq else Fraction(0)))
+        q = -q if q > 0 else -q + 1
+    out = [Fraction(0)] * len(samples)  # Lagrange interpolation
     for i, (xi, yi) in enumerate(samples):
-        num = [Fraction(1)]
-        den = Fraction(1)
+        num, den = [Fraction(1)], Fraction(1)
         for j, (xj, _) in enumerate(samples):
-            if j == i:
-                continue
-            num = scalars._pmul(num, [-xj, Fraction(1)])
-            den *= xi - xj
+            if j != i:
+                num = scalars._pmul(num, [-xj, Fraction(1)])
+                den *= xi - xj
         out = scalars._padd(out, [c * (Fraction(1) / den) * yi for c in num])
     return scalars._pnorm(out)
 
 
-def test_interpolate_matches_the_cubic_reference():
-    """Random sample sets, with rational and algebraic values, including
-    values of a lower-degree polynomial (trailing zeros dropped)."""
-    rng = random.Random(5)
-    F, s2, s3 = _tower()
-    for n in range(1, 14):
-        for kind in ("rational", "algebraic", "low degree"):
-            xs = rng.sample(range(-20, 21), n)
-            xs = [Fraction(x, rng.choice([1, 1, 2, 3])) for x in xs]
-            if len(set(xs)) < n:
-                continue
-            if kind == "low degree":
-                low = [Fraction(rng.randint(-5, 5)) for _ in range(rng.randint(1, n))]
-                ys = [sum(c * x**k for k, c in enumerate(low)) for x in xs]
-            else:
-                ys = [Fraction(rng.randint(-50, 50), rng.randint(1, 6)) for _ in xs]
-            if kind == "algebraic":
-                ys = [y + rng.randint(-3, 3) * s2 - rng.randint(0, 2) * s3 for y in ys]
-            samples = list(zip(xs, ys))
-            got = scalars._interpolate(samples)
-            want = _interpolate_cubic(samples)
-            assert got == want, samples
-            assert [scalar_str(c) for c in got] == [scalar_str(c) for c in want]
+def _resultant(a, b):
+    """Resultant of two univariate polynomials over a field, by Euclid."""
+    res, sign = Fraction(1), 1
+    while True:
+        da, db = len(a) - 1, len(b) - 1
+        if db == 0:
+            return res * b[0] ** da * sign
+        r = scalars._pmod(a, b)
+        if not r:
+            return Fraction(0)
+        if da * db % 2:
+            sign = -sign
+        res = res * b[-1] ** (da - len(r) + 1)
+        a, b = b, r
+
+
+# towers as lists of minimal polynomials, each over the levels before it;
+# a callable builds its minimal polynomial from the generators so far
+_NORM_TOWERS = (
+    ([-2, 0, 1],),
+    ([-2, 0, 0, 1],),
+    ([-2, 0, 0, 0, 1],),
+    ([1, 0, 0, 0, 1],),
+    ([1, 1, 1],),
+    ([-1, -1, 0, 1],),
+    ([-2, 0, 1], [-3, 0, 1]),
+    ([1, 1, 1], [-5, 0, 1]),
+    ([-3, 0, 1], lambda g: [-1 - g[0], 0, 1]),
+)
+
+
+def _random_element(rng, field, level):
+    """A random element of the given level, zero coefficients likely."""
+    if level == 0:
+        if rng.random() < 0.3:
+            return Fraction(0)
+        return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 1, 2, 3)))
+    theta = field.generator(level)
+    degree = field.levels[level - 1].degree
+    return sum((_random_element(rng, field, level - 1) * theta**i
+                for i in range(degree)), Fraction(0))
+
+
+def test_charpoly_norm_matches_the_resultant_norm():
+    """Seeded monic f over the towers above, shifts s in {0, +-1, 2, -3}
+    and degrees up to the cap: the same norm text as the reference.  About
+    a quarter of the draws have coefficients of lower levels only."""
+    rng = random.Random(20)
+    lower_only = 0
+    for draw in range(900):
+        tower = _NORM_TOWERS[draw % len(_NORM_TOWERS)]
+        F = NumberField()
+        for i, mp in enumerate(tower):
+            if callable(mp):
+                mp = mp([F.generator(k + 1) for k in range(i)])
+            F.adjoin(f"g{i + 1}", mp)
+        level = rng.randint(1, F.height())
+        total = 1
+        for lv in F.levels[:level]:
+            total *= lv.degree
+        n = rng.randint(1, scalars._MAX_ADJOIN_DEGREE // total)
+        low = rng.random() < 0.25
+        lower_only += low
+        f = [_random_element(rng, F, level - low) for _ in range(n)] + [Fraction(1)]
+        s = rng.choice((0, 1, -1, 2, -3))
+        got = scalars._bivariate_norm(F, level, f, s)
+        want = scalars._pmonic(_norm_by_resultants(F, level, f, s))
+        assert [scalar_str(c) for c in got] == [scalar_str(c) for c in want], (
+            tower, level, [scalar_str(c) for c in f], s)
+    assert 180 <= lower_only <= 270
 
 
 # -- the rational leaf: Zassenhaus's method against sympy as the reference
@@ -742,3 +821,24 @@ def test_rational_factors_multiply_back_to_the_input(factors):
     out = scalars._factor_rational_squarefree(cs)
     assert all(f[-1] == 1 for f in out)
     assert _product(out) == cs
+
+
+def test_prime_search_goes_past_the_odd_primes_below_100():
+    """z^2 - N, N the product of the odd primes below 100: every one of them
+    divides the discriminant, so Zassenhaus's method works modulo 101."""
+    N = 1
+    for p in range(3, 100, 2):
+        if all(p % q for q in range(3, p, 2)):
+            N *= p
+    cs = [Fraction(-N), Fraction(0), Fraction(1)]
+    assert scalars._factor_rational_squarefree(cs) == [cs]
+    for argv, want in (
+        (["np-solve", f"--coeffs=-{N}*t^(2);0;1", "--N", "3"],
+         "root=-a1*t^(1)\nroot=a1*t^(1)\nroots=2\n"),
+        (["lift", "--vars", "x,y", "--ideal", f"y^2-{N}*x^2", "--w", "1,1",
+          "--N", "3"],
+         "point=t^(1); a1*t^(1)\nachieved=1; 1\nresidual_bounds=inf\n"),
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        assert (cli.run(argv, out, err), out.getvalue(), err.getvalue()) == (
+            0, want, "")
