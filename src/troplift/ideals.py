@@ -12,8 +12,10 @@ local ones.  One division routine, ``divide``, a descending heap pass that
 tracks quotients, serves normal forms, exact division, w-homogeneous
 division and the tail reductions alike.  Local membership is decided by
 leading ideals, and the local ``normal_form`` rewrites initial forms.
-Everything downstream (saturation, quotients, dimension, monomial
-detection, torus points) reduces to this engine.
+Everything downstream (quotients, dimension, monomial detection, torus
+points) reduces to this engine, and so does saturation, except by a monomial
+when the generators, stripped of their monomial factors, span a principal
+ideal: that ideal is the saturation, with no basis to compute.
 """
 
 from __future__ import annotations
@@ -75,10 +77,6 @@ def _spoly(a, b):
     g, mg, cg = b
     m = expo_lcm(mf, mg)
     return f.mul_term(expo_sub(m, mf), 1 / cf) - g.mul_term(expo_sub(m, mg), 1 / cg)
-
-
-def spoly(f: Polynomial, g: Polynomial, order: OrderDescriptor) -> Polynomial:
-    return _spoly(_record(f, order), _record(g, order))
 
 
 class IdealPresentation:
@@ -463,20 +461,55 @@ def eliminate(ring: PolyRing, gens, elim_indices):
 
 
 def saturate(I: IdealPresentation, g: Polynomial) -> IdealPresentation:
-    """(I : g^infinity) by the Rabinowitsch trick, returned with a global
-    grevlex presentation."""
+    """(I : g^infinity), returned with a global grevlex presentation whose
+    generators are its reduced basis, stored as its standard basis.
+
+    For a monomial g = c*x^m each generator is first divided by the largest
+    monomial in the variables of m that divides it, which leaves the
+    saturation unchanged.  When at most one generator then remains, or one
+    is a constant, it spans the saturation (k[x] is a UFD and the variables
+    are primes; Greuel-Pfister, 1.8).  Otherwise the Rabinowitsch trick
+    eliminates s from I + (1 - s*g), and the s-free part of that reduced
+    basis is the reduced basis of the saturation, in ascending order.
+    """
     if g.is_zero:
         raise UsageError("cannot saturate by zero")
     ring = I.ring
+    gens = I.generators
+    order = I.order  # grevlex: I's own order when it is that, with its keys
+    if order.mode == "local" or any(order.weights):
+        order = OrderDescriptor((ValueScalar(0),) * ring.nvars(), "global")
+    if len(g.coeffs) == 1:
+        (m,) = g.coeffs
+        gens = list(dict.fromkeys(_entry(_strip(f, m), order)[0] for f in gens))
+        if len(gens) <= 1:
+            return _reduced(ring, gens, order)
+        if ring.one() in gens:
+            return _reduced(ring, [ring.one()], order)
     big = PolyRing(ring.field, ring.vars + (_fresh_name(ring, "s_"),))
     vmap = list(range(ring.nvars()))
     s = big.var(big.nvars() - 1)
-    gens = [inject(f, big, vmap) for f in I.generators]
+    gens = [inject(f, big, vmap) for f in gens]
     gens.append(big.one() - s * inject(g, big, vmap))
     elim = eliminate(big, gens, [big.nvars() - 1])
     small_map = vmap + [None]
-    back = [project(f, ring, small_map) for f in elim]
-    return presentation(ring, back, "global")
+    return _reduced(ring, [project(f, ring, small_map) for f in elim], order)
+
+
+def _strip(f, m):
+    """f divided by the largest monomial in the variables of m dividing it."""
+    low = tuple(min(e[i] for e in f.coeffs) if k else 0 for i, k in enumerate(m))
+    if not any(low):
+        return f
+    return Polynomial(f.ring, {expo_sub(e, low): c for e, c in f.coeffs.items()})
+
+
+def _reduced(ring, basis, order):
+    """The presentation of a reduced basis under the global order, given in
+    ascending order, with that basis stored as its standard basis."""
+    out = IdealPresentation(ring, basis, order)
+    out._basis = out.generators
+    return out
 
 
 def ideal_quotient(I: IdealPresentation, f: Polynomial) -> IdealPresentation:
@@ -514,29 +547,47 @@ def _as_global(I: IdealPresentation) -> IdealPresentation:
 def contains_monomial(I: IdealPresentation):
     """Whether the ideal contains a monomial; (flag, witness monomial).
 
-    Decided by saturating with respect to the product of all variables.  For
-    weight-homogeneous generators this also answers the power series question,
-    which is the relevant case for initial ideals.
+    Decided by saturating with respect to the product p of all variables:
+    the ideal contains a monomial iff the saturation is the unit ideal,
+    which saturate reads off its stored reduced basis.  The witness is the
+    least power p^k in the ideal, found by doubling k and then bisection,
+    with its exponents then lowered one by one, last variable first, each
+    to the least value that keeps it a member, again by bisection:
+    membership is monotone in every exponent.  For weight-homogeneous
+    generators this also answers the power series question, which is the
+    relevant case for initial ideals.
     """
     if I.is_zero_ideal():
         return False, None
     ring = I.ring
-    prod = ring.monomial((1,) * ring.nvars())
-    sat = saturate(_as_global(I), prod)
-    if not sat.is_unit_ideal():
+    n = ring.nvars()
+    if not saturate(_as_global(I), ring.monomial((1,) * n)).is_unit_ideal():
         return False, None
-    witness = next((prod**k for k in range(1, 65) if ideal_member(prod**k, I)), None)
-    if witness is None:
-        raise InternalInvariantError("saturation unit but no monomial power found")
-    # shrink the witness exponent by exponent, last variable first
-    expo = list(witness.support()[0])
-    for i in range(len(expo) - 1, -1, -1):
-        while expo[i] > 0:
-            expo[i] -= 1
-            if not ideal_member(ring.monomial(expo), I):
-                expo[i] += 1
-                break
+
+    def member(expo):
+        return ideal_member(ring.monomial(expo), I)
+
+    k = _least(lambda k: member((k,) * n), 1)
+    expo = [k] * n
+    for i in range(n - 1, -1, -1):
+        expo[i] = _least(lambda e: member(expo[:i] + [e] + expo[i + 1 :]), 0, k)
     return True, ring.monomial(expo)
+
+
+def _least(holds, low, high=None):
+    """The least integer e >= low with holds(e), for a predicate monotone in
+    e; with high given, holds(high) is known to be true."""
+    if high is None:
+        high = low
+        while not holds(high):
+            low, high = high + 1, 2 * high
+    while low < high:
+        mid = (low + high) // 2
+        if holds(mid):
+            high = mid
+        else:
+            low = mid + 1
+    return high
 
 
 def dimension(I: IdealPresentation) -> int:

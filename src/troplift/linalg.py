@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import InternalInvariantError
+from .errors import CapabilityError
 
 
 def _frac_row(row):
@@ -101,7 +101,10 @@ def _fm_strict_point(rows, dim):
     inequalities, eliminating the last coordinate at each level.
     """
     if len(rows) > _FM_ROW_LIMIT:
-        raise InternalInvariantError("inequality elimination blew up")
+        raise CapabilityError(
+            f"inequality elimination beyond the bound of {_FM_ROW_LIMIT} rows"
+            f" (got {len(rows)})"
+        )
     if dim == 0:
         return () if not rows else None
     pos, neg, rest = [], [], []

@@ -15,6 +15,7 @@ import time
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from troplift import ideals
 from troplift.cli import run as cli_run
 from troplift.errors import NonMemberError
 from troplift.ideals import (
@@ -23,7 +24,6 @@ from troplift.ideals import (
     ideals_equal,
     normal_form,
     presentation,
-    spoly,
 )
 from troplift.lifting import (
     LiftProblem,
@@ -53,6 +53,11 @@ def criterion(num, title):
             print("ACCEPTANCE %2d %-52s PASS" % (num, title))
         return wrapper
     return deco
+
+
+def spoly(f, g, order):
+    """The S-polynomial of f and g under the order."""
+    return ideals._spoly(ideals._record(f, order), ideals._record(g, order))
 
 
 def _fresh_ideal(names, texts, mode="global", w=None):

@@ -50,6 +50,17 @@ def test_member_false_example():
     assert out == "w=1,2: member=false witness=x\n"
 
 
+def test_member_false_witness_past_the_64th_power():
+    """Witnesses beyond (x*y)^64 are found, and lift reports the non-member."""
+    base = ["--vars", "x,y", "--w", "1,1"]
+    assert cap(["trop-member", "--ideal", "x^65"] + base) == (
+        1, "w=1,1: member=false witness=x^65\n", "")
+    assert cap(["trop-member", "--ideal", "x^70*y-x^70*y^2"] + base) == (
+        1, "w=1,1: member=false witness=x^70*y\n", "")
+    assert cap(["lift", "--ideal", "x^65", "--N", "3"] + base) == (
+        1, "", "non-member: the initial ideal contains the monomial x^65\n")
+
+
 @contextmanager
 def _alarm(seconds):
     """Turn a hang into a failure after the given seconds."""

@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from test_acceptance import _CORPUS, _grid
+from test_acceptance import _CORPUS, _grid, spoly
 from troplift import cli, ideals, scalars
 from troplift.errors import InternalInvariantError, UsageError, WitnessSearchError
 from troplift.ideals import (
@@ -23,7 +23,6 @@ from troplift.ideals import (
     normal_form,
     presentation,
     saturate,
-    spoly,
     torus_point,
 )
 from troplift.parsing import parse_poly
@@ -39,6 +38,7 @@ from troplift.polyring import (
     inject,
     leading_term,
     poly_str,
+    project,
     substitute_scalars,
     w_order,
 )
@@ -603,6 +603,97 @@ def test_saturate_examples():
     )
 
 
+def _saturate_by_elimination(I, g):
+    """(I : g^infinity) by the Rabinowitsch trick on I's own generators,
+    the reference for saturate's stripping and principal shortcut."""
+    ring = I.ring
+    big = PolyRing(ring.field, ring.vars + ("s_",))
+    vmap = list(range(ring.nvars()))
+    s = big.var(ring.nvars())
+    gens = [inject(f, big, vmap) for f in I.generators]
+    gens.append(big.one() - s * inject(g, big, vmap))
+    elim = eliminate(big, gens, [ring.nvars()])
+    back = [project(f, ring, vmap + [None]) for f in elim]
+    return presentation(ring, back, "global")
+
+
+def _saturation_draws(seed, count):
+    """Seeded (I, g): 2 or 3 variables, 1-3 generators each times a random
+    monomial, coefficients in Q(sqrt(2)) in every third draw, and g a
+    monomial with some zero exponents, sometimes a constant."""
+    rng = random.Random(seed)
+    for k in range(count):
+        R = _ring(*"xyz"[: rng.choice((2, 3))])
+        n = R.nvars()
+        r2 = _p(R, "sqrt(2)*x").coeffs[(1,) + (0,) * (n - 1)] if k % 3 == 0 else 0
+        gens = []
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            shift = tuple(rng.randint(0, 2) for _ in range(n))
+            terms = []
+            for _ in range(rng.randint(1, 3)):
+                mono = tuple(rng.randint(0, 2) for _ in range(n))
+                c = rng.choice((-2, -1, 1, 3)) + rng.randint(0, 1) * r2
+                terms.append((expo_add(mono, shift), c))
+            gens.append(R.from_terms(terms))
+        g = R.monomial(tuple(rng.randint(0, 1) for _ in range(n)), rng.choice((1, 2)))
+        yield presentation(R, gens, "global"), g
+
+
+def _count_buchberger(monkeypatch):
+    """The list of the arguments of every _buchberger call from here on."""
+    calls, buchberger = [], ideals._buchberger
+    monkeypatch.setattr(
+        ideals, "_buchberger", lambda *a: calls.append(a) or buchberger(*a)
+    )
+    return calls
+
+
+def test_saturate_matches_the_elimination(monkeypatch):
+    """Generators, basis and unit flag agree with the Rabinowitsch trick on
+    the unstripped generators, in order; saturate and the unit test run at
+    most the one elimination, and none for a principal ideal."""
+    principal = 0
+    for I, g in _saturation_draws(59, 60):
+        want = _saturate_by_elimination(I, g)
+        calls = _count_buchberger(monkeypatch)
+        got = saturate(I, g)
+        unit = got.is_unit_ideal()
+        monkeypatch.undo()
+        principal += len(I.generators) == 1
+        assert len(calls) <= (len(I.generators) > 1)
+        assert [str(f) for f in got.generators] == [str(f) for f in want.generators]
+        assert got.standard_basis() == want.standard_basis()
+        assert unit == want.is_unit_ideal()
+    assert principal >= 20
+
+
+def test_saturation_keeps_its_basis():
+    """The stored basis is a fresh _buchberger of the generators, in order."""
+    for I, g in _saturation_draws(61, 40):
+        sat = saturate(I, g)
+        assert sat._basis is not None
+        fresh = ideals._buchberger(sat.generators, sat.order)[0]
+        assert list(sat.standard_basis()) == fresh
+        assert [str(f) for f in sat.standard_basis()] == [str(f) for f in fresh]
+
+
+def test_principal_saturation_computes_no_basis(monkeypatch):
+    R = _ring("x", "y", "z")
+    calls = _count_buchberger(monkeypatch)
+    sat = saturate(_ideal(R, ["x^3*y - 2*x^2*y*z^2"]), _p(R, "x*z"))
+    assert [str(f) for f in sat.generators] == ["y*z^2 - 1/2*x*y"]
+    assert not sat.is_unit_ideal()
+    assert dimension(sat) == 2
+    assert ideal_member(_p(R, "x^2*y - 2*x*y*z^2"), sat)
+    assert contains_monomial(_ideal(R, ["x^2*y - 2*x*y*z^2"])) == (False, None)
+    assert saturate(_ideal(R, ["x*y + y^2", "x^2"]), _p(R, "x")).is_unit_ideal()
+    assert calls == []
+    # several generators: one elimination, and no basis after it
+    sat = saturate(_ideal(R, ["x + y", "x - y"]), _p(R, "z"))
+    assert not sat.is_unit_ideal() and dimension(sat) == 1
+    assert len(calls) == 1
+
+
 def test_contains_monomial_examples():
     R = _ring("x", "y")
     flag, _ = contains_monomial(_ideal(R, ["x + y"]))
@@ -614,6 +705,11 @@ def test_contains_monomial_examples():
     assert ideal_member(witness, _ideal(R, ["x + y", "x - y"]))
     flag, _ = contains_monomial(_ideal(R, ["y^2 - x^2"]))
     assert not flag
+    # witnesses past (x*y)^64: x^70*y is the initial ideal at (1,1) of
+    # x^70*y - x^70*y^2, whose saturation is (1 - y)
+    assert contains_monomial(_ideal(R, ["x^65"])) == (True, _p(R, "x^65"))
+    assert contains_monomial(_ideal(R, ["x^70*y"])) == (True, _p(R, "x^70*y"))
+    assert contains_monomial(_ideal(R, ["x^70*y - x^70*y^2"])) == (False, None)
 
 
 def test_ideal_quotient_examples():

@@ -7,7 +7,7 @@ import pytest
 
 from troplift.errors import CapabilityError, UsageError
 from troplift.ideals import dimension, presentation
-from troplift.linalg import nullspace
+from troplift.linalg import _fm_strict_point, nullspace
 from troplift.parsing import parse_poly
 from troplift.polyring import INF, PolyRing, poly_str
 from troplift.scalars import NumberField
@@ -227,3 +227,9 @@ def test_membership_json_shape():
     d2 = trop_member(I, (1, 1)).to_json_dict()
     assert d2["member"] is True
     assert "initial" in d2
+
+
+def test_fourier_motzkin_row_bound_is_a_capability_error():
+    rows = [(Fraction(1), Fraction(k)) for k in range(20001)]
+    with pytest.raises(CapabilityError, match="bound of 20000 rows"):
+        _fm_strict_point(rows, 2)
