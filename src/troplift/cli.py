@@ -216,10 +216,10 @@ def _cmd_cone(args, out):
     I = presentation(ring, gens, "local", w)
     cone = groebner_cone(I, w)
     obj = cone.to_json_dict()
-    obj["dim"] = cone.dim()
+    obj["dim"] = dim = cone.dim()
     lines = ["eq=%s" % ",".join(str(v) for v in row) for row in cone.eq]
     lines += ["ineq=%s" % ",".join(str(v) for v in row) for row in cone.ineq]
-    lines.append("dim=%d" % cone.dim())
+    lines.append("dim=%d" % dim)
     _emit(out, args, obj, lines)
     return 0
 

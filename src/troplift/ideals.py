@@ -48,7 +48,6 @@ from .polyring import (
     substitute_scalars,
 )
 from .scalars import (
-    ValueScalar,
     _adjoin_factor,
     _pgcd,
     _pnorm,
@@ -128,10 +127,11 @@ class IdealPresentation:
         )
 
     def local_at(self, w):
-        """The same generators under the local order at w: self when this
-        presentation's order is already that order (equal weights, so a
-        proportional weight still gets a new presentation)."""
-        order = OrderDescriptor(w, "local")
+        """The same generators under the ring's local order at w: self when
+        this presentation's order has that mode and equal weights, even if it
+        is another object (a proportional weight still gets a new
+        presentation)."""
+        order = self.ring.order(w, "local")
         if self.order.mode == "local" and self.order.weights == order.weights:
             return self
         return IdealPresentation(self.ring, self.generators, order)
@@ -145,8 +145,8 @@ def presentation(ring, gens, mode="global", weights=None):
     if weights is None:
         if mode == "local":
             raise UsageError("local presentations need explicit weights")
-        weights = (ValueScalar(0),) * ring.nvars()
-    return IdealPresentation(ring, gens, OrderDescriptor(weights, mode))
+        weights = (0,) * ring.nvars()
+    return IdealPresentation(ring, gens, ring.order(weights, mode))
 
 
 # -- division ---------------------------------------------------------------
@@ -450,8 +450,7 @@ def eliminate(ring: PolyRing, gens, elim_indices):
     elim = set(elim_indices)
     if not elim:
         return list(gens)
-    ws = [ValueScalar(1) if i in elim else ValueScalar(0) for i in range(ring.nvars())]
-    order = OrderDescriptor(ws, "global")
+    order = ring.order([int(i in elim) for i in range(ring.nvars())], "global")
     basis, _, _ = _buchberger(list(gens), order)
     out = []
     for g in basis:
@@ -478,7 +477,7 @@ def saturate(I: IdealPresentation, g: Polynomial) -> IdealPresentation:
     gens = I.generators
     order = I.order  # grevlex: I's own order when it is that, with its keys
     if order.mode == "local" or any(order.weights):
-        order = OrderDescriptor((ValueScalar(0),) * ring.nvars(), "global")
+        order = ring.order((0,) * ring.nvars(), "global")
     if len(g.coeffs) == 1:
         (m,) = g.coeffs
         gens = list(dict.fromkeys(_entry(_strip(f, m), order)[0] for f in gens))
@@ -525,7 +524,7 @@ def ideal_quotient(I: IdealPresentation, f: Polynomial) -> IdealPresentation:
     elim = eliminate(big, gens, [big.nvars() - 1])
     small_map = vmap + [None]
     inter = [project(h, ring, small_map) for h in elim]
-    order = OrderDescriptor((ValueScalar(0),) * ring.nvars(), "global")
+    order = ring.order((0,) * ring.nvars(), "global")
     divisor = lead_records([f], order)
     quots = []
     for h in inter:

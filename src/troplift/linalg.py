@@ -2,8 +2,10 @@
 
 Small dense routines used for weight-cone geometry: row reduction, rank,
 nullspaces, linear solves, and a Fourier-Motzkin search for points that
-satisfy a mix of linear equalities and strict inequalities.  Everything
-works on tuples of Fraction and never leaves exact arithmetic.
+satisfy a mix of linear equalities and strict inequalities.  Rational
+input rows become primitive integer rows, and row reduction and the
+strict-point search run on those ints; a Fraction is built only for an
+entry of an answer.  Nothing leaves exact arithmetic.
 """
 
 from __future__ import annotations
@@ -14,16 +16,18 @@ from math import gcd, lcm
 from .errors import CapabilityError
 
 
-def _frac_row(row):
-    return [Fraction(x) for x in row]
+def _scaled(values):
+    """(den, ints): the lcm of the denominators of rational values and the
+    values times it, as ints."""
+    den = lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def primitive_row(row):
     """The primitive integer row on the ray of a rational row: scaled by the
     lcm of its denominators, then divided by the gcd of its entries.  A
     zero row stays zero."""
-    den = lcm(*(v.denominator for v in row))
-    ints = [int(v * den) for v in row]
+    _, ints = _scaled(row)
     g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
@@ -31,33 +35,37 @@ def primitive_row(row):
 
 
 def rref(rows, ncols):
-    """Reduced row echelon form.
+    """Reduced row echelon form, kept over the integers.
 
-    Returns (reduced_rows, pivot_columns).  Zero rows are dropped.
+    Returns (reduced_rows, pivot_columns).  Each reduced row is a primitive
+    int row with a positive entry in its pivot column and zeros in the
+    other pivot columns, so row / row[pivot] is the reduced row echelon
+    form (Gauss-Jordan elimination without fractions).  Zero rows are
+    dropped.
     """
-    mat = [_frac_row(r) for r in rows]
+    mat = [primitive_row(r) for r in rows]
     pivots = []
     rank = 0
     for col in range(ncols):
-        pivot_row = None
-        for i in range(rank, len(mat)):
-            if mat[i][col] != 0:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
         if pivot_row is None:
             continue
         mat[rank], mat[pivot_row] = mat[pivot_row], mat[rank]
-        inv = Fraction(1) / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
+        if mat[rank][col] < 0:
+            mat[rank] = tuple([-x for x in mat[rank]])
+        piv = mat[rank]
+        a = piv[col]
         for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[rank])]
+            b = mat[i][col]
+            if i != rank and b != 0:
+                row = [a * x - b * y for x, y in zip(mat[i], piv)]
+                g = gcd(*row)
+                mat[i] = tuple([x // g for x in row]) if g > 1 else tuple(row)
         pivots.append(col)
         rank += 1
         if rank == len(mat):
             break
-    return [tuple(r) for r in mat[:rank]], pivots
+    return mat[:rank], pivots
 
 
 def mat_rank(rows, ncols):
@@ -65,29 +73,39 @@ def mat_rank(rows, ncols):
     return len(reduced)
 
 
-def nullspace(rows, ncols):
-    """Basis of the right kernel as a list of Fraction tuples."""
+def _int_nullspace(rows, ncols):
+    """(den, basis): the nullspace basis times den, the lcm of its
+    denominators, as int tuples.  Reduced rows are primitive, so den is the
+    lcm of their pivot entries."""
     reduced, pivots = rref(rows, ncols)
-    free_cols = [c for c in range(ncols) if c not in pivots]
+    den = lcm(*(row[piv] for row, piv in zip(reduced, pivots)))
     basis = []
-    for free in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for i, piv in enumerate(pivots):
-            vec[piv] = -reduced[i][free]
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[free] = den
+        for row, piv in zip(reduced, pivots):
+            vec[piv] = -row[free] * (den // row[piv])
         basis.append(tuple(vec))
-    return basis
+    return den, basis
+
+
+def nullspace(rows, ncols):
+    """Basis of the right kernel as a list of Fraction tuples: for each
+    free column, 1 there, 0 at the other free columns and minus that
+    column of the reduced row echelon form at the pivots."""
+    den, basis = _int_nullspace(rows, ncols)
+    return [tuple(Fraction(v, den) for v in vec) for vec in basis]
 
 
 def solve_linear(rows, rhs, ncols):
     """One exact solution of the system rows * x = rhs, or None."""
-    aug = [list(_frac_row(r)) + [Fraction(b)] for r, b in zip(rows, rhs)]
+    aug = [tuple(r) + (b,) for r, b in zip(rows, rhs)]
     reduced, pivots = rref(aug, ncols + 1)
     if ncols in pivots:
         return None
     sol = [Fraction(0)] * ncols
-    for i, piv in enumerate(pivots):
-        sol[piv] = reduced[i][ncols]
+    for row, piv in zip(reduced, pivots):
+        sol[piv] = Fraction(row[ncols], row[piv])
     return tuple(sol)
 
 
@@ -95,10 +113,14 @@ _FM_ROW_LIMIT = 20000
 
 
 def _fm_strict_point(rows, dim):
-    """A point y with <row, y> > 0 for every row, or None.
+    """A point y with <row, y> > 0 for every integer row, or None.
 
     Classic Fourier-Motzkin elimination on homogeneous strict
-    inequalities, eliminating the last coordinate at each level.
+    inequalities, eliminating the last coordinate at each level.  A
+    combined row is divided by the gcd of its entries; scaling a row by a
+    positive number changes neither the rows' solutions nor the bounds
+    back-substitution takes from it, so the point found is the one the
+    unscaled rows give.
     """
     if len(rows) > _FM_ROW_LIMIT:
         raise CapabilityError(
@@ -120,22 +142,25 @@ def _fm_strict_point(rows, dim):
     for p in pos:
         for q in neg:
             cp, cq = p[dim - 1], q[dim - 1]
-            new = tuple(cp * qa - cq * pa for pa, qa in zip(p[: dim - 1], q[: dim - 1]))
-            if all(x == 0 for x in new):
+            new = [cp * qa - cq * pa for pa, qa in zip(p[: dim - 1], q[: dim - 1])]
+            g = gcd(*new)
+            if not g:
                 # 0 > 0 after a strict combination: the band is empty.
                 return None
-            combined.append(new)
+            combined.append(tuple([x // g for x in new]))
     inner = _fm_strict_point(combined, dim - 1)
     if inner is None:
         return None
-    lower = None
+    # the bound of a row is -<row, inner> / row[-1]: over the common
+    # denominator den of inner, one Fraction per row
+    den, nums = _scaled(inner)
+    lower = upper = None
     for p in pos:
-        bound = -sum(a * y for a, y in zip(p[: dim - 1], inner)) / p[dim - 1]
+        bound = Fraction(-sum([a * y for a, y in zip(p, nums)]), p[dim - 1] * den)
         if lower is None or bound > lower:
             lower = bound
-    upper = None
     for q in neg:
-        bound = -sum(a * y for a, y in zip(q[: dim - 1], inner)) / q[dim - 1]
+        bound = Fraction(-sum([a * y for a, y in zip(q, nums)]), q[dim - 1] * den)
         if upper is None or bound < upper:
             upper = bound
     if lower is not None and upper is not None:
@@ -154,29 +179,24 @@ def _fm_strict_point(rows, dim):
 def find_strict_point(eq_rows, strict_rows, ncols, drop_degenerate=True):
     """A rational point with <e, y> = 0 on eq_rows and <s, y> > 0 on strict_rows.
 
-    The equalities are eliminated first by passing to their nullspace.  A
-    strict row that vanishes identically on that nullspace is dropped when
-    drop_degenerate is set (relative-interior semantics) and makes the
-    search fail otherwise (exact-face semantics).  Returns a Fraction
-    tuple or None.
+    The equalities are eliminated first by passing to their nullspace,
+    whose basis is scaled to ints by the lcm of its denominators; each
+    strict row is taken as its primitive integer row and projected onto
+    that basis.  A strict row that vanishes identically on the nullspace
+    is dropped when drop_degenerate is set (relative-interior semantics)
+    and makes the search fail otherwise (exact-face semantics).  Returns a
+    Fraction tuple or None.
     """
-    eqs = [tuple(Fraction(x) for x in r) for r in eq_rows]
-    stricts = [tuple(Fraction(x) for x in r) for r in strict_rows]
-    if eqs:
-        basis = nullspace(eqs, ncols)
-    else:
-        basis = [
-            tuple(Fraction(1 if j == i else 0) for j in range(ncols))
-            for i in range(ncols)
-        ]
+    den, basis = _int_nullspace(eq_rows, ncols)
     if not basis:
-        if stricts:
+        if strict_rows:
             return None
         return tuple(Fraction(0) for _ in range(ncols))
     projected = []
-    for s in stricts:
-        row = tuple(sum(a * b for a, b in zip(s, vec)) for vec in basis)
-        if all(x == 0 for x in row):
+    for s in strict_rows:
+        s = primitive_row(s)
+        row = tuple([sum([a * b for a, b in zip(s, vec)]) for vec in basis])
+        if not any(row):
             if drop_degenerate:
                 continue
             return None
@@ -184,8 +204,9 @@ def find_strict_point(eq_rows, strict_rows, ncols, drop_degenerate=True):
     inner = _fm_strict_point(projected, len(basis))
     if inner is None:
         return None
-    point = [Fraction(0)] * ncols
-    for coeff, vec in zip(inner, basis):
-        for j in range(ncols):
-            point[j] += coeff * vec[j]
-    return tuple(point)
+    common, nums = _scaled(inner)
+    den *= common
+    return tuple(
+        Fraction(sum([y * vec[j] for y, vec in zip(nums, basis)]), den)
+        for j in range(ncols)
+    )

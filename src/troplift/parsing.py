@@ -329,14 +329,6 @@ def parse_scalar(text, d=None):
     return _parse(text, _Scalars(d))
 
 
-def parse_rational(text):
-    """A rational number, such as "-7/2", in the scalar grammar."""
-    value = parse_scalar(text)
-    if value is INF or not value.is_rational:
-        raise UsageError("not a rational number: %r" % text.strip())
-    return value.to_fraction()
-
-
 def parse_weights(text, d=None):
     """A comma separated list of positive scalars (no infinities)."""
     entries = _scalar_list(text, d, "empty weight list")

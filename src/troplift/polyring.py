@@ -5,7 +5,9 @@ value scalars refined by a fixed (anti-)graded reverse lexicographic
 tie-break: in global mode the largest weight leads, in local mode the
 smallest weight leads (so the leading part of a polynomial is its initial
 form).  Initial forms always follow the min convention: the terms whose
-weight is minimal.
+weight is minimal.  Weight levels of rational weights are int dot products
+with their primitive integer row.  Each ring holds one order object per
+(weights, mode), so the presentations of one ring share its key memo.
 """
 
 from __future__ import annotations
@@ -50,10 +52,20 @@ def wdot(weights, m):
     return out
 
 
+def _leveller(ws):
+    """m -> a level that compares, and differs, as <w, m> does: an int dot
+    product with the primitive integer row of rational weights (a positive
+    multiple of w), else wdot itself."""
+    if any(w.b for w in ws):
+        return lambda m: wdot(ws, m)
+    row = primitive_row([w.a for w in ws])
+    return lambda m: sum([w * e for w, e in zip(row, m)])
+
+
 class PolyRing:
     """Variable names plus the coefficient field; rings compare by content."""
 
-    __slots__ = ("field", "vars", "index")
+    __slots__ = ("field", "vars", "index", "_orders")
 
     def __init__(self, field, names):
         names = tuple(names)
@@ -64,6 +76,17 @@ class PolyRing:
         self.field = field
         self.vars = names
         self.index = {n: i for i, n in enumerate(names)}
+        self._orders = {}
+
+    def order(self, weights, mode):
+        """The ring's one OrderDescriptor for (weights, mode), built on first
+        use; keys depend on the order alone, so sharing it only shares its
+        key memo."""
+        key = (tuple(weights), mode)
+        order = self._orders.get(key)
+        if order is None:
+            order = self._orders[key] = OrderDescriptor(weights, mode)
+        return order
 
     def nvars(self):
         return len(self.vars)
@@ -278,12 +301,12 @@ class OrderDescriptor:
 
     The leading monomial of a polynomial is the maximum under ``key``.  In
     local mode that is the monomial of smallest weight, so leading parts
-    coincide with min-convention initial forms.  Keys, and the weight levels
-    in them, are memoized per order object, so they depend on the order
-    alone.
+    coincide with min-convention initial forms.  Keys are memoized per order
+    object and depend on the order alone; ``PolyRing.order`` gives each ring
+    one object per (weights, mode), so its presentations share the memo.
     """
 
-    __slots__ = ("weights", "mode", "_int_weights", "_keys")
+    __slots__ = ("weights", "mode", "_level", "_keys")
 
     def __init__(self, weights, mode):
         if mode not in ("local", "global"):
@@ -295,11 +318,7 @@ class OrderDescriptor:
             raise UsageError("global orders need nonnegative weights")
         self.weights = ws
         self.mode = mode
-        # rational weights as a primitive integer row: a positive multiple of
-        # w, so integer levels compare, and differ, as <w, m> does
-        self._int_weights = (
-            primitive_row([w.a for w in ws]) if all(w.is_rational for w in ws) else None
-        )
+        self._level = _leveller(ws)
         self._keys = {}
 
     def key(self, m):
@@ -307,11 +326,7 @@ class OrderDescriptor:
         monomial is the maximum."""
         k = self._keys.get(m)
         if k is None:
-            ws = self._int_weights
-            if ws is None:
-                lvl = wdot(self.weights, m)
-            else:
-                lvl = sum([w * e for w, e in zip(ws, m)])
+            lvl = self._level(m)
             rev = tuple([-e for e in reversed(m)])
             if self.mode == "local":
                 k = (-lvl, -expo_deg(m), rev)
@@ -355,7 +370,9 @@ def w_order(f: Polynomial, weights) -> ValueScalar:
     ws = tuple(ValueScalar.of(w) for w in weights)
     if len(ws) != f.ring.nvars():
         raise UsageError("weight length does not match the ring")
-    return min((wdot(ws, m) for m in f.coeffs), default=INF)
+    if f.is_zero:
+        return INF
+    return wdot(ws, min(f.coeffs, key=_leveller(ws)))
 
 
 def initial_form(f: Polynomial, weights) -> Polynomial:
@@ -365,7 +382,8 @@ def initial_form(f: Polynomial, weights) -> Polynomial:
         raise UsageError("weight length does not match the ring")
     if f.is_zero:
         return f
-    vals = {m: wdot(ws, m) for m in f.coeffs}
+    level = _leveller(ws)
+    vals = {m: level(m) for m in f.coeffs}
     v0 = min(vals.values())
     return Polynomial(
         f.ring, {m: c for m, c in f.coeffs.items() if vals[m] == v0}

@@ -149,7 +149,7 @@ class ValueScalar:
         if isinstance(x, ValueScalar):
             return x
         if isinstance(x, (int, Fraction)):
-            return ValueScalar(x, 0, 1)
+            return _new(ValueScalar)._build(Fraction(x), _ZERO, 1)
         raise UsageError(f"cannot coerce {x!r} to a value scalar")
 
     def _common_d(self, other: "ValueScalar") -> int:

@@ -209,12 +209,6 @@ class ValuedSeries:
             result = result * self
         return result
 
-    def truncate(self, bound):
-        """Forget everything at or above the bound."""
-        bound = as_value(bound)
-        trunc = min(self.truncation, bound)
-        return ValuedSeries(self.field, list(self.terms), trunc, self.mode)
-
     # -- comparisons and text ----------------------------------------------
 
     def __eq__(self, other):

@@ -22,7 +22,6 @@ from .ideals import (
 )
 from .linalg import find_strict_point, mat_rank, primitive_row
 from .polyring import (
-    OrderDescriptor,
     Polynomial,
     PolyRing,
     initial_form,
@@ -95,7 +94,7 @@ class CosetValuationHandle:
 
     def __init__(self, I, w):
         self.data = initial_ideal(I, w)
-        self.order = OrderDescriptor(self.data.weights, "local")
+        self.order = I.ring.order(self.data.weights, "local")
         self.generators = I.generators
         self.basis = self.data.basis
         self.monomial_free = self.data.is_monomial_free()

@@ -35,7 +35,7 @@ from troplift.lifting import (
 )
 from troplift.parsing import parse_poly
 from troplift.polyring import INF, OrderDescriptor, PolyRing, inject
-from troplift.scalars import NumberField, ValueScalar
+from troplift.scalars import NumberField, ValueScalar, as_value
 from troplift.series import ValuedSeries, substitute
 from troplift.tropical import trop_member
 from troplift.valfan import CosetValuationHandle, tensor_combine
@@ -334,9 +334,14 @@ def _product_poly(field, factors):
     return coeffs
 
 
+def truncate(s, bound):
+    """The series s with everything at or above the bound forgotten."""
+    return ValuedSeries(s.field, list(s.terms), min(s.truncation, as_value(bound)), s.mode)
+
+
 def _same_multiset_up_to(roots, factors, cut):
-    rs = [r.truncate(cut) for r in roots]
-    fs = [f.truncate(cut) for f in factors]
+    rs = [truncate(r, cut) for r in roots]
+    fs = [truncate(f, cut) for f in factors]
     for perm in permutations(range(len(fs))):
         if all(rs[i] == fs[j] for i, j in enumerate(perm)):
             return True

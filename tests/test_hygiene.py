@@ -1,8 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 defines a top-level function or class nothing references, or imports inside
 a function body, or holds an assert statement (python -O strips them);
-commands that factor never load sympy; every name the benchmark tracer
-wraps exists."""
+only PolyRing.order builds an OrderDescriptor; commands that factor never
+load sympy; every name the benchmark tracer wraps exists."""
 
 import ast
 import importlib
@@ -160,6 +160,40 @@ def test_no_assert_statements():
     found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
              for line in assert_lines(path.read_text())]
     assert not found, "assert statements (stripped by python -O):\n" + "\n".join(found)
+
+
+def calls_by_owner(source, callee):
+    """Dotted name of the class and function around each call of callee."""
+    out = []
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, path + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == callee:
+                    out.append(".".join(path))
+            visit(child, path)
+
+    visit(ast.parse(source), ())
+    return out
+
+
+def test_scan_finds_calls_by_owner():
+    src = "class R:\n    def order(self):\n        return O(1)\nx = O(2)\ndef f():\n    m.O(3)\n"
+    assert calls_by_owner(src, "O") == ["R.order", "", "f"]
+
+
+def test_orders_are_built_only_by_the_ring():
+    """PolyRing.order is the one place that builds an OrderDescriptor, so
+    the presentations of a ring share one order, and its key memo, per
+    (weights, mode)."""
+    found = [f"{path.name}: {owner or '<module>'}" for path in sorted(PACKAGE.glob("*.py"))
+             for owner in calls_by_owner(path.read_text(), "OrderDescriptor")]
+    assert found == ["polyring.py: PolyRing.order"], found
 
 
 # -- the package factors over Q without sympy

@@ -12,7 +12,6 @@ from troplift.parsing import (
     parse_point,
     parse_poly,
     parse_query,
-    parse_rational,
     parse_scalar,
     parse_series,
     parse_weights,
@@ -20,6 +19,14 @@ from troplift.parsing import (
 from troplift.polyring import INF, PolyRing, poly_str
 from troplift.scalars import NumberField, ValueScalar, adjoin_root, scalar_str
 from troplift.series import ValuedSeries, series_str
+
+
+def parse_rational(text):
+    """A rational number, such as "-7/2", in the scalar grammar."""
+    value = parse_scalar(text)
+    if value is INF or not value.is_rational:
+        raise UsageError("not a rational number: %r" % text.strip())
+    return value.to_fraction()
 
 
 def test_parse_rational():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from troplift.errors import UsageError
+from troplift.ideals import IdealPresentation, presentation
 from troplift.linalg import primitive_row
 from troplift.parsing import parse_poly
 from troplift.polyring import (
@@ -264,3 +265,48 @@ def test_zero_coefficients_never_stored():
     assert set(f.coeffs) == {(1, 0)}
     g = _p(R, "x") - _p(R, "x")
     assert g.is_zero and not g.coeffs
+
+
+def test_integer_levels_match_the_exact_weight_dot():
+    """initial_form and w_order, on int levels for rational weights, agree
+    with the exact dot product for zero, rational and sqrt(2) weights."""
+    R = _ring("x", "y", "z")
+    rng = random.Random(29)
+    for trial in range(150):
+        kind = ("zero", "int", "fraction", 2)[trial % 4]
+        if kind == "zero":
+            w = (0, 0, 0)
+        else:
+            w = tuple(_random_weight(rng, kind, "local") for _ in range(3))
+        f = _random_poly(R, rng, terms=5)
+        levels = {m: wdot([ValueScalar.of(x) for x in w], m) for m in f.coeffs}
+        low = min(levels.values(), default=INF)
+        assert w_order(f, w) == low
+        want = {m: c for m, c in f.coeffs.items() if levels[m] == low}
+        assert initial_form(f, w).coeffs == want
+
+
+def test_presentations_of_a_ring_share_one_order():
+    R = _ring("x", "y")
+    gens = [_p(R, "x + y")]
+    assert presentation(R, gens, "global").order is presentation(R, gens, "global").order
+    w = (Fraction(1, 2), 3)
+    local = presentation(R, gens, "local", w)
+    assert local.order is R.order((ValueScalar(Fraction(1, 2)), ValueScalar(3)), "local")
+    # each ring holds its own orders
+    assert _ring("x", "y").order((0, 0), "global") is not R.order((0, 0), "global")
+
+
+def test_local_at_equal_weights_returns_self():
+    R = _ring("x", "y")
+    gens = [_p(R, "y^2 - x^3")]
+    I = presentation(R, gens, "local", (2, 3))
+    assert I.local_at((ValueScalar(2), ValueScalar(3))) is I
+    # an order built directly, not through the ring, still counts as equal
+    J = IdealPresentation(R, gens, OrderDescriptor((2, 3), "local"))
+    assert J.order is not R.order((2, 3), "local")
+    assert J.local_at((2, 3)) is J
+    # a proportional weight gives a new presentation on the ring's order
+    K = J.local_at((4, 6))
+    assert K is not J and K.order is R.order((4, 6), "local")
+    assert presentation(R, gens, "global").local_at((2, 3)).order is I.order

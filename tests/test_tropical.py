@@ -7,7 +7,7 @@ import pytest
 
 from troplift.errors import CapabilityError, UsageError
 from troplift.ideals import dimension, presentation
-from troplift.linalg import _fm_strict_point, nullspace
+from troplift.linalg import _fm_strict_point, find_strict_point, nullspace
 from troplift.parsing import parse_poly
 from troplift.polyring import INF, PolyRing, poly_str
 from troplift.scalars import NumberField
@@ -233,3 +233,149 @@ def test_fourier_motzkin_row_bound_is_a_capability_error():
     rows = [(Fraction(1), Fraction(k)) for k in range(20001)]
     with pytest.raises(CapabilityError, match="bound of 20000 rows"):
         _fm_strict_point(rows, 2)
+
+
+# -- the strict-point search on Fractions, as it ran before the integer kernels
+
+
+def _ref_nullspace(rows, ncols):
+    mat = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        hit = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
+        if hit is None:
+            continue
+        mat[rank], mat[hit] = mat[hit], mat[rank]
+        mat[rank] = [x / mat[rank][col] for x in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col] != 0:
+                mat[i] = [a - mat[i][col] * b for a, b in zip(mat[i], mat[rank])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for i, piv in enumerate(pivots):
+            vec[piv] = -mat[i][free]
+        basis.append(tuple(vec))
+    return basis
+
+
+def _ref_fm_strict_point(rows, dim):
+    if len(rows) > 20000:
+        raise CapabilityError("inequality elimination beyond the bound of 20000 rows")
+    if dim == 0:
+        return () if not rows else None
+    pos = [r for r in rows if r[dim - 1] > 0]
+    neg = [r for r in rows if r[dim - 1] < 0]
+    combined = [r[: dim - 1] for r in rows if r[dim - 1] == 0]
+    for p in pos:
+        for q in neg:
+            cp, cq = p[dim - 1], q[dim - 1]
+            new = tuple(cp * qa - cq * pa for pa, qa in zip(p[: dim - 1], q[: dim - 1]))
+            if all(x == 0 for x in new):
+                return None
+            combined.append(new)
+    inner = _ref_fm_strict_point(combined, dim - 1)
+    if inner is None:
+        return None
+    bounds = [
+        (-sum(a * y for a, y in zip(r[: dim - 1], inner)) / r[dim - 1], r in pos)
+        for r in pos + neg
+    ]
+    lower = max((b for b, up in bounds if up), default=None)
+    upper = min((b for b, up in bounds if not up), default=None)
+    if lower is not None and upper is not None:
+        if not lower < upper:
+            return None
+        last = (lower + upper) / 2
+    elif lower is not None:
+        last = lower + 1
+    elif upper is not None:
+        last = upper - 1
+    else:
+        last = Fraction(1)
+    return inner + (last,)
+
+
+def _ref_find_strict_point(eq_rows, strict_rows, ncols, drop_degenerate=True):
+    eqs = [tuple(Fraction(x) for x in r) for r in eq_rows]
+    stricts = [tuple(Fraction(x) for x in r) for r in strict_rows]
+    if eqs:
+        basis = _ref_nullspace(eqs, ncols)
+    else:
+        basis = [
+            tuple(Fraction(1 if j == i else 0) for j in range(ncols))
+            for i in range(ncols)
+        ]
+    if not basis:
+        return None if stricts else tuple(Fraction(0) for _ in range(ncols))
+    projected = []
+    for s in stricts:
+        row = tuple(sum(a * b for a, b in zip(s, vec)) for vec in basis)
+        if all(x == 0 for x in row):
+            if drop_degenerate:
+                continue
+            return None
+        projected.append(row)
+    inner = _ref_fm_strict_point(projected, len(basis))
+    if inner is None:
+        return None
+    point = [Fraction(0)] * ncols
+    for coeff, vec in zip(inner, basis):
+        for j in range(ncols):
+            point[j] += coeff * vec[j]
+    return tuple(point)
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except CapabilityError:
+        return "capability"
+
+
+def test_integer_strict_point_search_matches_the_fraction_search():
+    """The strict-point search on primitive integer rows returns the
+    Fraction point, or None, that the search on Fractions returns, and
+    raises where it raises.  Half of the systems are made feasible by
+    turning each strict row positive at a hidden point of the equalities'
+    nullspace.  Twelve strict rows over four or more free coordinates can
+    take the Fraction search tens of seconds to reach the row bound, so
+    those systems get at most eight."""
+    rng = random.Random(2207)
+
+    def entry():
+        if rng.random() < 0.3:
+            return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        return rng.randint(-3, 3)
+
+    found = {}
+    for trial in range(400):
+        n = rng.randint(2, 5)
+        eqs = [tuple(entry() for _ in range(n)) for _ in range(rng.randint(0, 3))]
+        top = 12 if n - len(eqs) < 4 else 8
+        stricts = [tuple(entry() for _ in range(n)) for _ in range(rng.randint(1, top))]
+        if rng.random() < 0.3:  # orthant rows, as the cone searches add them
+            stricts += [tuple(int(i == j) for j in range(n)) for i in range(n)]
+            stricts = stricts[:top]
+        if trial % 4 < 2:
+            coeffs = [rng.randint(-3, 3) for _ in range(n)]
+            basis = _ref_nullspace(eqs, n)
+            hidden = [sum(c * v[j] for c, v in zip(coeffs, basis)) for j in range(n)]
+            stricts = [
+                tuple(-x for x in r) if sum(a * y for a, y in zip(r, hidden)) < 0 else r
+                for r in stricts
+            ]
+        drop = trial % 2 == 0
+        if eqs:
+            assert nullspace(eqs, n) == _ref_nullspace(eqs, n)
+        got = _outcome(find_strict_point, eqs, stricts, n, drop)
+        want = _outcome(_ref_find_strict_point, eqs, stricts, n, drop)
+        assert got == want, (eqs, stricts, drop)
+        if isinstance(got, tuple):
+            assert all(isinstance(x, Fraction) for x in got)
+            got = "point"
+        found[got] = found.get(got, 0) + 1
+    assert found["point"] >= 100 and found[None] >= 100, found
