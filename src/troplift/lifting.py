@@ -370,13 +370,6 @@ def _lower_hull(points):
     return hull
 
 
-def _hull_at(hull, i):
-    for (i1, v1), (i2, v2) in zip(hull, hull[1:]):
-        if i1 <= i <= i2:
-            return v1 + (v2 - v1) * Fraction(i - i1, i2 - i1)
-    raise InternalInvariantError("abscissa outside the polygon")
-
-
 def _ratio(a, n):
     """a / n for a positive int n, and an int when n divides the int a."""
     if a.__class__ is int and not a % n:
@@ -415,20 +408,24 @@ def _grid(coeffs, mode):
     return into, back
 
 
-def _taylor_shift(coeffs, c, omega):
-    """Coefficients of p(z + c*t^omega) for p = sum coeffs[i] z^i.
+def _taylor_shift(coeffs, c, omega, q=1):
+    """Coefficients of q^d * p(z + (c/q)*t^omega) for p = sum coeffs[i] z^i
+    of degree d.
 
     Coefficients are (truncation, sorted nonzero terms) pairs in the
     walk's exponent units.  Coefficient j is the sum over i >= j of
-    comb(i, j) * c^(i-j) * t^((i-j)*omega) * coeffs[i]; it is known below
-    the least truncation_i + (i-j)*omega.  Terms at or above that bound are
-    skipped before their coefficients are multiplied, and the rest are
-    summed in one dict keyed by exponent, an int on the puiseux grid.
+    comb(i, j) * c^(i-j) * q^(d-i+j) * t^((i-j)*omega) * coeffs[i]; it is
+    known below the least truncation_i + (i-j)*omega.  With ints c and q
+    an int polynomial stays one.  Terms at or above that bound are skipped
+    before their coefficients are multiplied, and the rest are summed in
+    one dict keyed by exponent, an int on the puiseux grid.
     """
     d = len(coeffs) - 1
-    c_pows, w_pows = [Fraction(1)], [omega * k for k in range(d + 1)]
+    c_pows, w_pows = [1], [omega * k for k in range(d + 1)]
     for _ in range(d):
         c_pows.append(c_pows[-1] * c)
+    if q != 1:
+        c_pows = [x * q ** (d - k) for k, x in enumerate(c_pows)]
     out = []
     for j in range(d + 1):
         trunc = INF
@@ -438,17 +435,28 @@ def _taylor_shift(coeffs, c, omega):
         for i in range(j, d + 1):
             offset, scale = w_pows[i - j], None
             for e, a in coeffs[i][1]:
-                if i > j:  # else the offset is 0 and the scale 1
+                if i > j:  # else the offset is 0 and the scale q^d
                     e = e + offset
                 if trunc is not INF and e >= trunc:
                     break  # terms are sorted, so the rest lie above too
-                if i > j:
+                if i > j or q != 1:
                     if scale is None:
                         scale = comb(i, j) * c_pows[i - j]
                     a = a * scale
                 sums[e] = sums[e] + a if e in sums else a
         out.append((trunc, [(e, sums[e]) for e in sorted(sums) if sums[e]]))
     return out
+
+
+def _primitive(coeffs):
+    """The polynomial times the lcm of its term denominators and divided by
+    its content, with int terms, when every term is rational; else coeffs.
+    A nonzero constant factor moves no root, truncation or term."""
+    values = [a for _, terms in coeffs for _, a in terms]
+    if not all(a.__class__ is int or a.__class__ is Fraction for a in values):
+        return coeffs
+    ints = iter(primitive_row(values))
+    return [(trunc, [(e, next(ints)) for e, _ in terms]) for trunc, terms in coeffs]
 
 
 def newton_puiseux(coeffs, N, mode="puiseux"):
@@ -461,7 +469,8 @@ def newton_puiseux(coeffs, N, mode="puiseux"):
     Raises when some coefficient is not known well enough to place the
     Newton polygon.  The walk runs on (truncation, terms) pairs in the
     exponent units of _grid; a ValueScalar is built only for the exponents
-    of a returned root or an error message.
+    of a returned root or an error message.  When every coefficient is
+    rational, the walk runs on the primitive int polynomial (_primitive).
     """
     coeffs = list(coeffs)
     if not coeffs:
@@ -479,7 +488,9 @@ def newton_puiseux(coeffs, N, mode="puiseux"):
         raise UsageError("the precision target must be positive")
     into, back = _grid(coeffs, mode)
     N = into(N)
-    coeffs = [(into(c.truncation), [(into(e), a) for e, a in c.terms]) for c in coeffs]
+    coeffs = _primitive(
+        [(into(c.truncation), [(into(e), a) for e, a in c.terms]) for c in coeffs]
+    )
     # depth-first walk of the Newton polygon tree on an explicit stack of
     # node generators, so the depth is bounded by the node budget alone
     budget = _NP_NODE_LIMIT
@@ -514,7 +525,13 @@ def _np_node(coeffs, acc, slope_bound, N, field, back):
 
     acc holds the (exponent, coefficient) terms chosen above the node.
     Slopes strictly increase along a branch and edge roots are nonzero, so
-    appending keeps it sorted, and each root is built from it once."""
+    appending keeps it sorted, and each root is built from it once.
+
+    The node polynomial matters only up to a nonzero constant factor: edge
+    roots come from monic factors, and only exponents and indices reach an
+    error text.  A root a/b shifts by (a, b), so int coefficients stay
+    ints, made primitive again for b > 1; the hull is compared
+    cross-multiplied over each edge, with no Fraction."""
     certain = [i for i, (_, terms) in enumerate(coeffs) if terms]
     if not certain:
         if all(trunc is INF for trunc, _ in coeffs):
@@ -543,15 +560,17 @@ def _np_node(coeffs, acc, slope_bound, N, field, back):
     if i_min == top:
         return roots
     hull = _lower_hull([(i, vals[i]) for i in certain])
-    for i in range(i_min + 1, top):
-        trunc, terms = coeffs[i]
-        if terms or trunc is INF:
-            continue
-        if trunc <= _hull_at(hull, i):
-            raise InsufficientTruncationError(
-                "coefficient %d is only known above the Newton polygon" % i
-            )
-    for (i1, v1), (i2, v2) in zip(hull, hull[1:]):
+    edges = list(zip(hull, hull[1:]))
+    for (i1, v1), (i2, v2) in edges:
+        for i in range(i1 + 1, i2):
+            trunc, terms = coeffs[i]
+            if terms or trunc is INF:
+                continue
+            if (trunc - v1) * (i2 - i1) <= (v2 - v1) * (i - i1):
+                raise InsufficientTruncationError(
+                    "coefficient %d is only known above the Newton polygon" % i
+                )
+    for (i1, v1), (i2, v2) in edges:
         omega = _ratio(v1 - v2, i2 - i1)
         if slope_bound is not None and omega <= slope_bound:
             continue
@@ -560,13 +579,19 @@ def _np_node(coeffs, acc, slope_bound, N, field, back):
             continue
         phi = []
         for i in range(i1, i2 + 1):
-            if i in vals and vals[i] == _hull_at(hull, i):
+            if i in vals and (vals[i] - v1) * (i2 - i1) == (v2 - v1) * (i - i1):
                 phi.append(coeffs[i][1][0][1])
             else:
-                phi.append(Fraction(0))
+                phi.append(0)
         _, phi_roots = roots_in_extension(field, phi)
         for root_c, mult in phi_roots:
-            new_coeffs = _taylor_shift(coeffs, root_c, omega)
+            if root_c.__class__ is Fraction:
+                a, b = root_c.numerator, root_c.denominator
+                new_coeffs = _taylor_shift(coeffs, a, omega, b)
+                if b > 1:  # z -> z + a*t^omega is invertible over Z
+                    new_coeffs = _primitive(new_coeffs)
+            else:
+                new_coeffs = _taylor_shift(coeffs, root_c, omega)
             branch = yield new_coeffs, acc + ((omega, root_c),), omega
             if len(branch) != mult:
                 raise InternalInvariantError(

@@ -19,7 +19,8 @@ from .errors import CapabilityError
 def _scaled(values):
     """(den, ints): the lcm of the denominators of rational values and the
     values times it, as ints."""
-    den = lcm(*(v.denominator for v in values))
+    # a list: unpacking a generator grows a tuple by resizing, which fragments the heap
+    den = lcm(*[v.denominator for v in values])
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 
@@ -78,7 +79,7 @@ def _int_nullspace(rows, ncols):
     denominators, as int tuples.  Reduced rows are primitive, so den is the
     lcm of their pivot entries."""
     reduced, pivots = rref(rows, ncols)
-    den = lcm(*(row[piv] for row, piv in zip(reduced, pivots)))
+    den = lcm(*[row[piv] for row, piv in zip(reduced, pivots)])
     basis = []
     for free in (c for c in range(ncols) if c not in pivots):
         vec = [0] * ncols
@@ -112,7 +113,7 @@ def solve_linear(rows, rhs, ncols):
 _FM_ROW_LIMIT = 20000
 
 
-def _fm_strict_point(rows, dim):
+def _fm_strict_point(rows, dim, sources=None, eliminated=0):
     """A point y with <row, y> > 0 for every integer row, or None.
 
     Classic Fourier-Motzkin elimination on homogeneous strict
@@ -120,7 +121,11 @@ def _fm_strict_point(rows, dim):
     combined row is divided by the gcd of its entries; scaling a row by a
     positive number changes neither the rows' solutions nor the bounds
     back-substitution takes from it, so the point found is the one the
-    unscaled rows give.
+    unscaled rows give.  Chernikov's rule prunes the combined rows: each
+    row carries the set of input rows it combines (sources, as bit masks),
+    and a row of elimination k whose set has more than k + 1 members is
+    implied by the rows kept, so dropping it changes neither the solutions
+    at any level nor any bound, and the point is the one found without it.
     """
     if len(rows) > _FM_ROW_LIMIT:
         raise CapabilityError(
@@ -129,37 +134,41 @@ def _fm_strict_point(rows, dim):
         )
     if dim == 0:
         return () if not rows else None
-    pos, neg, rest = [], [], []
-    for row in rows:
+    if sources is None:
+        sources = [1 << k for k in range(len(rows))]
+    pos, neg, combined, combined_sources = [], [], [], []
+    for row, src in zip(rows, sources):
         c = row[dim - 1]
         if c > 0:
-            pos.append(row)
+            pos.append((row, src))
         elif c < 0:
-            neg.append(row)
+            neg.append((row, src))
         else:
-            rest.append(row[: dim - 1])
-    combined = list(rest)
-    for p in pos:
-        for q in neg:
+            combined.append(row[: dim - 1])
+            combined_sources.append(src)
+    for p, sp in pos:
+        for q, sq in neg:
             cp, cq = p[dim - 1], q[dim - 1]
             new = [cp * qa - cq * pa for pa, qa in zip(p[: dim - 1], q[: dim - 1])]
             g = gcd(*new)
             if not g:
                 # 0 > 0 after a strict combination: the band is empty.
                 return None
-            combined.append(tuple([x // g for x in new]))
-    inner = _fm_strict_point(combined, dim - 1)
+            if (sp | sq).bit_count() <= eliminated + 2:
+                combined.append(tuple([x // g for x in new]))
+                combined_sources.append(sp | sq)
+    inner = _fm_strict_point(combined, dim - 1, combined_sources, eliminated + 1)
     if inner is None:
         return None
     # the bound of a row is -<row, inner> / row[-1]: over the common
     # denominator den of inner, one Fraction per row
     den, nums = _scaled(inner)
     lower = upper = None
-    for p in pos:
+    for p, _ in pos:
         bound = Fraction(-sum([a * y for a, y in zip(p, nums)]), p[dim - 1] * den)
         if lower is None or bound > lower:
             lower = bound
-    for q in neg:
+    for q, _ in neg:
         bound = Fraction(-sum([a * y for a, y in zip(q, nums)]), q[dim - 1] * den)
         if upper is None or bound < upper:
             upper = bound

@@ -270,11 +270,16 @@ def series_str(a):
 
 
 def _cached_power(powers, assignment, i, e):
-    """assignment[i] ** e, computed once per (i, e) and kept in powers."""
-    key = (i, e)
-    if key not in powers:
-        powers[key] = assignment[i].power(e)
-    return powers[key]
+    """assignment[i] ** e, kept in powers with the powers below it: s^1 is
+    s and s^k is s^(k-1) * s, the last product of ValuedSeries.power."""
+    s = assignment[i]
+    powers.setdefault((i, 1), s)
+    k = e
+    while (i, k) not in powers:
+        k -= 1
+    for k in range(k + 1, e + 1):
+        powers[i, k] = powers[i, k - 1] * s
+    return powers[i, e]
 
 
 def substitute(f, assignment):

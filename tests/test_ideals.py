@@ -834,21 +834,33 @@ def test_torus_point_respects_monomial_freeness():
 def test_torus_point_factors_each_eliminant_factor_once(monkeypatch):
     """The lift of x^2+y^2+z^2 at (1,1,1) adjoins a root of z^2 + 2 from
     the factorization of its eliminant, without factoring it again: no
-    polynomial is factored twice at one tower height."""
+    eliminant is factored twice at one tower height.  The calls are keyed
+    by their monic polynomial, since the Newton walk may hand z^2 + 2 on
+    as any nonzero multiple of it; it factors it once, over Q(a1)."""
     calls = []
     factor = scalars.factor_univariate
 
-    def counting_factor(field, coeffs):
-        calls.append((tuple(scalar_str(c) for c in coeffs), field.height()))
-        return factor(field, coeffs)
+    def counting(caller):
+        def counting_factor(field, coeffs):
+            cs = [as_field_element(field, c) for c in coeffs]
+            while not cs[-1]:
+                cs.pop()
+            monic = tuple(scalar_str(c / cs[-1]) for c in cs)
+            calls.append((caller, monic, field.height()))
+            return factor(field, coeffs)
 
-    monkeypatch.setattr(scalars, "factor_univariate", counting_factor)
-    monkeypatch.setattr(ideals, "factor_univariate", counting_factor)
+        return counting_factor
+
+    monkeypatch.setattr(scalars, "factor_univariate", counting("scalars"))
+    monkeypatch.setattr(ideals, "factor_univariate", counting("ideals"))
     argv = ["lift", "--vars", "x,y,z", "--ideal", "x^2+y^2+z^2", "--w", "1,1,1",
             "--N", "3"]
     assert cli.run(argv, io.StringIO(), io.StringIO()) == 0
-    assert (("2", "0", "1"), 0) in calls
-    assert len(calls) == len(set(calls)), calls
+    eliminant = [call for call in calls if call[0] == "ideals"]
+    assert len(eliminant) == len(set(eliminant)), calls
+    assert [caller for caller, _, _ in calls] == ["ideals", "ideals", "scalars"]
+    z2 = ("2", "0", "1")
+    assert [(monic, h) for _, monic, h in calls] == [(z2, 0), (z2, 1), (z2, 1)]
 
 
 def test_torus_point_splits_a_factor_over_a_grown_field():

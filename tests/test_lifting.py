@@ -34,6 +34,7 @@ from troplift.lifting import (
 from troplift.parsing import parse_poly
 from troplift.polyring import INF, PolyRing, initial_form
 from troplift.scalars import (
+    AlgebraicNumber,
     NumberField,
     ValueScalar,
     adjoin_root,
@@ -294,7 +295,7 @@ def _taylor_shift_by_products(coeffs, shift, field, mode):
     return out
 
 
-def _shift_series(coeffs, c, omega, field, mode):
+def _shift_series(coeffs, c, omega, field, mode, q=1):
     """_taylor_shift on series: into the walk's exponent units, shifted,
     and back, with each result built unchecked so nothing is normalized."""
     into, back = _grid(coeffs, mode)
@@ -303,7 +304,7 @@ def _shift_series(coeffs, c, omega, field, mode):
         object.__new__(ValuedSeries)._build(
             field, [(back(e), a) for e, a in terms], back(trunc), mode
         )
-        for trunc, terms in _taylor_shift(pairs, c, into(omega))
+        for trunc, terms in _taylor_shift(pairs, c, into(omega), q)
     ]
 
 
@@ -355,6 +356,39 @@ def test_taylor_shift_matches_series_products():
                 assert g == h, (coeffs, c, omega)
                 assert g.truncation == h.truncation
                 assert str(g) == str(h)
+
+
+def test_taylor_shift_by_a_fraction_is_q_to_the_degree_times_the_reference():
+    """With int coefficients, _taylor_shift(p, a, omega, q) is exactly
+    q^d * p(z + (a/q)*t^omega) built from series products, with int terms,
+    on exact and truncated coefficients in both modes."""
+    rng = random.Random(23)
+    scaled = 0
+    for mode in ("puiseux", "hahn"):
+        for _ in range(60):
+            field = NumberField()
+            coeffs = [
+                _random_coefficient(rng, field, mode, [-6, -3, -2, -1, 1, 2, 5, 7])
+                for _ in range(rng.randint(1, 5))
+            ]
+            coeffs = [  # with int terms, as the walk holds them
+                object.__new__(ValuedSeries)._build(
+                    field, [(e, int(a)) for e, a in c.terms], c.truncation, mode
+                )
+                for c in coeffs
+            ]
+            a, q = rng.choice([-3, -1, 1, 2, 5]), rng.randint(2, 7)
+            omega = _random_exponent(rng, mode) + Fraction(1, rng.randint(1, 3))
+            shift = ValuedSeries.monomial(field, omega, Fraction(a, q), mode)
+            got = _shift_series(coeffs, a, omega, field, mode, q)
+            want = _taylor_shift_by_products(coeffs, shift, field, mode)
+            factor = q ** (len(coeffs) - 1)
+            for g, h in zip(got, want):
+                assert all(x.__class__ is int for _, x in g.terms)
+                assert g.terms == h.scale(factor).terms, (coeffs, a, q, omega)
+                assert g.truncation == h.truncation
+            scaled += any(g.terms for g in got)
+    assert scaled >= 60
 
 
 def _taylor_shift_by_constructor(coeffs, c, omega, field, mode):
@@ -610,32 +644,48 @@ def _np_case(seed):
     """A seeded input on a fresh field: (field, coeffs, N, mode).
 
     The polynomial is a product of known factors z - s, with exponent
-    denominators 1-3 (plus sqrt(2) parts in hahn mode), sometimes the
-    factor z, and conjugate pairs z^2 - d*u^2, whose edge roots +-sqrt(d)
-    are algebraic.  Its coefficients are exact, or some are truncated at one
-    cut; N is sometimes off the exponent grid or irrational."""
+    denominators 1-3 (plus sqrt(2) parts in hahn mode) and coefficient
+    denominators 1-7, sometimes the factor z, and conjugate pairs
+    z^2 - d*u^2, whose edge roots +-sqrt(d) are algebraic.  Some products
+    are scaled by an int, so their content is not 1.  Some fields start as
+    Q(a1), a1^2 = 3, with a1 in the coefficients of one factor, so that
+    rational edge roots meet tower coefficients.  The coefficients are
+    exact, or some are truncated at one cut; N is sometimes off the
+    exponent grid or irrational."""
     rng = random.Random(seed)
     mode = rng.choice(["puiseux", "hahn"])
     field = NumberField()
+    a1 = None
+    if rng.random() < 0.25:
+        field, a1 = adjoin_root(field, [Fraction(-3), 0, Fraction(1)])
 
-    def series():
+    def series(unit=1):
         terms = []
         for _ in range(rng.randint(1, 3)):
             e = ValueScalar(Fraction(rng.randint(0, 8), rng.randint(1, 3)))
             if mode == "hahn" and rng.random() < 0.3:
                 e = e + ValueScalar(0, Fraction(1, rng.randint(1, 2)), 2)
-            terms.append((e, Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 2))))
+            c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 7))
+            terms.append((e, c * unit))
         return ValuedSeries(field, terms, INF, mode)
 
     one = ValuedSeries.constant(field, 1, mode)
     zero = ValuedSeries.zero(field, INF, mode)
-    factors = [[-series(), one] for _ in range(rng.randint(1, 2))]
+    if a1 is None:
+        factors = [[-series(), one] for _ in range(rng.randint(1, 2))]
+        pairs = rng.choice([0, 1, 1, 2])
+    else:  # fewer factors: the tower makes each one dearer
+        factors = [[-series(), one], [-series(a1 + rng.randint(-1, 1)), one]]
+        pairs = rng.choice([0, 1])
     if rng.random() < 0.2:
         factors.append([zero, one])
-    for _ in range(rng.choice([0, 1, 1, 2])):
+    for _ in range(pairs):
         u = series()
         factors.append([-(u * u).scale(rng.choice([2, 3, 5])), zero, one])
     coeffs = _poly_product(field, factors, mode)
+    if rng.random() < 0.3:
+        k = rng.choice([2, 6, 35])
+        coeffs = [c.scale(k) for c in coeffs]
     if rng.random() < 0.4:
         cut = ValueScalar(Fraction(rng.randint(2, 16), rng.randint(1, 3)))
         coeffs = [truncate(c, cut) if rng.random() < 0.7 else c for c in coeffs]
@@ -656,6 +706,8 @@ def _np_outcome(solve, seed):
     for r in roots:
         assert all(e.__class__ is ValueScalar for e, _ in r.terms)
         assert r.truncation is INF or r.truncation.__class__ is ValueScalar
+        # no scaled walk coefficient leaks out, and no int / int is a float
+        assert all(a.__class__ in (Fraction, AlgebraicNumber) for _, a in r.terms)
     tower = [
         (name, [scalar_str(c) for c in level.minpoly])
         for name, level in zip(field.generator_names(), field.levels)
@@ -698,10 +750,66 @@ def test_grid_walk_matches_the_value_scalar_walk(monkeypatch):
             kinds[mode, "tower" if want[2] else "rational"] += 1
             if any(c.truncation is not INF for c in coeffs):
                 kinds[mode, "truncated"] += 1
+            if field.height():
+                kinds[mode, "tower input"] += 1
+            if coeffs[-1].terms[0][1] != 1:
+                kinds[mode, "content"] += 1
+            if any(a.__class__ is Fraction and a.denominator >= 5
+                   for c in coeffs for _, a in c.terms):
+                kinds[mode, "denominator"] += 1
     for mode in ("puiseux", "hahn"):
-        for kind in ("InsufficientTruncationError", "tower", "rational", "truncated"):
+        for kind in ("InsufficientTruncationError", "tower", "rational", "truncated",
+                     "tower input", "content", "denominator"):
             assert kinds[mode, kind] >= 2, kinds
     assert len(off_grid) >= 10
+
+
+def test_walk_on_rational_input_shifts_int_terms(monkeypatch):
+    """With rational coefficients and rational roots, every term that
+    _taylor_shift is given or returns is an int, a root a/b shifts by
+    (a, b), and the roots are those of the input."""
+    shift = lifting._taylor_shift
+    calls = []
+
+    def checking_shift(coeffs, c, omega, q=1):
+        out = shift(coeffs, c, omega, q)
+        for _, terms in coeffs + out:
+            assert all(a.__class__ is int for _, a in terms), (coeffs, c, q)
+        calls.append(q)
+        return out
+
+    monkeypatch.setattr(lifting, "_taylor_shift", checking_shift)
+    rng = random.Random(7)
+    for _ in range(20):
+        field = NumberField()
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            terms = [(Fraction(rng.randint(1, 6), rng.randint(1, 2)),
+                      Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 7)))
+                     for _ in range(rng.randint(1, 3))]
+            factors.append([-ValuedSeries(field, terms), ValuedSeries.constant(field, 1)])
+        coeffs = [c.scale(Fraction(6, 5)) for c in _poly_product(field, factors, "puiseux")]
+        roots = newton_puiseux(coeffs, 8)
+        assert not field.height()
+        assert sorted(str(-r) for r in roots) == sorted(str(f[0]) for f in factors)
+    assert any(q > 1 for q in calls)
+
+
+def test_a_truncation_on_the_newton_polygon_is_too_coarse():
+    """z^2 + O(t^k) z - t^(2h): known only up to the polygon's height h at
+    index 1, the middle coefficient cannot place the polygon; known just
+    above it, it can.  Rational and sqrt(2) heights alike."""
+    for mode, h in (("puiseux", ValueScalar(1)), ("hahn", ValueScalar(0, 1, 2))):
+        field = NumberField()
+
+        def poly(k):
+            return [ValuedSeries.monomial(field, h * 2, -1, mode),
+                    ValuedSeries.zero(field, k, mode),
+                    ValuedSeries.constant(field, 1, mode)]
+
+        with pytest.raises(InsufficientTruncationError, match="coefficient 1 is only"):
+            newton_puiseux(poly(h), 1, mode)
+        assert len(newton_puiseux(poly(h + Fraction(1, 2)), 1, mode)) == 2
 
 
 def test_newton_puiseux_builds_value_scalars_only_for_its_roots(monkeypatch):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from troplift import linalg
 from troplift.errors import CapabilityError, UsageError
 from troplift.ideals import dimension, presentation
 from troplift.linalg import _fm_strict_point, find_strict_point, nullspace
@@ -233,6 +234,30 @@ def test_fourier_motzkin_row_bound_is_a_capability_error():
     rows = [(Fraction(1), Fraction(k)) for k in range(20001)]
     with pytest.raises(CapabilityError, match="bound of 20000 rows"):
         _fm_strict_point(rows, 2)
+
+
+def test_chernikov_rule_bounds_the_eliminated_rows(monkeypatch):
+    """Eleven strict rows over five free coordinates have no solution.
+    Without pruning, the third elimination leaves 5075 rows and the search
+    takes seconds to answer None; with Chernikov's rule no level holds
+    more than 60 rows."""
+    F = Fraction
+    rows = [
+        (3, 1, F(-5, 2), -3, -2), (1, 1, -1, 1, F(-4, 3)), (-3, F(1, 2), 0, -2, 2),
+        (-2, -1, 0, 2, -5), (-1, 1, -1, F(-2, 3), -2), (3, -1, 2, 3, 3),
+        (-2, 2, 0, F(-3, 2), -3), (F(5, 3), -1, -3, 2, 3), (3, -3, F(3, 4), 0, 0),
+        (3, 0, 4, F(3, 2), 1), (F(-3, 2), 1, 3, -1, 1),
+    ]
+    sizes = []
+    search = linalg._fm_strict_point
+
+    def counting_search(rows, dim, *rest):
+        sizes.append(len(rows))
+        return search(rows, dim, *rest)
+
+    monkeypatch.setattr(linalg, "_fm_strict_point", counting_search)
+    assert find_strict_point([], rows, 5) is None
+    assert sizes == [11, 26, 34, 60, 55]
 
 
 # -- the strict-point search on Fractions, as it ran before the integer kernels
