@@ -48,8 +48,6 @@ from .polyring import (
     OrderDescriptor,
     Polynomial,
     PolyRing,
-    compare_monomials,
-    homogenize_w,
     initial_form,
     poly_str,
     w_order,
@@ -92,7 +90,6 @@ from .valfan import (
     GroebnerCone,
     InitialData,
     TensorCertificate,
-    coset_valuation,
     groebner_cone,
     init_additivity_check,
     initial_ideal,

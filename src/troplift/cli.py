@@ -14,13 +14,7 @@ import argparse
 import json
 import sys
 
-from .errors import (
-    CapabilityError,
-    InternalInvariantError,
-    NonMemberError,
-    TropliftError,
-    UsageError,
-)
+from .errors import CapabilityError, NonMemberError, UsageError
 from .ideals import presentation
 from .lifting import LiftProblem, lift_point, newton_puiseux, verify_lift
 from .parsing import (
@@ -55,7 +49,7 @@ def _build_parser():
     top = _Parser(prog="troplift", description=__doc__, add_help=True)
     sub = top.add_subparsers(dest="command", metavar="command")
 
-    def add(name, help_text, needs_ideal=True, needs_w=True):
+    def add(name, help_text, needs_ideal=True, needs_w=True, seeded=False):
         p = sub.add_parser(name, help=help_text, add_help=True)
         if needs_ideal:
             p.add_argument("--vars", help="comma separated variable names")
@@ -66,7 +60,8 @@ def _build_parser():
         if needs_w:
             p.add_argument("--w", help="comma separated weights, or @file of queries")
         p.add_argument("--d", type=int, help="the squarefree sqrt(d) constant")
-        p.add_argument("--seed", type=int, default=0, help="witness search seed")
+        if seeded:
+            p.add_argument("--seed", type=int, default=0, help="witness search seed")
         p.add_argument(
             "--json", action="store_true", help="line-oriented JSON output"
         )
@@ -80,13 +75,14 @@ def _build_parser():
     add("trop-member", "membership of w in the local tropical variety")
     add("trop-hyper", "tropical hypersurface of one polynomial", needs_w=False)
     p = add("trop-enum", "bounded enumeration of labeled Groebner cones",
-            needs_w=False)
+            needs_w=False, seeded=True)
     p.add_argument("--budget", type=int, default=128, help="maximal cone count")
     p = add("tensor", "combine two ideals in disjoint variables")
     p.add_argument("--vars2", help="variables of the second ideal")
     p.add_argument("--ideal2", required=True, help="second ideal generators")
     p.add_argument("--w2", required=True, help="second weight vector")
-    p = add("lift", "lift a tropical point to a truncated series point")
+    p = add("lift", "lift a tropical point to a truncated series point",
+            seeded=True)
     p.add_argument("--N", required=True, help="truncation target")
     p.add_argument("--mode", choices=("puiseux", "hahn"), default="puiseux")
     p = add("verify", "re-check a lifted point")
@@ -114,10 +110,12 @@ def _read_arg(value):
     return value, False
 
 
-def _load_ideal(args, field):
-    """Ring, generators, and an optional fixture weight vector."""
+def _load_ideal(args):
+    """Ring over a new field, generators, and an optional fixture weight
+    vector."""
     if getattr(args, "ideal", None) is None:
         raise UsageError("--ideal is required")
+    field = NumberField()
     text, from_file = _read_arg(args.ideal)
     if from_file:
         ring, gens, _mode, weights = parse_ideal_text(text, field, d=args.d)
@@ -142,6 +140,13 @@ def _need_w(args, fixture_w):
     raise UsageError("--w is required")
 
 
+def _local_ideal(args):
+    """Ring, weight, and the ideal presented local at the weight."""
+    ring, gens, fixture_w = _load_ideal(args)
+    w = _need_w(args, fixture_w)
+    return ring, w, presentation(ring, gens, "local", w)
+
+
 def _emit(stream, args, obj, text_lines):
     if args.json:
         stream.write(json.dumps(obj, sort_keys=True) + "\n")
@@ -154,8 +159,7 @@ def _emit(stream, args, obj, text_lines):
 
 
 def _cmd_init_form(args, out):
-    field = NumberField()
-    ring, gens, fixture_w = _load_ideal(args, field)
+    ring, gens, fixture_w = _load_ideal(args)
     if len(gens) != 1:
         raise UsageError("init-form takes exactly one polynomial")
     w = _need_w(args, fixture_w)
@@ -172,10 +176,7 @@ def _cmd_init_form(args, out):
 
 
 def _cmd_init_ideal(args, out):
-    field = NumberField()
-    ring, gens, fixture_w = _load_ideal(args, field)
-    w = _need_w(args, fixture_w)
-    I = presentation(ring, gens, "local", w)
+    _, w, I = _local_ideal(args)
     data = initial_ideal(I, w)
     free = data.is_monomial_free()
     obj = {
@@ -191,13 +192,10 @@ def _cmd_init_ideal(args, out):
 
 
 def _cmd_coset_val(args, out):
-    field = NumberField()
-    ring, gens, fixture_w = _load_ideal(args, field)
-    w = _need_w(args, fixture_w)
+    ring, w, I = _local_ideal(args)
     g = parse_generators(args.g, ring)
     if len(g) != 1:
         raise UsageError("--g takes exactly one polynomial")
-    I = presentation(ring, gens, "local", w)
     handle = CosetValuationHandle(I, w)
     value = handle.value(g[0])
     _emit(
@@ -210,10 +208,7 @@ def _cmd_coset_val(args, out):
 
 
 def _cmd_cone(args, out):
-    field = NumberField()
-    ring, gens, fixture_w = _load_ideal(args, field)
-    w = _need_w(args, fixture_w)
-    I = presentation(ring, gens, "local", w)
+    _, w, I = _local_ideal(args)
     cone = groebner_cone(I, w)
     obj = cone.to_json_dict()
     obj["dim"] = dim = cone.dim()
@@ -224,23 +219,8 @@ def _cmd_cone(args, out):
     return 0
 
 
-def _membership_payload(result):
-    witness = {}
-    if result.member:
-        if result.initial is not None:
-            witness["initial"] = [poly_str(g) for g in result.initial.generators]
-    elif result.witness_monomial is not None:
-        witness["monomial"] = poly_str(result.witness_monomial)
-    return {
-        "w": [str(x) for x in result.query.entries],
-        "member": result.member,
-        "witness": witness,
-    }
-
-
 def _cmd_trop_member(args, out):
-    field = NumberField()
-    ring, gens, fixture_w = _load_ideal(args, field)
+    ring, gens, fixture_w = _load_ideal(args)
     if getattr(args, "w", None) is None:
         raise UsageError("--w is required")
     text, from_file = _read_arg(args.w)
@@ -256,7 +236,7 @@ def _cmd_trop_member(args, out):
     I = presentation(ring, gens, "global")
     results = [trop_member(I, query) for query in queries]
     for result in results:
-        payload = _membership_payload(result)
+        payload = result.to_json_dict()
         text_line = "w=%s: member=%s" % (
             ",".join(payload["w"]),
             _b(result.member),
@@ -270,8 +250,7 @@ def _cmd_trop_member(args, out):
 
 
 def _cmd_trop_hyper(args, out):
-    field = NumberField()
-    ring, gens, _fixture_w = _load_ideal(args, field)
+    ring, gens, _fixture_w = _load_ideal(args)
     if len(gens) != 1:
         raise UsageError("trop-hyper takes exactly one polynomial")
     cones = trop_hypersurface(gens[0])
@@ -293,8 +272,7 @@ def _rows_text(rows):
 
 
 def _cmd_trop_enum(args, out):
-    field = NumberField()
-    ring, gens, _fixture_w = _load_ideal(args, field)
+    ring, gens, _fixture_w = _load_ideal(args)
     if args.budget <= 0:
         raise UsageError("--budget must be positive")
     I = presentation(ring, gens, "global")
@@ -325,15 +303,12 @@ def _cmd_trop_enum(args, out):
 
 
 def _cmd_tensor(args, out):
-    field = NumberField()
-    ring, gens, fixture_w = _load_ideal(args, field)
-    w1 = _need_w(args, fixture_w)
+    ring, w1, I = _local_ideal(args)
     if args.vars2 is None:
         raise UsageError("--vars2 is required")
-    ring2 = PolyRing(field, parse_vars(args.vars2))
+    ring2 = PolyRing(ring.field, parse_vars(args.vars2))
     gens2 = parse_generators(args.ideal2, ring2)
     w2 = parse_weights(args.w2, d=args.d)
-    I = presentation(ring, gens, "local", w1)
     J = presentation(ring2, gens2, "local", w2)
     _combined, cert = tensor_combine(I, J, w1, w2)
     obj = {
@@ -378,11 +353,8 @@ def _descent_payload(step):
 
 
 def _cmd_lift(args, out):
-    field = NumberField()
-    ring, gens, fixture_w = _load_ideal(args, field)
-    w = _need_w(args, fixture_w)
+    _, w, I = _local_ideal(args)
     N = parse_scalar(args.N, d=args.d)
-    I = presentation(ring, gens, "local", w)
     problem = LiftProblem(I, w, N, args.mode)
     result = lift_point(problem, seed=args.seed)
     obj = {
@@ -408,15 +380,12 @@ def _cmd_lift(args, out):
 
 
 def _cmd_verify(args, out):
-    field = NumberField()
-    ring, gens, fixture_w = _load_ideal(args, field)
-    w = _need_w(args, fixture_w)
+    ring, w, I = _local_ideal(args)
     N = parse_scalar(args.N, d=args.d)
     text, _from_file = _read_arg(args.point)
     point = parse_point(
-        text.replace("\n", ";").strip(";"), field, args.mode, d=args.d
+        text.replace("\n", ";").strip(";"), ring.field, args.mode, d=args.d
     )
-    I = presentation(ring, gens, "local", w)
     report = verify_lift(I, point, w, N, args.mode)
     obj = report.to_json_dict()
     lines = ["ok=%s" % _b(report.ok())]
@@ -489,11 +458,6 @@ def run(argv, stdout=None, stderr=None):
         return 2
     except CapabilityError as exc:
         err.write("capability limit: %s\n" % exc)
-        return 3
-    except InternalInvariantError:
-        raise
-    except TropliftError as exc:
-        err.write("error: %s\n" % exc)
         return 3
 
 

@@ -31,7 +31,6 @@ from .ideals import (
     _leading_ideal,
     dimension,
     eliminate,
-    ideal_quotient,
     ideals_equal,
     presentation,
     saturate,
@@ -56,7 +55,7 @@ from .series import (
     valuation_at_least,
 )
 from .tropical import TropQuery, trop_member
-from .valfan import initial_ideal
+from .valfan import _additivity, initial_ideal
 
 
 # -- rational span of the weight values -------------------------------------
@@ -237,7 +236,7 @@ def descend(I, w, seed=0):
         raise DescentWitnessError(
             "no torus point on the sliced initial variety: %s" % exc
         )
-    x0_rest = tuple(wit_x.point)
+    x0 = _unslice(wit_x.point, var_map)
 
     failures = []
     # y0 from the attempts after x0's, up to attempt 24; the attempts
@@ -245,39 +244,64 @@ def descend(I, w, seed=0):
     for attempt, y0_rest in torus_attempts(Js, seed, start=wit_x.attempts):
         if attempt > 24:
             break
-        if y0_rest is None or y0_rest == x0_rest:
+        if y0_rest is None:
             continue
-        step = _try_cut(
-            I, Iw, Jp, data, w, wp, span, slice_idx, rest_idx,
-            x0_rest, y0_rest, dim_before, failures,
-        )
-        if step is not None:
-            I2, record = step
-            return I2, record
+        y0 = _unslice(y0_rest, var_map)
+        if y0 == x0:
+            continue
+        for f_tilde, f in _binomials(ring, span, slice_idx, x0, y0):
+            if initial_form(f, w) != f:
+                raise InternalInvariantError("cut polynomial is not homogeneous")
+            I2 = Iw.with_extra([f])
+            nzd_ok, lhs, additivity_ok = _additivity(Jp, I2, f, w)
+            if not nzd_ok:
+                failures.append("%s is a zerodivisor" % poly_str(f))
+                continue
+            record = DescentStep(
+                weights=w,
+                integral_weight=wp,
+                slice_indices=tuple(slice_idx),
+                J=tuple(data.generators),
+                x0=x0,
+                y0=y0,
+                f_tilde=f_tilde,
+                f=f,
+                nonzerodivisor_ok=True,
+                additivity_ok=additivity_ok,
+                monomial_free_ok=lhs.is_monomial_free(),
+                dim_before=dim_before,
+                dim_after=dimension(I2),
+            )
+            if record.ok():
+                return I2, record
+            failures.append(
+                "%s: additivity %s, monomial-free %s, dim %d->%d"
+                % (poly_str(f), additivity_ok, record.monomial_free_ok,
+                   dim_before, record.dim_after)
+            )
     raise DescentWitnessError(
         "no certified hyperplane cut found"
         + ("; tried: " + "; ".join(failures[:4]) if failures else "")
     )
 
 
-def _try_cut(
-    I, Iw, Jp, data, w, wp, span, slice_idx, rest_idx,
-    x0_rest, y0_rest, dim_before, failures,
-):
-    ring = I.ring
+def _unslice(rest, var_map):
+    """The point with the given coordinates off the slice and 1 on it."""
+    return tuple(Fraction(1) if pos is None else rest[pos] for pos in var_map)
+
+
+def _binomials(ring, span, slice_idx, x0, y0):
+    """Candidate cuts (f_tilde, f) through x0 that miss y0, two points that
+    are 1 on the slice.  For each coordinate j where they differ and each
+    k = k0*s, s = 1..6, with y0_j^k != x0_j^k: f_tilde = x_j^k - x0_j^k,
+    and f makes it w-homogeneous with the monomial in the slice variables
+    of exponents k*z, where row j of the span matrix is z times the slice
+    rows; a negative exponent moves its variable to the x_j^k term."""
     n = ring.nvars()
-    x0 = [None] * n
-    y0 = [None] * n
-    for i in slice_idx:
-        x0[i] = Fraction(1)
-        y0[i] = Fraction(1)
-    for pos, i in enumerate(rest_idx):
-        x0[i] = x0_rest[pos]
-        y0[i] = y0_rest[pos]
     r = span.rank
     S = [span.matrix[i] for i in slice_idx]
     system = [tuple(S[a][c] for a in range(r)) for c in range(r)]
-    for pos, j in enumerate(rest_idx):
+    for j in range(n):
         if x0[j] == y0[j]:
             continue
         z = solve_linear(system, span.matrix[j], r)
@@ -305,48 +329,7 @@ def _try_cut(
             ej[j] = k
             f_tilde = ring.from_terms([(tuple(ej), 1), (tuple([0] * n), -ck)])
             f = ring.from_terms([(tuple(e1), 1), (tuple(e2), -ck)])
-            if initial_form(f, w) != f:
-                raise InternalInvariantError("cut polynomial is not homogeneous")
-            quotient = ideal_quotient(Jp, f)
-            nzd_ok = ideals_equal(quotient, Jp)
-            if not nzd_ok:
-                failures.append("%s is a zerodivisor" % poly_str(f))
-                continue
-            I2 = Iw.with_extra([f])
-            lhs = initial_ideal(I2, w)
-            additivity_ok = ideals_equal(
-                lhs.polynomial_presentation(), Jp.with_extra([f])
-            )
-            monomial_free_ok = lhs.is_monomial_free()
-            dim_after = dimension(I2)
-            record = DescentStep(
-                weights=w,
-                integral_weight=wp,
-                slice_indices=tuple(slice_idx),
-                J=tuple(data.generators),
-                x0=tuple(x0),
-                y0=tuple(y0),
-                f_tilde=f_tilde,
-                f=f,
-                nonzerodivisor_ok=nzd_ok,
-                additivity_ok=additivity_ok,
-                monomial_free_ok=monomial_free_ok,
-                dim_before=dim_before,
-                dim_after=dim_after,
-            )
-            if record.ok():
-                return I2, record
-            failures.append(
-                "%s: additivity %s, monomial-free %s, dim %d->%d"
-                % (
-                    poly_str(f),
-                    additivity_ok,
-                    monomial_free_ok,
-                    dim_before,
-                    dim_after,
-                )
-            )
-    return None
+            yield f_tilde, f
 
 
 # -- Newton polygon root finding --------------------------------------------

@@ -75,9 +75,11 @@ def mat_rank(rows, ncols):
 
 
 def _int_nullspace(rows, ncols):
-    """(den, basis): the nullspace basis times den, the lcm of its
-    denominators, as int tuples.  Reduced rows are primitive, so den is the
-    lcm of their pivot entries."""
+    """(den, basis): a basis of the right kernel times den, the lcm of its
+    denominators, as int tuples.  For each free column the basis vector is
+    1 there, 0 at the other free columns and minus that column of the
+    reduced row echelon form at the pivots.  Reduced rows are primitive, so
+    den is the lcm of their pivot entries."""
     reduced, pivots = rref(rows, ncols)
     den = lcm(*[row[piv] for row, piv in zip(reduced, pivots)])
     basis = []
@@ -88,14 +90,6 @@ def _int_nullspace(rows, ncols):
             vec[piv] = -row[free] * (den // row[piv])
         basis.append(tuple(vec))
     return den, basis
-
-
-def nullspace(rows, ncols):
-    """Basis of the right kernel as a list of Fraction tuples: for each
-    free column, 1 there, 0 at the other free columns and minus that
-    column of the reduced row echelon form at the pivots."""
-    den, basis = _int_nullspace(rows, ncols)
-    return [tuple(Fraction(v, den) for v in vec) for vec in basis]
 
 
 def solve_linear(rows, rhs, ncols):

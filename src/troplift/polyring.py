@@ -344,19 +344,6 @@ class OrderDescriptor:
         return f"OrderDescriptor({self.describe()})"
 
 
-def compare_monomials(m1, m2, order: OrderDescriptor) -> int:
-    """-1 when m1 precedes (leads) m2, +1 when m2 leads, 0 when equal.
-
-    In local mode the smaller weight level leads; in global mode the
-    larger level leads; ties fall to the fixed revlex tie-break.
-    """
-    m1, m2 = tuple(m1), tuple(m2)
-    if len(m1) != len(m2) or len(m1) != len(order.weights):
-        raise UsageError("exponent length does not match the order")
-    k1, k2 = order.key(m1), order.key(m2)
-    return (k1 < k2) - (k1 > k2)
-
-
 def leading_term(f: Polynomial, order: OrderDescriptor):
     """(exponent, coefficient) of the order-leading term."""
     if f.is_zero:
@@ -388,62 +375,6 @@ def initial_form(f: Polynomial, weights) -> Polynomial:
     return Polynomial(
         f.ring, {m: c for m, c in f.coeffs.items() if vals[m] == v0}
     )
-
-
-def homogenize_w(f: Polynomial, w_prime, homogenizers=None) -> Polynomial:
-    """Multiply every term up to the common top w'-level using the designated
-    homogenizing variables.
-
-    ``w_prime`` must be strictly positive integers.  Each term of weight
-    below the maximum is multiplied by a monomial in the homogenizing
-    variables making up the difference; the deterministic choice puts as much
-    weight as possible on the earliest homogenizer.  Substituting 1 for the
-    homogenizers recovers the input.
-    """
-    if f.is_zero:
-        return f
-    wp = []
-    for w in w_prime:
-        w = ValueScalar.of(w)
-        if not w.is_rational or w.to_fraction().denominator != 1 or w.sign() <= 0:
-            raise UsageError("homogenization weights must be positive integers")
-        wp.append(int(w.to_fraction()))
-    if len(wp) != f.ring.nvars():
-        raise UsageError("weight length does not match the ring")
-    homog = list(homogenizers or [])
-    levels = {m: sum(w * e for w, e in zip(wp, m)) for m in f.coeffs}
-    top = max(levels.values())
-    out = {}
-    for m, c in f.coeffs.items():
-        gap = top - levels[m]
-        if gap == 0:
-            out[tuple(m)] = c
-            continue
-        combo = _balance_gap(gap, [wp[i] for i in homog])
-        if combo is None:
-            raise UsageError(
-                f"cannot balance weight gap {gap} with homogenizers "
-                f"{[f.ring.vars[i] for i in homog]}"
-            )
-        m2 = list(m)
-        for i, e in zip(homog, combo):
-            m2[i] += e
-        out[tuple(m2)] = c
-    return Polynomial(f.ring, out)
-
-
-def _balance_gap(gap, weights):
-    """Nonnegative integer combo of weights summing to gap, greedy-first."""
-    if gap == 0:
-        return [0] * len(weights)
-    if not weights:
-        return None
-    w0 = weights[0]
-    for e in range(gap // w0, -1, -1):
-        rest = _balance_gap(gap - e * w0, weights[1:])
-        if rest is not None:
-            return [e] + rest
-    return None
 
 
 # -- ring maps --------------------------------------------------------------

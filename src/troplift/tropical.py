@@ -61,13 +61,17 @@ class TropMembership:
     witness_monomial: Polynomial | None
 
     def to_json_dict(self):
-        out = {"member": self.member}
-        out["query"] = [str(x) for x in self.query.entries]
-        if self.initial is not None:
-            out["initial"] = [poly_str(g) for g in self.initial.generators]
-        if self.witness_monomial is not None:
-            out["witness"] = poly_str(self.witness_monomial)
-        return out
+        witness = {}
+        if self.member:
+            if self.initial is not None:
+                witness["initial"] = [poly_str(g) for g in self.initial.generators]
+        elif self.witness_monomial is not None:
+            witness["monomial"] = poly_str(self.witness_monomial)
+        return {
+            "w": [str(x) for x in self.query.entries],
+            "member": self.member,
+            "witness": witness,
+        }
 
 
 def trop_member(I, query):

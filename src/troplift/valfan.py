@@ -112,17 +112,6 @@ class CosetValuationHandle:
         )
 
 
-def coset_valuation(g, handle):
-    """Value of the induced coset valuation at g; +infinity on members.
-
-    The handle carries the ideal, the weight, and the precomputed standard
-    basis, so repeated queries against the same pair are cheap.
-    """
-    if not isinstance(handle, CosetValuationHandle):
-        raise UsageError("expected a coset valuation handle")
-    return handle.value(g)
-
-
 def _sign_normalize(row):
     for v in row:
         if v != 0:
@@ -291,10 +280,24 @@ def init_additivity_check(I, f, w):
     weights = tuple(w)
     if initial_form(f, weights) != f:
         raise UsageError("polynomial is not homogeneous for the given weight")
-    data = initial_ideal(I, weights)
-    init_poly = data.polynomial_presentation()
-    quotient = ideal_quotient(init_poly, f)
-    if not ideals_equal(quotient, init_poly):
+    init_poly = initial_ideal(I, weights).polynomial_presentation()
+    nonzerodivisor, _, equal = _additivity(init_poly, I.with_extra([f]), f, weights)
+    if not nonzerodivisor:
         raise UsageError("polynomial is a zerodivisor modulo the initial ideal")
-    lhs = initial_ideal(I.with_extra([f]), weights)
-    return ideals_equal(lhs.polynomial_presentation(), init_poly.with_extra([f]))
+    return equal
+
+
+def _additivity(initial, extended, f, w):
+    """The additivity lemma at w for the w-homogeneous f, where initial
+    presents in_w(I) in the polynomial ring and extended presents I + (f).
+
+    Returns (nonzerodivisor, data, equal): whether in_w(I) : f = in_w(I),
+    and, for a nonzerodivisor, the initial data of I + (f) and whether
+    in_w(I + (f)) = in_w(I) + (f); for a zerodivisor, None and False.
+    """
+    if not ideals_equal(ideal_quotient(initial, f), initial):
+        return False, None, False
+    data = initial_ideal(extended, w)
+    return True, data, ideals_equal(
+        data.polynomial_presentation(), initial.with_extra([f])
+    )

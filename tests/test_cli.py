@@ -6,8 +6,12 @@ import signal
 from contextlib import contextmanager
 from pathlib import Path
 
+import pytest
+
 from test_acceptance import _GOLDEN_ARGVS
+from troplift import cli
 from troplift.cli import run
+from troplift.errors import InternalInvariantError
 
 # the cone at w=(1,1) whose ineq=-1,201 row, like init-ideal's y^201 + x,
 # comes from the 200-reduction cap on local tails
@@ -455,6 +459,41 @@ def test_pair_guard_exits_three(monkeypatch):
     )
     assert (code, out) == (3, "")
     assert err == "capability limit: standard basis needs over 2 S-pairs\n"
+
+
+def test_internal_invariant_errors_propagate(monkeypatch):
+    """A violated invariant is a bug, not an exit code: it leaves cli.run."""
+
+    def broken(I, query):
+        raise InternalInvariantError("broken invariant")
+
+    monkeypatch.setattr(cli, "trop_member", broken)
+    with pytest.raises(InternalInvariantError, match="broken invariant"):
+        cap(["trop-member", "--vars", "x,y", "--ideal", "y^2-x^3", "--w", "2,3"])
+
+
+_CUSP = ["--vars", "x,y", "--ideal", "y^2-x^3"]
+_CUSP_AT = _CUSP + ["--w", "2,3"]
+
+
+def test_seed_only_where_a_witness_search_reads_it():
+    for argv in (
+        ["init-form"] + _CUSP_AT,
+        ["init-ideal"] + _CUSP_AT,
+        ["coset-val", "--g", "x"] + _CUSP_AT,
+        ["cone"] + _CUSP_AT,
+        ["trop-member"] + _CUSP_AT,
+        ["trop-hyper"] + _CUSP,
+        ["tensor", "--vars2", "z", "--ideal2", "z", "--w2", "1"] + _CUSP_AT,
+        ["verify", "--N", "3", "--point", "t^(2);t^(3)"] + _CUSP_AT,
+        ["np-solve", "--coeffs=-t^(2);1", "--N", "3"],
+    ):
+        assert cap(argv)[0] == 0, argv
+        assert cap(argv + ["--seed", "1"]) == (
+            2, "", "usage error: unrecognized arguments: --seed 1\n"
+        ), argv
+    for argv in (["lift", "--N", "3"] + _CUSP_AT, ["trop-enum"] + _CUSP):
+        assert cap(argv + ["--seed", "1"])[0] == 0, argv
 
 
 def test_help_exits_zero():

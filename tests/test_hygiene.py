@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
-defines a top-level function or class nothing references, or imports inside
-a function body, or holds an assert statement (python -O strips them);
+defines a top-level function or class that only tests reference, or
+imports inside a function body, or holds an assert statement (python -O
+strips them);
 only PolyRing.order builds an OrderDescriptor; commands that factor never
 load sympy; every name the benchmark tracer wraps exists."""
 
@@ -115,6 +116,35 @@ def test_no_unreferenced_definitions():
         sources["tests/" + p.name] = (p.read_text(), False)
     found = [f"{file}: {name}" for file, name in unreferenced_definitions(sources)]
     assert not found, "unreferenced definitions:\n" + "\n".join(found)
+
+
+def caller_free_definitions(package):
+    """(file, name) of each top-level function or class of the package
+    ({file: source}) that no module of it references: the re-exports of
+    __init__.py do not count, and tests are not callers."""
+    return unreferenced_definitions(
+        {file: (source, True) for file, source in package.items() if file != "__init__.py"}
+    )
+
+
+def test_scan_finds_a_test_only_definition():
+    package = {
+        "a.py": "def api():\n    helper()\n\ndef helper():\n    pass\n\ndef tested():\n    pass\n",
+        "b.py": "from .a import api\napi()\n",
+        "__init__.py": "from .a import api, tested\n",
+    }
+    assert caller_free_definitions(package) == [("a.py", "tested")]
+
+
+# library entry points that no module of the package calls
+_CALLER_FREE_ALLOWED = {("valfan.py", "init_additivity_check")}
+
+
+def test_every_definition_has_a_caller_in_the_package():
+    package = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    found = set(caller_free_definitions(package))
+    # an allowed name that gains a caller leaves the list too
+    assert found == _CALLER_FREE_ALLOWED, f"called only from tests or __init__.py: {sorted(found)}"
 
 
 _LOCAL_IMPORTS_ALLOWED = set()

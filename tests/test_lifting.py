@@ -32,7 +32,7 @@ from troplift.lifting import (
     verify_lift,
 )
 from troplift.parsing import parse_poly
-from troplift.polyring import INF, PolyRing, initial_form
+from troplift.polyring import INF, PolyRing, initial_form, poly_str
 from troplift.scalars import (
     AlgebraicNumber,
     NumberField,
@@ -163,6 +163,91 @@ def test_descend_twice_four_variables():
     I3, s2 = descend(I2, w)
     assert s2.ok() and dimension(I3) == 1
     assert trop_member(I3, w).member
+
+
+def _step_text(step):
+    return (
+        [scalar_str(v) for v in step.x0],
+        [scalar_str(v) for v in step.y0],
+        poly_str(step.f_tilde),
+        poly_str(step.f),
+    )
+
+
+def test_descend_rejects_a_zerodivisor_then_cuts():
+    """x0 = (1,1,1) lies on the plane x2 = x1 of (x2-x1)(x3-2x1) and
+    y0 = (1,-1,2) on the other: the cuts x2^k - x1^k for odd k contain the
+    first plane and divide zero, the cut x3 - x1 does not."""
+    R = _ring("x1", "x2", "x3")
+    w = (1, 1, 1)
+    I = _local(R, ["(x2 - x1)*(x3 - 2*x1)"], w)
+    I2, step = descend(I, w, seed=0)
+    assert _step_text(step) == (["1", "1", "1"], ["1", "-1", "2"], "x3 - 1", "-x1 + x3")
+    assert step.integral_weight == (1, 1, 1)
+    assert step.slice_indices == (0,)
+    assert [poly_str(g) for g in step.J] == ["x1^2 - x1*x2 - 1/2*x1*x3 + 1/2*x2*x3"]
+    assert step.nonzerodivisor_ok and step.additivity_ok and step.monomial_free_ok
+    assert (step.dim_before, step.dim_after) == (2, 1)
+    assert I2.generators[-1] == step.f and dimension(I2) == 1
+
+
+def test_descend_reports_zerodivisor_cuts():
+    """x0 = (1,1,1) lies on both components of (x2-x1)(x3-x1), so every
+    cut through it divides zero; the attempts stop after 24."""
+    R = _ring("x1", "x2", "x3")
+    w = (1, 1, 1)
+    I = _local(R, ["(x2 - x1)*(x3 - x1)"], w)
+    with pytest.raises(DescentWitnessError) as info:
+        descend(I, w, seed=0)
+    assert str(info.value) == (
+        "no certified hyperplane cut found; tried: -x1 + x2 is a zerodivisor; "
+        "-x1^3 + x2^3 is a zerodivisor; -x1^5 + x2^5 is a zerodivisor; "
+        "-x1 + x2 is a zerodivisor"
+    )
+
+
+def test_descend_reports_failed_certificates(monkeypatch):
+    """A cut whose dimension does not drop is refused with its
+    certificates; dimension is stubbed, as a certified nonzerodivisor
+    always cuts the dimension by one."""
+    monkeypatch.setattr(lifting, "dimension", lambda J: 2)
+    R = _ring("x1", "x2", "x3")
+    w = (1, 1, 1)
+    with pytest.raises(DescentWitnessError) as info:
+        descend(_local(R, ["x1 + x2 + x3"], w), w)
+    certified = ": additivity True, monomial-free True, dim 2->2"
+    assert str(info.value) == "no certified hyperplane cut found; tried: " + "; ".join(
+        f + certified for f in ("2*x1 + x2", "-4*x1^2 + x2^2", "8*x1^3 + x2^3", "-16*x1^4 + x2^4")
+    )
+
+
+def test_descend_without_a_torus_point():
+    R = _ring("x1", "x2", "x3")
+    w = (1, 1, 1)
+    with pytest.raises(DescentWitnessError, match="no torus point on the sliced"):
+        descend(_local(R, ["x1"], w), w)
+
+
+def test_descend_at_an_irrational_weight():
+    """w = (2, r, 2 - r, 1) with r = sqrt 2 spans rank 2: the integral
+    weight comes from the search over rational approximations, and the
+    cut x2*x3 - x1 puts the slice variable x2 on the side of x3, whose
+    weight is 1*2 - 1*r."""
+    R = _ring("x1", "x2", "x3", "x4")
+    r = ValueScalar(0, 1, 2)
+    w = (ValueScalar(2), r, ValueScalar(2) - r, ValueScalar(1))
+    I = _local(R, ["x1 + x2*x3 - 2*x4^2"], w)
+    I2, step = descend(I, w, seed=0)
+    assert step.weights == w
+    assert step.integral_weight == (2, 1, 1, 1)
+    assert step.slice_indices == (0, 1)
+    assert _step_text(step) == (
+        ["1", "1", "1", "1"], ["1", "1", "-2", "a1"], "x3 - 1", "x2*x3 - x1"
+    )
+    assert [poly_str(g) for g in step.J] == ["x2*x3 - 2*x4^2 + x1"]
+    assert step.ok() and (step.dim_before, step.dim_after) == (3, 2)
+    assert initial_form(step.f, w) == step.f
+    assert dimension(I2) == 2 and trop_member(I2, w).member
 
 
 def _coeffs(field, polys, mode="puiseux"):
@@ -953,6 +1038,64 @@ def test_verify_lift_detects_mismatch():
     report = verify_lift(I, (t, t), (2, 3), 10)
     assert not report.ok()
     assert not all(ok for *_, ok in report.valuation_checks)
+
+
+def _traced_dfs(monkeypatch, names, texts, w, target=10):
+    """_dfs_solve from x = t^w[0], with the (assignment, result) of each
+    call it makes, outermost last, as text."""
+    calls = []
+    solve = lifting._dfs_solve
+
+    def tracing(I_cur, w, assignment, remaining, target, mode):
+        found = solve(I_cur, w, assignment, remaining, target, mode)
+        calls.append((
+            [str(assignment[i]) for i in sorted(assignment)],
+            None if found is None else [str(s) for s in found],
+        ))
+        return found
+
+    monkeypatch.setattr(lifting, "_dfs_solve", tracing)
+    R = _ring(*names)
+    I = _local(R, texts, w)
+    x = {0: ValuedSeries.monomial(R.field, as_value(w[0]), 1, "puiseux")}
+    point = tracing(I, w, x, list(range(1, len(names))), target, "puiseux")
+    return I, point, calls
+
+
+def test_dfs_backtracks_past_a_root_with_no_consistent_next_coordinate(monkeypatch):
+    """y^2 = x^2 gives y = t first; then z solves (2z - x + y)(z - x^2)
+    only by 0 and t^2, neither of valuation 1, so the search returns to
+    y = -t, where z = t lifts and verifies."""
+    w = (1, 1, 1)
+    I, point, calls = _traced_dfs(
+        monkeypatch, ("x", "y", "z"), ["y^2 - x^2", "(2*z - x + y)*(z - x^2)"], w
+    )
+    assert calls == [
+        (["t^(1)", "t^(1)"], None),
+        (["t^(1)", "-t^(1)", "t^(1)"], ["t^(1)", "-t^(1)", "t^(1)"]),
+        (["t^(1)", "-t^(1)"], ["t^(1)", "-t^(1)", "t^(1)"]),
+        (["t^(1)"], ["t^(1)", "-t^(1)", "t^(1)"]),
+    ]
+    assert verify_lift(LiftProblem(I, w, 10), point).ok()
+
+
+def test_dfs_skips_a_duplicate_root(monkeypatch):
+    """(y - x)^2 (y + x) has the double root y = t, which leaves y^3 (y + x)
+    at valuation 4 < 10; its second copy is skipped and y = -t verifies."""
+    w = (1, 1)
+    texts = ["(y - x)*(y - x)*(y + x)", "(y + x)*y^3"]
+    I, point, calls = _traced_dfs(monkeypatch, ("x", "y"), texts, w)
+    assert calls == [
+        (["t^(1)", "t^(1)"], None),
+        (["t^(1)", "-t^(1)"], ["t^(1)", "-t^(1)"]),
+        (["t^(1)"], ["t^(1)", "-t^(1)"]),
+    ]
+    assert verify_lift(LiftProblem(I, w, 10), point).ok()
+
+
+def test_dfs_without_a_relation_for_the_next_coordinate(monkeypatch):
+    _, point, calls = _traced_dfs(monkeypatch, ("x", "y"), ["x^2"], (1, 1))
+    assert point is None and calls == [(["t^(1)"], None)]
 
 
 def test_lift_deterministic():

@@ -1,4 +1,4 @@
-"""Polynomials, weight orders, initial forms, homogenization."""
+"""Polynomials, weight orders, initial forms."""
 
 import random
 from fractions import Fraction
@@ -13,8 +13,6 @@ from troplift.polyring import (
     INF,
     OrderDescriptor,
     PolyRing,
-    compare_monomials,
-    homogenize_w,
     initial_form,
     poly_str,
     w_order,
@@ -63,38 +61,34 @@ def test_initial_form_irrational_weight():
 
 
 def test_compare_monomials_examples():
+    """Monomials compare by OrderDescriptor.key: the larger key leads."""
     local = OrderDescriptor((ValueScalar(1), ValueScalar(2)), "local")
-    # x precedes y in local mode: smaller w-order leads
-    assert compare_monomials((1, 0), (0, 1), local) < 0
-    assert compare_monomials((1, 0), (1, 0), local) == 0
+    # x leads y in local mode: the smaller w-order leads
+    assert local.key((1, 0)) > local.key((0, 1))
+    assert local.key((1, 0)) == local.key((1, 0))
+    # x and y^2 share the level 2; the tie-break still tells them apart
     tie = OrderDescriptor((ValueScalar(2), ValueScalar(1)), "local")
-    first = compare_monomials((1, 0), (0, 2), tie)
-    assert first != 0
-    assert first == compare_monomials((1, 0), (0, 2), tie)
+    assert tie.key((1, 0)) != tie.key((0, 2))
 
 
 def test_compare_monomials_total_order():
+    """The keys of distinct monomials differ, so ranking by key is a total
+    order on monomials, and in each mode a lower weight level never loses
+    to a higher one in the wrong direction."""
     rng = random.Random(5)
-    local = OrderDescriptor((ValueScalar(2), ValueScalar(1), ValueScalar(1)), "local")
+    weights = (ValueScalar(2), ValueScalar(1), ValueScalar(1))
+    local = OrderDescriptor(weights, "local")
     glob = OrderDescriptor((ValueScalar(0),) * 3, "global")
-    monos = [
-        tuple(rng.randint(0, 4) for _ in range(3))
-        for _ in range(40)
-    ]
+    monos = {tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(40)}
     for order in (local, glob):
-        for a in monos[:12]:
-            for b in monos[:12]:
-                assert compare_monomials(a, b, order) == -compare_monomials(
-                    b, a, order
-                )
-        for a in monos[:8]:
-            for b in monos[:8]:
-                for c in monos[:8]:
-                    if (
-                        compare_monomials(a, b, order) < 0
-                        and compare_monomials(b, c, order) < 0
-                    ):
-                        assert compare_monomials(a, c, order) < 0
+        assert len({order.key(m) for m in monos}) == len(monos)
+    level = {m: wdot(weights, m) for m in monos}
+    for a in monos:
+        for b in monos:
+            if level[a] < level[b]:
+                assert local.key(a) > local.key(b)
+            if sum(a) < sum(b):
+                assert glob.key(a) < glob.key(b)
 
 
 def _reference_key(order, m):
@@ -162,32 +156,6 @@ def test_primitive_row_and_integer_levels():
     assert OrderDescriptor((0, 0, 0), "global").key((3, 1, 2))[0] == 0
     half = OrderDescriptor((Fraction(1, 2), Fraction(3, 2)), "local")
     assert half.key((1, 1))[0] == -4  # <(1, 3), (1, 1)>, negated locally
-
-
-def test_homogenize_examples():
-    R = _ring("x1", "x2", "x3")
-    f = _p(R, "x2 - 1")
-    assert homogenize_w(f, (1, 1, 1), homogenizers=[0]) == _p(R, "x2 - x1")
-    g = _p(R, "x2*x3 - 1")
-    assert homogenize_w(g, (1, 1, 1), homogenizers=[0]) == _p(R, "x2*x3 - x1^2")
-    h = _p(R, "x1 + x2")
-    assert homogenize_w(h, (1, 1, 1), homogenizers=[0]) == h
-
-
-def test_homogenize_restricts_back():
-    from troplift.polyring import substitute_scalars
-
-    R = _ring("x1", "x2", "x3")
-    f = _p(R, "x2^2 - x3 + 2")
-    g = homogenize_w(f, (1, 1, 2), homogenizers=[0])
-    assert substitute_scalars(g, {0: Fraction(1)}) == f
-
-
-def test_homogenize_error_when_unbalanced():
-    R = _ring("x1", "x2")
-    with pytest.raises(UsageError):
-        # gap 1 cannot be balanced by a weight-2 homogenizer
-        homogenize_w(_p(R, "x2 - 1"), (2, 1), homogenizers=[0])
 
 
 def _random_poly(R, rng, terms=4, deg=3):

@@ -8,7 +8,7 @@ import pytest
 from troplift import linalg
 from troplift.errors import CapabilityError, UsageError
 from troplift.ideals import dimension, presentation
-from troplift.linalg import _fm_strict_point, find_strict_point, nullspace
+from troplift.linalg import _fm_strict_point, _int_nullspace, find_strict_point
 from troplift.parsing import parse_poly
 from troplift.polyring import INF, PolyRing, poly_str
 from troplift.scalars import NumberField
@@ -148,7 +148,7 @@ def _interior_samples(cone, rng, count=5):
     base = cone.interior_point()
     if base is None:
         return []
-    basis = nullspace(cone.eq, n)
+    basis = _ref_nullspace(cone.eq, n)
     out = []
     for _ in range(count):
         cand = list(base)
@@ -223,11 +223,11 @@ def test_membership_json_shape():
     R = _ring("x", "y")
     I = _ideal(R, ["x + y"])
     d = trop_member(I, (1, 2)).to_json_dict()
-    assert d["member"] is False
-    assert d["witness"] == "x"
+    assert d == {"w": ["1", "2"], "member": False, "witness": {"monomial": "x"}}
     d2 = trop_member(I, (1, 1)).to_json_dict()
-    assert d2["member"] is True
-    assert "initial" in d2
+    assert d2 == {"w": ["1", "1"], "member": True, "witness": {"initial": ["x + y"]}}
+    d3 = trop_member(I, (INF, INF)).to_json_dict()
+    assert d3 == {"w": ["inf", "inf"], "member": True, "witness": {}}
 
 
 def test_fourier_motzkin_row_bound_is_a_capability_error():
@@ -395,7 +395,10 @@ def test_integer_strict_point_search_matches_the_fraction_search():
             ]
         drop = trial % 2 == 0
         if eqs:
-            assert nullspace(eqs, n) == _ref_nullspace(eqs, n)
+            den, basis = _int_nullspace(eqs, n)
+            assert [tuple(Fraction(v, den) for v in vec) for vec in basis] == (
+                _ref_nullspace(eqs, n)
+            )
         got = _outcome(find_strict_point, eqs, stricts, n, drop)
         want = _outcome(_ref_find_strict_point, eqs, stricts, n, drop)
         assert got == want, (eqs, stricts, drop)

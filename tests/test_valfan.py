@@ -10,11 +10,11 @@ from troplift import ideals
 from troplift.errors import UsageError
 from troplift.ideals import ideal_member, ideals_equal, presentation
 from troplift.parsing import parse_poly
-from troplift.polyring import INF, PolyRing, initial_form, w_order
+from troplift.polyring import INF, PolyRing, initial_form, poly_str, w_order
 from troplift.scalars import NumberField, ValueScalar
 from troplift.valfan import (
     CosetValuationHandle,
-    coset_valuation,
+    _additivity,
     groebner_cone,
     init_additivity_check,
     initial_ideal,
@@ -71,9 +71,9 @@ def test_coset_valuation_examples():
     I = _ideal(R, ["x - y - y^2"], (1, 1))
     h = CosetValuationHandle(I, (1, 1))
     assert h.monomial_free
-    assert coset_valuation(_p(R, "x - y"), h) == ValueScalar(2)
-    assert coset_valuation(_p(R, "x - y - y^2"), h) is INF
-    assert coset_valuation(_p(R, "y"), h) == ValueScalar(1)
+    assert h.value(_p(R, "x - y")) == ValueScalar(2)
+    assert h.value(_p(R, "x - y - y^2")) is INF
+    assert h.value(_p(R, "y")) == ValueScalar(1)
 
 
 def test_coset_valuation_constants_are_zero():
@@ -353,6 +353,41 @@ def test_init_additivity_rejects_inhomogeneous():
     I = _ideal(R, ["x + y"], (1, 1))
     with pytest.raises(UsageError):
         init_additivity_check(I, _p(R, "x + y^2"), (1, 1))
+
+
+def _lemma(ring, texts, f, w):
+    """_additivity on in_w(I) and I + (f), with the initial generators of
+    I + (f) as text."""
+    I = _ideal(ring, texts, w)
+    f = _p(ring, f)
+    initial = initial_ideal(I, w).polynomial_presentation()
+    nonzerodivisor, data, equal = _additivity(initial, I.with_extra([f]), f, w)
+    gens = None if data is None else [poly_str(g) for g in data.generators]
+    return nonzerodivisor, gens, equal
+
+
+def test_additivity_lemma_on_nonzerodivisors():
+    R = _ring("x1", "x2", "x3")
+    assert _lemma(R, ["x1 + x2 + x3"], "x2 - x1", (1, 1, 1)) == (
+        True, ["x1 + 1/2*x3", "x2 + 1/2*x3"], True
+    )
+    assert _lemma(R, [], "x3 - x2", (1, 1, 1)) == (True, ["x2 - x3"], True)
+    assert _lemma(_ring("x", "y"), ["y^2 - x^3"], "x", (2, 3)) == (
+        True, ["x", "y^2"], True
+    )
+
+
+def test_additivity_lemma_on_a_zerodivisor():
+    assert _lemma(_ring("x", "y"), ["x*y"], "x", (1, 1)) == (False, None, False)
+
+
+def test_additivity_lemma_needs_a_homogeneous_cut():
+    """x + y^2 is no zerodivisor modulo (x + y), but it is not homogeneous:
+    y - 1 is a unit, so in_w(I + (f)) = (x, y) while (x + y, x + y^2) has
+    the point (-1, 1)."""
+    assert _lemma(_ring("x", "y"), ["x + y"], "x + y^2", (1, 1)) == (
+        True, ["x", "y"], False
+    )
 
 
 def test_initial_ideal_reuses_a_presentation_local_at_the_weight(monkeypatch):
