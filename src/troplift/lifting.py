@@ -47,7 +47,7 @@ from .polyring import (
     project,
     substitute_scalars,
 )
-from .scalars import ValueScalar, as_value, roots_in_extension
+from .scalars import AlgebraicNumber, ValueScalar, _make, as_value, roots_in_extension
 from .series import (
     ValuedSeries,
     poly_to_series_coeffs,
@@ -454,6 +454,9 @@ def newton_puiseux(coeffs, N, mode="puiseux"):
     exponent units of _grid; a ValueScalar is built only for the exponents
     of a returned root or an error message.  When every coefficient is
     rational, the walk runs on the primitive int polynomial (_primitive).
+    Of a conjugate pair of simple edge roots on a quadratic level that the
+    node adjoined, only the first is walked (_np_node); the second costs
+    its source's node count against the node budget.
     """
     coeffs = list(coeffs)
     if not coeffs:
@@ -475,21 +478,24 @@ def newton_puiseux(coeffs, N, mode="puiseux"):
         [(into(c.truncation), [(into(e), a) for e, a in c.terms]) for c in coeffs]
     )
     # depth-first walk of the Newton polygon tree on an explicit stack of
-    # node generators, so the depth is bounded by the node budget alone
+    # (node generator, budget left after it), so the depth is bounded by the
+    # node budget alone.  A node yields a child, and is sent its roots and
+    # the number of nodes its subtree took, or yields the node count of a
+    # mirrored branch, which is charged as if that branch were walked.
     budget = _NP_NODE_LIMIT
-    stack, roots = [], None
-    child = (coeffs, (), None)
+    stack, request, sent = [], (coeffs, (), None), None
     while True:
-        if child is not None:
+        if request.__class__ is tuple:
             budget -= 1
-            if budget < 0:
-                raise CapabilityError("root search exceeded its node budget")
-            stack.append(_np_node(*child, N, field, back))
-            roots = None
+            stack.append((_np_node(*request, N, field, back), budget))
+        elif request is not None:
+            budget -= request
+        if budget < 0:
+            raise CapabilityError("root search exceeded its node budget")
         try:
-            child = stack[-1].send(roots)
+            request, sent = stack[-1][0].send(sent), None
         except StopIteration as done:
-            stack.pop()
+            _, left = stack.pop()
             if not stack:
                 return [
                     object.__new__(ValuedSeries)._build(
@@ -497,14 +503,35 @@ def newton_puiseux(coeffs, N, mode="puiseux"):
                     )
                     for acc, t in done.value
                 ]
-            child, roots = None, done.value
+            request, sent = None, (done.value, left - budget + 1)
+
+
+def _conjugate(field, level, x):
+    """sigma(x) for the automorphism theta -> -m1 - theta of a level of
+    degree 2, theta^2 + m1*theta + m0 = 0, which fixes the levels below
+    it; x lies at a level <= level."""
+    if x.__class__ is not AlgebraicNumber or x.level < level:
+        return x
+    (c0, c1), m1 = x.coeffs, field.levels[level - 1].minpoly[1]
+    return _make(field, level, (c0 - c1 * m1, -c1))
+
+
+def _mirror(field, level, branch):
+    """The branch of sigma(theta) from the branch of theta, for sigma the
+    conjugation of a quadratic level (_conjugate): the same exponents and
+    truncations, each coefficient mapped by sigma."""
+    return [
+        (tuple((e, _conjugate(field, level, a)) for e, a in acc), trunc)
+        for acc, trunc in branch
+    ]
 
 
 def _np_node(coeffs, acc, slope_bound, N, field, back):
     """One node of the Newton polygon tree, as a generator: it yields
     (coeffs, acc, slope bound) for each child branch in turn, is sent that
-    branch's roots, and returns the roots of the node as (acc, truncation)
-    pairs.  Exponents are in the walk's units (back maps them out).
+    branch's roots and node count, and returns the roots of the node as
+    (acc, truncation) pairs.  Exponents are in the walk's units (back maps
+    them out).
 
     acc holds the (exponent, coefficient) terms chosen above the node.
     Slopes strictly increase along a branch and edge roots are nonzero, so
@@ -514,7 +541,19 @@ def _np_node(coeffs, acc, slope_bound, N, field, back):
     roots come from monic factors, and only exponents and indices reach an
     error text.  A root a/b shifts by (a, b), so int coefficients stay
     ints, made primitive again for b > 1; the hull is compared
-    cross-multiplied over each edge, with no Fraction."""
+    cross-multiplied over each edge, with no Fraction.
+
+    Conjugate edge roots are walked once.  Let theta be a simple edge root
+    on a level L that this node's roots_in_extension adjoined, with a
+    minimal polynomial of degree 2.  Its conjugate sigma(theta)
+    (_conjugate) is an edge root too, as sigma fixes the node polynomial,
+    which lies below L.  A simple root's branch is a chain of linear
+    edges that adjoins nothing, so when its coefficients lie at levels
+    <= L, the branch of sigma(theta) is its image under sigma (_mirror).
+    The second root of the pair then yields its source's node count
+    instead of a child.  A multiple root, a root on a level of degree > 2
+    and a root on a level that existed before the edge was split are
+    walked."""
     certain = [i for i, (_, terms) in enumerate(coeffs) if terms]
     if not certain:
         if all(trunc is INF for trunc, _ in coeffs):
@@ -566,8 +605,15 @@ def _np_node(coeffs, acc, slope_bound, N, field, back):
                 phi.append(coeffs[i][1][0][1])
             else:
                 phi.append(0)
-        _, phi_roots = roots_in_extension(field, phi)
+        height = field.height()
+        fld, phi_roots = roots_in_extension(field, phi)
+        mirrors = {}  # sigma(theta) -> (L, branch of theta, its node count)
         for root_c, mult in phi_roots:
+            if mirrors and root_c in mirrors:
+                level, branch, nodes = mirrors.pop(root_c)
+                yield nodes
+                roots.extend(_mirror(fld, level, branch))
+                continue
             if root_c.__class__ is Fraction:
                 a, b = root_c.numerator, root_c.denominator
                 new_coeffs = _taylor_shift(coeffs, a, omega, b)
@@ -575,13 +621,24 @@ def _np_node(coeffs, acc, slope_bound, N, field, back):
                     new_coeffs = _primitive(new_coeffs)
             else:
                 new_coeffs = _taylor_shift(coeffs, root_c, omega)
-            branch = yield new_coeffs, acc + ((omega, root_c),), omega
+            branch, nodes = yield new_coeffs, acc + ((omega, root_c),), omega
             if len(branch) != mult:
                 raise InternalInvariantError(
                     "edge branch returned %d roots, expected %d"
                     % (len(branch), mult)
                 )
             roots.extend(branch)
+            level = root_c.level if root_c.__class__ is AlgebraicNumber else 0
+            if (
+                mult == 1
+                and level > height
+                and fld.levels[level - 1].degree == 2
+                and all(
+                    a.__class__ is not AlgebraicNumber or a.level <= level
+                    for _, a in branch[0][0]
+                )
+            ):
+                mirrors[_conjugate(fld, level, root_c)] = level, branch, nodes
     return roots
 
 

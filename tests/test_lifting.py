@@ -31,7 +31,7 @@ from troplift.lifting import (
     rational_span,
     verify_lift,
 )
-from troplift.parsing import parse_poly
+from troplift.parsing import parse_poly, parse_series
 from troplift.polyring import INF, PolyRing, initial_form, poly_str
 from troplift.scalars import (
     AlgebraicNumber,
@@ -734,9 +734,11 @@ def _np_case(seed):
     z^2 - d*u^2, whose edge roots +-sqrt(d) are algebraic.  Some products
     are scaled by an int, so their content is not 1.  Some fields start as
     Q(a1), a1^2 = 3, with a1 in the coefficients of one factor, so that
-    rational edge roots meet tower coefficients.  The coefficients are
-    exact, or some are truncated at one cut; N is sometimes off the
-    exponent grid or irrational."""
+    rational edge roots meet tower coefficients; there u may have
+    coefficients in Q(a1), and d is 3 (the pair splits over Q(a1)) one
+    time in four, else 2 or 5 (the pair adjoins a level 2).  The
+    coefficients are exact, or some are truncated at one cut; N is
+    sometimes off the exponent grid or irrational."""
     rng = random.Random(seed)
     mode = rng.choice(["puiseux", "hahn"])
     field = NumberField()
@@ -765,8 +767,12 @@ def _np_case(seed):
     if rng.random() < 0.2:
         factors.append([zero, one])
     for _ in range(pairs):
-        u = series()
-        factors.append([-(u * u).scale(rng.choice([2, 3, 5])), zero, one])
+        if a1 is None:
+            u, d = series(), rng.choice([2, 3, 5])
+        else:
+            u = series(a1 + 1 if rng.random() < 0.5 else 1)
+            d = rng.choice([2, 3, 5, 5])
+        factors.append([-(u * u).scale(d), zero, one])
     coeffs = _poly_product(field, factors, mode)
     if rng.random() < 0.3:
         k = rng.choice([2, 6, 35])
@@ -780,10 +786,9 @@ def _np_case(seed):
     return field, coeffs, N, mode
 
 
-def _np_outcome(solve, seed):
+def _outcome(solve, field, coeffs, N, mode):
     """The roots' texts, exponents and truncations and the field tower, or
     the error's type and text."""
-    field, coeffs, N, mode = _np_case(seed)
     try:
         roots = solve(coeffs, N, mode)
     except (CapabilityError, UsageError) as exc:
@@ -804,12 +809,31 @@ def _np_outcome(solve, seed):
     )
 
 
+def _np_outcome(solve, seed):
+    return _outcome(solve, *_np_case(seed))
+
+
+def _counting(monkeypatch, name):
+    """Replace lifting.<name> by a wrapper that appends to the returned
+    list on each call."""
+    calls, f = [], getattr(lifting, name)
+
+    def counting(*args):
+        calls.append(1)
+        return f(*args)
+
+    monkeypatch.setattr(lifting, name, counting)
+    return calls
+
+
 def test_grid_walk_matches_the_value_scalar_walk(monkeypatch):
     """newton_puiseux on the exponent grid gives the roots, truncations,
     tower and errors of the walk on ValueScalar exponents, in both modes.
     On a grid too coarse for the roots (L0 of the constant coefficient
     alone), slopes and bounds fall off it as Fractions, and the puiseux
-    walk still matches exactly."""
+    walk still matches exactly.  Conjugate pairs are mirrored in both
+    modes, on rational input, on tower input (the pair on level 2) and on
+    truncated input."""
     grid, ratio = lifting._grid, lifting._ratio
     off_grid = []
 
@@ -819,11 +843,18 @@ def test_grid_walk_matches_the_value_scalar_walk(monkeypatch):
             off_grid.append(q)
         return q
 
+    mirrored = _counting(monkeypatch, "_mirror")
     kinds = Counter()
     for seed in range(160):
         want = _np_outcome(_ref_newton_puiseux, seed)
+        mirrored.clear()
         assert _np_outcome(newton_puiseux, seed) == want, seed
         field, coeffs, N, mode = _np_case(seed)
+        truncated = any(c.truncation is not INF for c in coeffs)
+        for kind in ("tower input" if field.height() else "rational",) + (
+            ("truncated",) if truncated else ()
+        ):
+            kinds[mode, "mirrored " + kind] += len(mirrored)
         if mode == "puiseux":
             with monkeypatch.context() as m:
                 m.setattr(lifting, "_grid", lambda coeffs, mode: grid(coeffs[:1], mode))
@@ -833,7 +864,7 @@ def test_grid_walk_matches_the_value_scalar_walk(monkeypatch):
             kinds[mode, want[0].__name__] += 1
         else:
             kinds[mode, "tower" if want[2] else "rational"] += 1
-            if any(c.truncation is not INF for c in coeffs):
+            if truncated:
                 kinds[mode, "truncated"] += 1
             if field.height():
                 kinds[mode, "tower input"] += 1
@@ -844,9 +875,112 @@ def test_grid_walk_matches_the_value_scalar_walk(monkeypatch):
                 kinds[mode, "denominator"] += 1
     for mode in ("puiseux", "hahn"):
         for kind in ("InsufficientTruncationError", "tower", "rational", "truncated",
-                     "tower input", "content", "denominator"):
+                     "tower input", "content", "denominator", "mirrored rational",
+                     "mirrored tower input", "mirrored truncated"):
             assert kinds[mode, kind] >= 2, kinds
     assert len(off_grid) >= 10
+
+
+def _text_case(text, mode="puiseux"):
+    """A fresh field and the coefficients of np-solve's --coeffs text; the
+    field is Q(a1), a1^2 = 3, when the text names a1."""
+    field = NumberField()
+    if "a1" in text:
+        field.adjoin("a1", [-3, 0, 1])
+    return field, [parse_series(part, field, mode) for part in text.split(";")]
+
+
+@pytest.mark.parametrize("mode", ["puiseux", "hahn"])
+def test_conjugate_edge_roots_are_walked_once(monkeypatch, mode):
+    """Each walk equals the reference's, tower included.  A double quadratic
+    root, (z^2 - 2t^2)^2, is walked as today.  Two quadratics on one edge,
+    (z^2 - 2t^2)(z^2 - 3t^2), mirror both pairs, and the roots print in
+    the order -a1, -a2, a1, a2.  (z^2 - 2t^2)(z^4 + t^4) adjoins a2 with
+    z^2 - a1*z + 1 over Q(a1): all three pairs are mirrored, 3 shifts for
+    6 roots.  A pair that runs to N, sqrt(2)*t*(1 + t)^(1/2), is mirrored
+    term by term.  Over Q(a1), a1^2 = 3, (z - a1*t)(z + a1*t + t^2) has
+    the edge roots +-a1 on a level that the node did not adjoin, and
+    a1 -> -a1 does not fix it: both are walked.  Past the degree cap,
+    z^3 - 2t^3 - t^4 adjoins a cubic a1, which is walked, and a2 with
+    z^2 + a1*z + a1^2, whose pair is mirrored."""
+    mirrored = _counting(monkeypatch, "_mirror")
+    shifts = _counting(monkeypatch, "_taylor_shift")
+    cases = [
+        ("4*t^(4);0;-4*t^(2);0;1", 0, 2),
+        ("6*t^(4);0;-5*t^(2);0;1", 2, 2),
+        ("-2*t^(6);0;t^(4);0;-2*t^(2);0;1", 3, 3),
+        ("-2*t^(2)-2*t^(3);0;1", 1, None),
+        ("-3*t^(2)-a1*t^(3);t^(2);1", 0, 3),
+        ("-2*t^(3)-t^(4);0;0;1", 1, None),
+    ]
+    roots, _, _ = _outcome(newton_puiseux, *_text_case(cases[1][0], mode), 4, mode)
+    assert roots == ["-a1*t^(1)", "-a2*t^(1)", "a1*t^(1)", "a2*t^(1)"]
+    roots, _, tower = _outcome(newton_puiseux, *_text_case(cases[2][0], mode), 4, mode)
+    assert len(roots) == 6 and tower[1] == ("a2", ["1", "-a1", "1"])
+    for text, n_mirrored, n_shifts in cases:
+        if text == cases[-1][0]:
+            monkeypatch.setattr(scalars, "_MAX_ADJOIN_DEGREE", 32)
+        want = _outcome(_ref_newton_puiseux, *_text_case(text, mode), 4, mode)
+        del mirrored[:], shifts[:]
+        got = _outcome(newton_puiseux, *_text_case(text, mode), 4, mode)
+        assert got == want, text
+        assert len(mirrored) == n_mirrored, text
+        assert n_shifts is None or len(shifts) == n_shifts, text
+
+
+def test_a_mirrored_branch_costs_its_source_nodes(monkeypatch):
+    """(z^2 - 3t^4)(z^2 - 2t^2 - 2t^3): at every node budget up to the one
+    the reference walk needs, newton_puiseux gives the reference's roots or
+    error, and its tower.  The mirrored branch of the pair that runs to N
+    is charged its source's nodes, so one node short of the reference's
+    need raises the same CapabilityError."""
+    text = "6*t^(6)+6*t^(7);0;-2*t^(2)-2*t^(3)-3*t^(4);0;1"
+    mirrored = _counting(monkeypatch, "_mirror")
+    outcomes = []
+    for limit in range(1, 100):
+        monkeypatch.setattr(lifting, "_NP_NODE_LIMIT", limit)
+        want = _outcome(_ref_newton_puiseux, *_text_case(text), 6, "puiseux")
+        del mirrored[:]
+        assert _outcome(newton_puiseux, *_text_case(text), 6, "puiseux") == want, limit
+        outcomes.append(want)
+        if len(want) == 3:
+            break
+    assert len(mirrored) == 2 and len(outcomes) > 10
+    assert outcomes[-2] == (CapabilityError, "root search exceeded its node budget")
+
+
+def test_conjugation_of_a_quadratic_level_is_an_automorphism():
+    """sigma: theta -> -m1 - theta on a top level of degree 2 is additive,
+    multiplicative and an involution, fixes the levels below, and maps
+    theta to the other root of its minimal polynomial z^2 + m1*z + m0:
+    on Q(a1) with a1^2 + a1 + 1 = 0, and on Q(a1, a2) with a1^2 = 2 and
+    a2^2 - a1*a2 + 1 = 0."""
+    rng = random.Random(5)
+    cyclotomic = NumberField()
+    cyclotomic.adjoin("a1", [1, 1, 1])
+    tower = NumberField()
+    tower.adjoin("a2", [1, -tower.adjoin("a1", [-2, 0, 1]), 1])
+    for field in (cyclotomic, tower):
+        top = field.height()
+
+        def element(level):
+            if not level:
+                return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            return element(level - 1) + element(level - 1) * field.generator(level)
+
+        def sigma(x):
+            return lifting._conjugate(field, top, x)
+
+        for _ in range(100):
+            x, y, low = element(top), element(top), element(top - 1)
+            assert sigma(x * y) == sigma(x) * sigma(y)
+            assert sigma(x + y) == sigma(x) + sigma(y)
+            assert sigma(sigma(x)) == x
+            assert sigma(low) == low
+        m0, m1, _ = field.levels[top - 1].minpoly
+        theta = field.generator(top)
+        assert sigma(theta) != theta
+        assert theta + sigma(theta) == -m1 and theta * sigma(theta) == m0
 
 
 def test_walk_on_rational_input_shifts_int_terms(monkeypatch):
