@@ -47,7 +47,14 @@ from .polyring import (
     project,
     substitute_scalars,
 )
-from .scalars import AlgebraicNumber, ValueScalar, _make, as_value, roots_in_extension
+from .scalars import (
+    AlgebraicNumber,
+    ValueScalar,
+    _make,
+    as_field_element,
+    as_value,
+    roots_in_extension,
+)
 from .series import (
     ValuedSeries,
     poly_to_series_coeffs,
@@ -537,11 +544,13 @@ def _np_node(coeffs, acc, slope_bound, N, field, back):
     Slopes strictly increase along a branch and edge roots are nonzero, so
     appending keeps it sorted, and each root is built from it once.
 
-    The node polynomial matters only up to a nonzero constant factor: edge
-    roots come from monic factors, and only exponents and indices reach an
-    error text.  A root a/b shifts by (a, b), so int coefficients stay
-    ints, made primitive again for b > 1; the hull is compared
-    cross-multiplied over each edge, with no Fraction.
+    A linear edge polynomial is solved here by one division; the others
+    go to roots_in_extension, which solves a quadratic by a square root,
+    not by factoring.  The node polynomial matters only up to a nonzero
+    constant factor: edge roots come from monic factors, and only
+    exponents and indices reach an error text.  A root a/b shifts by
+    (a, b), so int coefficients stay ints, made primitive again for b > 1;
+    the hull is compared cross-multiplied over each edge, with no Fraction.
 
     Conjugate edge roots are walked once.  Let theta be a simple edge root
     on a level L that this node's roots_in_extension adjoined, with a
@@ -606,7 +615,15 @@ def _np_node(coeffs, acc, slope_bound, N, field, back):
             else:
                 phi.append(0)
         height = field.height()
-        fld, phi_roots = roots_in_extension(field, phi)
+        if len(phi) == 2:  # a linear edge: one division, nothing adjoined
+            a0, a1 = phi
+            if a0.__class__ is int and a1.__class__ is int:
+                root_c = Fraction(-a0, a1)
+            else:
+                root_c = -as_field_element(field, a0) / as_field_element(field, a1)
+            fld, phi_roots = field, [(root_c, 1)]
+        else:
+            fld, phi_roots = roots_in_extension(field, phi)
         mirrors = {}  # sigma(theta) -> (L, branch of theta, its node count)
         for root_c, mult in phi_roots:
             if mirrors and root_c in mirrors:

@@ -19,16 +19,21 @@ Two kinds of scalars live here and never mix:
   algebraic, so the particular conjugate returned by ``adjoin_root`` is
   immaterial.
 
-Univariate factorization over a tower is done by Trager's norm descent to Q,
-each norm the characteristic polynomial of a multiplication map one level
-down; the rational leaf is factored over Z by Zassenhaus's method: factor
-modulo the first odd prime that keeps the polynomial squarefree, Hensel-lift
-the factors and recombine them by trial division.  ``roots_in_extension``
-adjoins a root theta of one irreducible factor f at a time and divides f by
-z - theta, so only the cofactor is factored over the extended field, never
-f itself.  Factoring a degree-n polynomial over a tower of degree D is
-capped at n * D <= 8 (the degree of the norm down to Q), and the cap still
-applies to f as a whole once theta is adjoined.
+A quadratic over a tower whose levels are all quadratic is split by a
+square root of its discriminant (``_sqrt``: ``math.isqrt`` on numerator and
+denominator over Q, and on a quadratic level a descent one level down by
+completing the square), and ``roots_in_extension`` solves it that way
+directly.  Any other univariate factorization over a tower is done by
+Trager's norm descent to Q, each norm the characteristic polynomial of a
+multiplication map one level down; the rational leaf is factored over Z by
+Zassenhaus's method: factor modulo the first odd prime that keeps the
+polynomial squarefree, Hensel-lift the factors and recombine them by trial
+division.  ``roots_in_extension`` adjoins a root theta of one irreducible
+factor f at a time and divides f by z - theta, so only the cofactor is
+factored over the extended field, never f itself.  Factoring a degree-n
+polynomial over a tower of degree D is capped at n * D <= 8 (the degree of
+the norm down to Q), whichever method is used, and the cap still applies to
+f as a whole once theta is adjoined.
 """
 
 from __future__ import annotations
@@ -988,12 +993,66 @@ def _check_degree_cap(field, level, n):
             )
 
 
+def _all_quadratic(field, level):
+    return all(lv.degree == 2 for lv in field.levels[:level])
+
+
+def _sqrt(field, level, x):
+    """A square root of x in the tower up to the given level, all of whose
+    levels are quadratic, or None when x is not a square there.
+
+    Over Q, x is a square iff its numerator and denominator are.  On level
+    k with minimal polynomial z^2 + m1*z + m0, u = theta + m1/2 squares to
+    D = m1^2/4 - m0 in the field F one level down; write x = a + b*u with
+    a, b in F.  For b = 0, x is a square iff a is a square in F, or a/D is,
+    and then sqrt(a/D)*u is a root.  For b != 0, (c + e*u)^2 = x gives
+    (c^2 - e^2*D)^2 = a^2 - b^2*D and c^2 = (a + n)/2 for one root n of
+    a^2 - b^2*D, so x is a square iff that has a root n in F and
+    (a + n)/2 or (a - n)/2 is a nonzero square c^2 in F; then e = b/(2c).
+    """
+    if level == 0:
+        if x < 0:
+            return None
+        num, den = math.isqrt(x.numerator), math.isqrt(x.denominator)
+        if num * num != x.numerator or den * den != x.denominator:
+            return None
+        return Fraction(num, den)
+    m0, m1 = field.levels[level - 1].minpoly[:2]
+    half = m1 / 2
+    u = field.generator(level) + half
+    D = half * half - m0
+    if x.__class__ is not AlgebraicNumber or x.level < level:
+        root = _sqrt(field, level - 1, x)
+        if root is None:
+            root = _sqrt(field, level - 1, x / D)
+            if root is not None:
+                root = root * u
+        return root
+    a, b = x.coeffs[0] - x.coeffs[1] * half, x.coeffs[1]
+    n = _sqrt(field, level - 1, a * a - b * b * D)
+    if n is None:
+        return None
+    for c2 in (a + n, a - n):
+        c = _sqrt(field, level - 1, c2 / 2)
+        if c:
+            return c + b / (2 * c) * u
+    return None
+
+
 def _factor_squarefree(field, level, f):
-    """Irreducible monic factors of a squarefree monic polynomial."""
+    """Irreducible monic factors of a squarefree monic polynomial.  A
+    quadratic over a tower of quadratic levels splits iff its discriminant
+    has a square root (_sqrt); anything else goes down Trager's norms to
+    Zassenhaus's method over Q."""
     f = _pmonic(f)
     if _pdeg(f) <= 1:
         return [f]
     _check_degree_cap(field, level, _pdeg(f))
+    if _pdeg(f) == 2 and _all_quadratic(field, level):
+        s = _sqrt(field, level, f[1] * f[1] - 4 * f[0])
+        if s is None:
+            return [f]
+        return sorted([[(f[1] + s) / 2, _ONE], [(f[1] - s) / 2, _ONE]], key=_poly_sort_key)
     if level == 0:
         return _factor_rational_squarefree(f)
     theta = field.generator(level)
@@ -1112,13 +1171,18 @@ def roots_in_extension(field, coeffs):
     """All roots of the polynomial, adjoining as needed.
 
     Returns (field, [(root, multiplicity)]) with the list in deterministic
-    order and total multiplicity equal to the degree.  The polynomial is
-    factored over the current field; the canonically first nonlinear factor
-    f is adjoined as theta, which is a root with f's multiplicity, and f is
-    deflated to f / (z - theta), so no adjoined factor is factored again.
-    The degree cap still applies to f as a whole over the extended field,
-    and fails when its cofactor comes up, before the cofactor is solved or
-    factored.
+    order and total multiplicity equal to the degree.  A linear polynomial
+    is solved by a division.  A quadratic z^2 + p*z + q over a tower of
+    quadratic levels is solved by a square root s of its discriminant, to
+    (-p +- s)/2, or to the double root -p/2 when the discriminant is zero;
+    with no s in the field, z^2 + p*z + q is adjoined as below.  Any other
+    polynomial is factored over the current field; the canonically first
+    nonlinear factor f is adjoined as theta, which is a root with f's
+    multiplicity, and f is deflated to f / (z - theta), so no adjoined
+    factor is factored again.  The degree cap applies to a quadratic and a
+    factored polynomial alike, and to f as a whole over the extended field,
+    where it fails when the cofactor comes up, before the cofactor is solved
+    or factored.
     """
     cs = _pnorm([as_field_element(field, c) for c in coeffs])
     if _pdeg(cs) < 1:
@@ -1139,6 +1203,22 @@ def roots_in_extension(field, coeffs):
             _check_degree_cap(field, field.height(), adjoined)
         if len(poly) == 2:  # solved, not factored
             out.append((-poly[0] / poly[1], mult))
+            continue
+        level = field.height()
+        if len(poly) == 3 and _all_quadratic(field, level):
+            p, q = poly[1] / poly[2], poly[0] / poly[2]
+            disc = p * p - 4 * q
+            if not disc:
+                out.append((-p / 2, 2 * mult))
+                continue
+            _check_degree_cap(field, level, 2)
+            s = _sqrt(field, level, disc)
+            if s is not None:
+                out += [((-p + s) / 2, mult), ((-p - s) / 2, mult)]
+                continue
+            theta = _adjoin_factor(field, [q, p, _ONE])
+            out.append((theta, mult))
+            pending.append(([p + theta, _ONE], mult, 2))
             continue
         _, factors = factor_univariate(field, poly)
         nonlinear = [(f, mult * m) for f, m in factors if len(f) > 2]

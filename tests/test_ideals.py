@@ -835,8 +835,9 @@ def test_torus_point_factors_each_eliminant_factor_once(monkeypatch):
     """The lift of x^2+y^2+z^2 at (1,1,1) adjoins a root of z^2 + 2 from
     the factorization of its eliminant, without factoring it again: no
     eliminant is factored twice at one tower height.  The calls are keyed
-    by their monic polynomial, since the Newton walk may hand z^2 + 2 on
-    as any nonzero multiple of it; it factors it once, over Q(a1)."""
+    by their monic polynomial.  The Newton walk meets z^2 + 2 again over
+    Q(a1), and splits it by a square root of its discriminant without
+    factoring it."""
     calls = []
     factor = scalars.factor_univariate
 
@@ -858,9 +859,9 @@ def test_torus_point_factors_each_eliminant_factor_once(monkeypatch):
     assert cli.run(argv, io.StringIO(), io.StringIO()) == 0
     eliminant = [call for call in calls if call[0] == "ideals"]
     assert len(eliminant) == len(set(eliminant)), calls
-    assert [caller for caller, _, _ in calls] == ["ideals", "ideals", "scalars"]
+    assert [caller for caller, _, _ in calls] == ["ideals", "ideals"]
     z2 = ("2", "0", "1")
-    assert [(monic, h) for _, monic, h in calls] == [(z2, 0), (z2, 1), (z2, 1)]
+    assert [(monic, h) for _, monic, h in calls] == [(z2, 0), (z2, 1)]
 
 
 def test_torus_point_splits_a_factor_over_a_grown_field():

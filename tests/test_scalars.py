@@ -517,16 +517,15 @@ def test_adjoined_factor_is_deflated_not_factored_again(monkeypatch):
         monkeypatch.setattr(
             scalars, name, lambda *args, fn=fn, name=name: calls[name].append(args) or fn(*args)
         )
+    # a quadratic is solved by a square root, adjoined when it has none
     F, roots = roots_in_extension(NumberField(), [-2, 0, 1])
-    assert len(calls["factor_univariate"]) == 1 and calls["_bivariate_norm"] == []
+    assert calls == {"factor_univariate": [], "_bivariate_norm": []}
     assert F.height() == 1 and sorted(m for _, m in roots) == [1, 1]
-    # (z^2 - 2)(z^2 - 3): the only norms are of z^2 - 3 over Q(sqrt 2)
-    calls["factor_univariate"].clear()
+    # (z^2 - 2)(z^2 - 3): the quartic is factored over Q; z^2 - 3 is then a
+    # quadratic over a quadratic tower, which builds no norm
     F, roots = roots_in_extension(NumberField(), [6, 0, -5, 0, 1])
     assert F.height() == 2 and len(roots) == 4
-    assert len(calls["factor_univariate"]) == 2 and calls["_bivariate_norm"]
-    for _, level, f, _ in calls["_bivariate_norm"]:
-        assert level == 1 and f == [-3, 0, 1]
+    assert len(calls["factor_univariate"]) == 1 and calls["_bivariate_norm"] == []
     # adjoining a root of z^4 - 2 leaves a cubic over a quartic field: the
     # cap still fails on the quartic as a whole, with the same field state
     calls["factor_univariate"].clear()
@@ -615,6 +614,267 @@ def test_deflating_the_adjoined_factor_matches_refactoring_it():
         assert new == _roots_outcome(_roots_by_refactoring, base, factors), factors
         solved += isinstance(new[0], list)
     assert solved >= 100
+
+
+# -- quadratics split by a square root, against the factoring engine
+
+
+def _factor_by_norms(field, level, f):
+    """_factor_squarefree with no square-root shortcut, the reference:
+    Trager's norm descent to Q and Zassenhaus's method there."""
+    f = scalars._pmonic(f)
+    if scalars._pdeg(f) <= 1:
+        return [f]
+    scalars._check_degree_cap(field, level, scalars._pdeg(f))
+    if level == 0:
+        return scalars._factor_rational_squarefree(f)
+    theta = field.generator(level)
+    for s in [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5]:
+        norm = scalars._bivariate_norm(field, level, f, s)
+        if scalars._pdeg(scalars._pgcd(norm, scalars._pderiv(norm))) == 0:
+            break
+    else:
+        raise ExtensionUnsupportedError(
+            "extension unsupported: no squarefree norm found during descent"
+        )
+    out, rest = [], f
+    for h in sorted(_factor_by_norms(field, level - 1, norm), key=scalars._poly_sort_key):
+        if scalars._pdeg(rest) <= 0:
+            break
+        g = scalars._pgcd(rest, scalars._pshift(h, theta * s) if s else h)
+        if scalars._pdeg(g) >= 1:
+            out.append(g)
+            rest, _ = scalars._pdivmod(rest, g)
+    out.sort(key=scalars._poly_sort_key)
+    return out
+
+
+def _factor_univariate_by_norms(field, coeffs):
+    cs = scalars._pnorm([as_field_element(field, c) for c in coeffs])
+    out = []
+    for sf, mult in scalars.squarefree_decomposition(cs):
+        for irr in _factor_by_norms(field, field.height(), sf):
+            out.append((irr, mult))
+    out.sort(key=lambda t: scalars._poly_sort_key(t[0]))
+    return cs[-1], out
+
+
+def _roots_by_factoring(field, coeffs):
+    """roots_in_extension with every nonlinear polynomial factored by the
+    norm reference, the quadratics included."""
+    cs = scalars._pnorm([as_field_element(field, c) for c in coeffs])
+    out = []
+    pending = [(cs, 1, None)]
+    while pending:
+        poly, mult, adjoined = pending.pop(0)
+        if adjoined is not None:
+            scalars._check_degree_cap(field, field.height(), adjoined)
+        if len(poly) == 2:
+            out.append((-poly[0] / poly[1], mult))
+            continue
+        _, factors = _factor_univariate_by_norms(field, poly)
+        nonlinear = [(f, mult * m) for f, m in factors if len(f) > 2]
+        for f, m in factors:
+            if len(f) == 2:
+                out.append((-f[0], mult * m))
+        if nonlinear:
+            f, m = nonlinear[0]
+            theta = scalars._adjoin_factor(field, f)
+            cofactor, _ = scalars._pdivmod(f, [-theta, Fraction(1)])
+            out.append((theta, m))
+            pending.append((cofactor, m, scalars._pdeg(f)))
+            pending.extend((g, k, None) for g, k in nonlinear[1:])
+    merged = {}
+    for r, m in out:
+        merged[r] = merged.get(r, 0) + m
+    return field, sorted(merged.items(), key=lambda t: scalars._scalar_sort_key(t[0]))
+
+
+def _quadratic_base(base):
+    """A fresh field: Q; Q(a1) with a1^2 = 2; Q(a1, a2) with
+    a2^2 + a1*a2 + 3 = 0, a level whose minimal polynomial involves a1; or
+    Q(a1, a2) with a2^2 = 3."""
+    F = NumberField()
+    if base:
+        a1 = F.adjoin("a1", [-2, 0, 1])
+        if base == 2:
+            F.adjoin("a2", [3, a1, 1])
+        elif base == 3:
+            F.adjoin("a2", [-3, 0, 1])
+    return F
+
+
+# rational factors c of z^2 - c*y^2: squares, negatives, and square
+# numerators over non-square denominators (16/3 is a square over sqrt 3)
+_RATIONAL_FACTORS = tuple(
+    Fraction(c) for c in ("1", "-1", "2", "3", "6", "1/3", "16/3", "9/2", "-4/5", "25/49")
+)
+
+
+def _draw_polynomial(rng, F, kind):
+    """A polynomial of the given kind over F, with coefficients at its top
+    level or, for about a third of the draws, one level below."""
+    h = F.height()
+    level = max(h - (rng.random() < 0.3), 0)
+
+    def element(nonzero=False):
+        while True:
+            x = _random_element(rng, F, level)
+            if x or not nonzero:
+                return x
+
+    lc = element(nonzero=True)
+    if kind in ("split", "double"):
+        r1 = element()
+        r2 = r1 if kind == "double" else element()
+        return [lc * r1 * r2, -lc * (r1 + r2), lc]
+    if kind == "scaled square":  # z^2 - c*y^2: a rational or b = 0 radicand
+        y = element(nonzero=True)
+        return [-rng.choice(_RATIONAL_FACTORS) * y * y, Fraction(0), Fraction(1)]
+    if kind == "square of a sum":  # the radicand (c + e*u)^2, or minus it
+        x = element() + element(nonzero=True) * F.generator(h) if h else element()
+        return [rng.choice((-1, 1)) * x * x, Fraction(0), Fraction(1)]
+    if kind == "product":  # two random quadratics
+        f = _draw_polynomial(rng, F, "random")
+        return scalars._pmul(f, _draw_polynomial(rng, F, rng.choice(("random", "split"))))
+    return [element(), element(), lc]
+
+
+_QUADRATIC_KINDS = (
+    "split", "double", "scaled square", "square of a sum", "random", "product",
+)
+
+
+def _as_text(x):
+    """Nested lists and tuples of scalars as the same shape of texts;
+    multiplicities (ints) stay."""
+    if isinstance(x, (list, tuple)):
+        return type(x)(_as_text(y) for y in x)
+    return x if x.__class__ is int else scalar_str(x)
+
+
+def _squarefree_factors(factor):
+    """The factors by factor(field, level, f) of each squarefree part."""
+    def solve(F, poly):
+        cs = [as_field_element(F, c) for c in poly]
+        return [factor(F, F.height(), sf) for sf, _ in scalars.squarefree_decomposition(cs)]
+    return solve
+
+
+# (what is compared, the new routine, the reference)
+_QUADRATIC_SOLVERS = (
+    ("squarefree factors", _squarefree_factors(scalars._factor_squarefree),
+     _squarefree_factors(_factor_by_norms)),
+    ("roots", lambda F, p: roots_in_extension(F, p)[1], lambda F, p: _roots_by_factoring(F, p)[1]),
+)
+
+
+def _outcome(solve, base, seed, kind):
+    """What solve gives on a seeded polynomial of the given kind over a fresh
+    base field, as text, or its error, and the tower afterwards."""
+    F = _quadratic_base(base)
+    poly = _draw_polynomial(random.Random(seed), F, kind)
+    try:
+        result = _as_text(solve(F, poly))
+    except TropliftError as e:
+        result = (type(e).__name__, str(e))
+    tower = [(lv.name, [scalar_str(c) for c in lv.minpoly]) for lv in F.levels]
+    return result, tower
+
+
+def test_quadratics_split_like_the_factoring_engine():
+    """Seeded quadratics and products of two over Q, Q(sqrt 2), a level
+    over it with a minimal polynomial involving sqrt 2, and Q(sqrt 2,
+    sqrt 3): the same factors, roots in the same order, multiplicities,
+    adjoined minimal polynomials, tower height and errors as the norm
+    reference."""
+    rng = random.Random(26)
+    seen = {"split": 0, "adjoined": 0, "double": 0, "failed": 0}
+    for draw in range(288):
+        base = draw % 4
+        kind = _QUADRATIC_KINDS[draw // 4 % len(_QUADRATIC_KINDS)]
+        seed = rng.randrange(2**32)
+        for what, new, reference in _QUADRATIC_SOLVERS:
+            outcome = _outcome(new, base, seed, kind)
+            assert outcome == _outcome(reference, base, seed, kind), (what, base, kind, seed)
+        result, tower = outcome
+        if not isinstance(result, list):
+            seen["failed"] += 1
+        elif any(m > 1 for _, m in result):
+            seen["double"] += 1
+        elif len(tower) > _quadratic_base(base).height():
+            seen["adjoined"] += 1
+        else:
+            seen["split"] += 1
+    assert min(seen.values()) >= 40, seen
+
+
+def test_square_roots_of_squares_in_quadratic_towers():
+    """_sqrt gives back +-y for y^2, and y*sqrt(c) with c a rational factor
+    has a root exactly when z^2 - c*y^2 splits under the norm reference."""
+    rng = random.Random(5)
+    for draw in range(200):
+        F = _quadratic_base(draw % 4)
+        h = F.height()
+        y = _random_element(rng, F, rng.randint(0, h))
+        assert scalars._sqrt(F, h, y * y) in (y, -y)
+        c = rng.choice(_RATIONAL_FACTORS)
+        root = scalars._sqrt(F, h, c * y * y)
+        _, factors = _factor_univariate_by_norms(F, [-c * y * y, 0, 1])
+        assert (root is not None) == (len(factors) == 2 or not y), (draw, c, y)
+        if root is not None:
+            assert root * root == c * y * y
+
+
+def _parity(poly, prepare, base):
+    """(error type, error text, height afterwards) of roots_in_extension and
+    of the reference on poly over a fresh base field set up by prepare."""
+    got = []
+    for solve in (roots_in_extension, _roots_by_factoring):
+        F = _quadratic_base(base)
+        prepare(F)
+        with pytest.raises(ExtensionUnsupportedError) as e:
+            solve(F, poly)
+        got.append((type(e.value), str(e.value), F.height()))
+    assert got[0] == got[1]
+    return got[0]
+
+
+def test_quadratic_errors_match_the_factoring_engine_at_the_bounds(monkeypatch):
+    """The same error text and field height as the norm reference where the
+    degree cap fails, and the norm path over a tower with a cubic level."""
+    def adjoin_sqrt5(F):
+        F.adjoin("a3", [-5, 0, 1])
+
+    # irreducible over a height-2 quadratic tower: adjoined, then the
+    # cofactor's cap check fails
+    assert _parity([-7, 0, 1], lambda F: None, 3)[1:] == (
+        "extension unsupported: irreducibility testing beyond degree 8 (got degree 16)", 3)
+    # at height 3 the cap fails before any work, split or not
+    for poly in ([-7, 0, 1], [-4, 0, 1], [-5, 0, 1]):
+        assert _parity(poly, adjoin_sqrt5, 3)[1:] == (
+            "extension unsupported: irreducibility testing beyond degree 8 (got degree 16)", 3)
+    # a double root needs no factoring, at any height
+    F = _quadratic_base(3)
+    adjoin_sqrt5(F)
+    assert roots_in_extension(F, [1, -2, 1])[1] == [(Fraction(1), 2)]
+
+    # the cubic level of z^3 - 2 stays after its cofactor's cap check
+    # fails; a quadratic over it takes the norm path
+    def failed_cubic(F):
+        with pytest.raises(ExtensionUnsupportedError, match=r"got degree 9\)"):
+            roots_in_extension(F, [-2, 0, 0, 1])
+
+    calls = []
+    fn = scalars._sqrt
+    monkeypatch.setattr(scalars, "_sqrt", lambda *args: calls.append(args) or fn(*args))
+    assert _parity([-3, 0, 1], failed_cubic, 0)[1:] == (
+        "extension unsupported: irreducibility testing beyond degree 8 (got degree 12)", 2)
+    assert calls == []
+    F = _quadratic_base(0)
+    failed_cubic(F)
+    assert roots_in_extension(F, [-4, 0, 1])[1] == [(Fraction(-2), 1), (Fraction(2), 1)]
+    assert calls == [] and F.height() == 1
 
 
 def _norm_by_resultants(field, level, f, s):
