@@ -386,7 +386,7 @@ def _cmd_verify(args, out):
     point = parse_point(
         text.replace("\n", ";").strip(";"), ring.field, args.mode, d=args.d
     )
-    report = verify_lift(I, point, w, N, args.mode)
+    report = verify_lift(LiftProblem(I, w, N, args.mode), point)
     obj = report.to_json_dict()
     lines = ["ok=%s" % _b(report.ok())]
     for i, expected, observed, flag in report.valuation_checks:

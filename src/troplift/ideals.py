@@ -53,7 +53,6 @@ from .scalars import (
     _pnorm,
     adjoin_root,
     factor_univariate,
-    scalar_str,
 )
 
 _MAX_REDUCTION_STEPS = 50000
@@ -682,8 +681,7 @@ def _solve_zero_dim(ring, gens, remaining, assignment):
         return _solve_zero_dim(ring, gens, rest, trial)
     height = ring.field.height()
     _, factors = factor_univariate(ring.field, uni)
-    ordered = sorted(factors, key=lambda t: (len(t[0]), _fac_str(t[0])))
-    for fac, _mult in ordered:
+    for fac, _mult in factors:
         if len(fac) == 2 and not fac[0]:
             continue  # root zero: not a torus point
         if len(fac) == 2:
@@ -700,10 +698,6 @@ def _solve_zero_dim(ring, gens, remaining, assignment):
         if found is not None:
             return found
     return None
-
-
-def _fac_str(fac):
-    return tuple(scalar_str(c) for c in fac)
 
 
 def torus_point(J: IdealPresentation, seed=0) -> TorusWitness:

@@ -545,8 +545,9 @@ def _np_node(coeffs, acc, slope_bound, N, field, back):
     appending keeps it sorted, and each root is built from it once.
 
     A linear edge polynomial is solved here by one division; the others
-    go to roots_in_extension, which solves a quadratic by a square root,
-    not by factoring.  The node polynomial matters only up to a nonzero
+    go to roots_in_extension, whose factor_univariate call splits a
+    quadratic by a square root of its discriminant, with no norm and no
+    Zassenhaus step over a tower of quadratic levels.  The node polynomial matters only up to a nonzero
     constant factor: edge roots come from monic factors, and only
     exponents and indices reach an error text.  A root a/b shifts by
     (a, b), so int coefficients stay ints, made primitive again for b > 1;
@@ -898,26 +899,19 @@ class VerifyReport:
         }
 
 
-def verify_lift(problem, point=None, w=None, N=None, mode=None):
+def verify_lift(problem, point=None):
     """Re-check a lifted point: valuations, residuals, mode, positivity.
 
-    Accepts either an already built LiftProblem (optionally with a
-    LiftResult as the point) or the raw pieces (ideal, point, w, N,
-    mode), from which the problem is assembled.
+    Takes a LiftResult, whose own problem and point are checked, or a
+    LiftProblem and a point.
     """
     if isinstance(problem, LiftResult):
         if point is not None:
             raise UsageError("a lift result already carries its point")
         point = problem.point
         problem = problem.problem
-    elif isinstance(problem, IdealPresentation):
-        if w is None or N is None:
-            raise UsageError("verifying a raw point needs both w and N")
-        problem = LiftProblem(problem, tuple(w), N, mode or "puiseux")
     elif not isinstance(problem, LiftProblem):
-        raise UsageError("expected a lift problem or an ideal presentation")
-    if isinstance(point, LiftResult):
-        point = point.point
+        raise UsageError("expected a lift result or a lift problem")
     if point is None:
         raise UsageError("no point to verify")
     point = tuple(point)

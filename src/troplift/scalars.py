@@ -19,17 +19,21 @@ Two kinds of scalars live here and never mix:
   algebraic, so the particular conjugate returned by ``adjoin_root`` is
   immaterial.
 
-A quadratic over a tower whose levels are all quadratic is split by a
-square root of its discriminant (``_sqrt``: ``math.isqrt`` on numerator and
-denominator over Q, and on a quadratic level a descent one level down by
-completing the square), and ``roots_in_extension`` solves it that way
-directly.  Any other univariate factorization over a tower is done by
-Trager's norm descent to Q, each norm the characteristic polynomial of a
-multiplication map one level down; the rational leaf is factored over Z by
-Zassenhaus's method: factor modulo the first odd prime that keeps the
-polynomial squarefree, Hensel-lift the factors and recombine them by trial
-division.  ``roots_in_extension`` adjoins a root theta of one irreducible
-factor f at a time and divides f by z - theta, so only the cofactor is
+``factor_univariate`` is the one factoring entry point, and it sorts its
+factors once.  ``squarefree_decomposition`` decides a quadratic by its
+discriminant and runs Yun's algorithm on anything else.
+``_factor_squarefree`` is the one place a quadratic is split: over a tower
+whose levels are all quadratic, by a square root of its discriminant
+(``_sqrt``: ``math.isqrt`` on numerator and denominator over Q, and on a
+quadratic level a descent one level down by completing the square).  Any
+other squarefree polynomial over a tower goes down Trager's norms to Q, each
+norm the characteristic polynomial of a multiplication map one level down;
+the rational leaf is factored over Z by Zassenhaus's method: factor modulo
+the first odd prime that keeps the polynomial squarefree, Hensel-lift the
+factors and recombine them by trial division.  ``roots_in_extension``
+solves a linear polynomial by a division and factors any other; it adjoins
+a root theta of one irreducible factor f at a time and divides f by
+z - theta (``_pdivmod``, one descending pass), so only the cofactor is
 factored over the extended field, never f itself.  Factoring a degree-n
 polynomial over a tower of degree D is capped at n * D <= 8 (the degree of
 the norm down to Q), whichever method is used, and the cap still applies to
@@ -169,11 +173,6 @@ class ValueScalar:
     @property
     def is_rational(self) -> bool:
         return not self.b
-
-    def to_fraction(self) -> Fraction:
-        if self.b != 0:
-            raise UsageError(f"{self} is irrational")
-        return self.a
 
     def sign(self) -> int:
         """Exact sign of a + b*sqrt(d)."""
@@ -616,33 +615,39 @@ def _pmonic(a):
 
 def _pdivmod(a, b):
     """Division with remainder; the divisor's leading coefficient must be a
-    unit (always true over a field)."""
-    a = _pnorm(a)
+    unit (always true over a field).  One descending pass over the dividend,
+    as in _zp_divmod: each coefficient from the top down to deg b gives a
+    quotient coefficient, the terms of b below its leading one are
+    subtracted, and the leading term, which cancels, is not; a monic b
+    needs no inverse."""
     b = _pnorm(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    inv_lc = _ONE / b[-1]
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    db = len(b) - 1
+    inv = None if b[-1] == 1 else _ONE / b[-1]
     r = list(a)
-    while len(r) >= len(b) and _pnorm(r):
-        r = _pnorm(r)
-        if len(r) < len(b):
-            break
-        shift = len(r) - len(b)
-        c = r[-1] * inv_lc
-        q[shift] = q[shift] + c
-        for i in range(len(b)):
-            r[shift + i] = r[shift + i] - c * b[i]
-        r.pop()
-    return _pnorm(q), _pnorm(r)
+    q = [_ZERO] * max(len(r) - db, 0)
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i]
+        if c:
+            if inv is not None:
+                c = c * inv
+            q[i - db] = c
+            for j in range(db):
+                if b[j]:
+                    r[i - db + j] = r[i - db + j] - c * b[j]
+    return _pnorm(q), _pnorm(r[:db])
 
 def _pmod(a, b):
     return _pdivmod(a, b)[1]
 
 def _pgcd(a, b):
+    """The monic gcd; [1] as soon as a remainder is a nonzero constant."""
     a = _pnorm(a)
     b = _pnorm(b)
     while b:
+        if len(b) == 1:
+            return [_ONE]
         a, b = b, _pmod(a, b)
     return _pmonic(a)
 
@@ -855,10 +860,10 @@ def _z_primitive(a):
 
 
 def _factor_rational_squarefree(cs):
-    """Irreducible factors of a squarefree polynomial over Q (monic output),
-    by Zassenhaus's method: factor mod a prime p, Hensel-lift the factors
-    to p^k beyond the Landau-Mignotte bound and recombine them by trial
-    division over Z."""
+    """Irreducible factors of a squarefree polynomial over Q (monic and
+    unsorted output), by Zassenhaus's method: factor mod a prime p,
+    Hensel-lift the factors to p^k beyond the Landau-Mignotte bound and
+    recombine them by trial division over Z."""
     den = 1
     for c in cs:
         den = den * c.denominator // math.gcd(den, c.denominator)
@@ -905,9 +910,7 @@ def _factor_rational_squarefree(cs):
         else:
             size += 1
     factors.append(f)
-    out = [_pmonic([Fraction(c) for c in g]) for g in factors]
-    out.sort(key=_poly_sort_key)
-    return out
+    return [_pmonic([Fraction(c) for c in g]) for g in factors]
 
 
 def _bivariate_norm(field, level, f, s):
@@ -1040,10 +1043,10 @@ def _sqrt(field, level, x):
 
 
 def _factor_squarefree(field, level, f):
-    """Irreducible monic factors of a squarefree monic polynomial.  A
-    quadratic over a tower of quadratic levels splits iff its discriminant
-    has a square root (_sqrt); anything else goes down Trager's norms to
-    Zassenhaus's method over Q."""
+    """Irreducible monic factors of a squarefree monic polynomial, unsorted
+    (factor_univariate sorts them).  A quadratic over a tower of quadratic
+    levels splits iff its discriminant has a square root (_sqrt); anything
+    else goes down Trager's norms to Zassenhaus's method over Q."""
     f = _pmonic(f)
     if _pdeg(f) <= 1:
         return [f]
@@ -1052,7 +1055,7 @@ def _factor_squarefree(field, level, f):
         s = _sqrt(field, level, f[1] * f[1] - 4 * f[0])
         if s is None:
             return [f]
-        return sorted([[(f[1] + s) / 2, _ONE], [(f[1] - s) / 2, _ONE]], key=_poly_sort_key)
+        return [[(f[1] + s) / 2, _ONE], [(f[1] - s) / 2, _ONE]]
     if level == 0:
         return _factor_rational_squarefree(f)
     theta = field.generator(level)
@@ -1067,7 +1070,7 @@ def _factor_squarefree(field, level, f):
     sub_factors = _factor_squarefree(field, level - 1, norm)
     out = []
     rest = f
-    for h in sorted(sub_factors, key=_poly_sort_key):
+    for h in sub_factors:
         if _pdeg(rest) <= 0:
             break
         g = _pgcd(rest, _pshift(h, theta * s) if s else h)
@@ -1076,13 +1079,20 @@ def _factor_squarefree(field, level, f):
             rest, r = _pdivmod(rest, g)
             if r:
                 raise InternalInvariantError("a factor of f does not divide it")
-    out.sort(key=_poly_sort_key)
     return out
 
 
 def squarefree_decomposition(f):
-    """Yun's algorithm; returns [(squarefree factor, multiplicity)]."""
+    """[(monic squarefree factor, multiplicity)] of f.  A quadratic
+    z^2 + p*z + q is decided by its discriminant: (z + p/2)^2 when it is
+    zero, else squarefree, with no gcd over the tower.  Anything else goes
+    through Yun's algorithm (von zur Gathen and Gerhard, Modern Computer
+    Algebra, 14.6)."""
     f = _pmonic(f)
+    if len(f) == 3:
+        if f[1] * f[1] == 4 * f[0]:
+            return [([f[1] / 2, _ONE], 2)]
+        return [(f, 1)]
     df = _pderiv(f)
     a = _pgcd(f, df)
     b, _ = _pdivmod(f, a)
@@ -1123,7 +1133,7 @@ def factor_univariate(field, coeffs):
     return lc, out
 
 
-def adjoin_root(field, coeffs, name=None):
+def adjoin_root(field, coeffs):
     """Return (field, root) for a root of the given univariate polynomial.
 
     If the polynomial already has a root in the field, the field is returned
@@ -1140,7 +1150,7 @@ def adjoin_root(field, coeffs, name=None):
     if linear:
         roots = sorted((-f[0] for f in linear), key=_scalar_sort_key)
         return field, roots[0]
-    return field, _adjoin_factor(field, factors[0][0], name)
+    return field, _adjoin_factor(field, factors[0][0])
 
 
 def _check_adjoin_degree(cs):
@@ -1152,19 +1162,16 @@ def _check_adjoin_degree(cs):
         )
 
 
-def _adjoin_factor(field, fac, name=None):
+def _adjoin_factor(field, fac):
     """A root of the monic irreducible factor fac, adjoined as the next
-    tower level (named a<level> by default) within the degree and height
-    bounds."""
+    tower level, named a<level>, within the degree and height bounds."""
     _check_adjoin_degree(fac)
     if field.height() >= _MAX_TOWER_HEIGHT:
         raise ExtensionUnsupportedError(
             f"extension unsupported: tower height {_MAX_TOWER_HEIGHT} reached; "
             f"cannot adjoin a root of degree {_pdeg(fac)} factor"
         )
-    if name is None:
-        name = f"a{field.height() + 1}"
-    return field.adjoin(name, fac)
+    return field.adjoin(f"a{field.height() + 1}", fac)
 
 
 def roots_in_extension(field, coeffs):
@@ -1172,17 +1179,14 @@ def roots_in_extension(field, coeffs):
 
     Returns (field, [(root, multiplicity)]) with the list in deterministic
     order and total multiplicity equal to the degree.  A linear polynomial
-    is solved by a division.  A quadratic z^2 + p*z + q over a tower of
-    quadratic levels is solved by a square root s of its discriminant, to
-    (-p +- s)/2, or to the double root -p/2 when the discriminant is zero;
-    with no s in the field, z^2 + p*z + q is adjoined as below.  Any other
-    polynomial is factored over the current field; the canonically first
-    nonlinear factor f is adjoined as theta, which is a root with f's
-    multiplicity, and f is deflated to f / (z - theta), so no adjoined
-    factor is factored again.  The degree cap applies to a quadratic and a
-    factored polynomial alike, and to f as a whole over the extended field,
-    where it fails when the cofactor comes up, before the cofactor is solved
-    or factored.
+    is solved by a division.  Any other polynomial is factored over the
+    current field by factor_univariate, which splits a quadratic by a square
+    root of its discriminant; the canonically first nonlinear factor f is
+    adjoined as theta, which is a root with f's multiplicity, and f is
+    deflated to f / (z - theta), so no adjoined factor is factored again.
+    The degree cap applies to every factored polynomial, and to f as a
+    whole over the extended field, where it fails when the cofactor comes
+    up, before the cofactor is solved or factored.
     """
     cs = _pnorm([as_field_element(field, c) for c in coeffs])
     if _pdeg(cs) < 1:
@@ -1203,22 +1207,6 @@ def roots_in_extension(field, coeffs):
             _check_degree_cap(field, field.height(), adjoined)
         if len(poly) == 2:  # solved, not factored
             out.append((-poly[0] / poly[1], mult))
-            continue
-        level = field.height()
-        if len(poly) == 3 and _all_quadratic(field, level):
-            p, q = poly[1] / poly[2], poly[0] / poly[2]
-            disc = p * p - 4 * q
-            if not disc:
-                out.append((-p / 2, 2 * mult))
-                continue
-            _check_degree_cap(field, level, 2)
-            s = _sqrt(field, level, disc)
-            if s is not None:
-                out += [((-p + s) / 2, mult), ((-p - s) / 2, mult)]
-                continue
-            theta = _adjoin_factor(field, [q, p, _ONE])
-            out.append((theta, mult))
-            pending.append(([p + theta, _ONE], mult, 2))
             continue
         _, factors = factor_univariate(field, poly)
         nonlinear = [(f, mult * m) for f, m in factors if len(f) > 2]

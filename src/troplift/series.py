@@ -11,7 +11,6 @@ zero from one that merely vanished below the noise floor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .errors import InsufficientTruncationError, UsageError
 from .polyring import Polynomial
@@ -114,15 +113,6 @@ class ValuedSeries:
             return INF
         return AtLeast(self.truncation)
 
-    def ramification(self):
-        """Common denominator of the rational exponents (1 when none)."""
-        denom = 1
-        for exp, _ in self.terms:
-            if exp.is_rational:
-                q = exp.to_fraction().denominator
-                denom = denom * q // gcd(denom, q)
-        return denom
-
     def coefficient(self, exp):
         exp = as_value(exp)
         if exp is INF:
@@ -186,18 +176,6 @@ class ValuedSeries:
             self.field,
             [(e, cc * c) for e, cc in self.terms],
             self.truncation,
-            self.mode,
-        )
-
-    def shift(self, exp):
-        """Multiply by the parameter raised to an exact exponent."""
-        exp = as_value(exp)
-        if exp is INF:
-            raise UsageError("series exponents must be finite")
-        return ValuedSeries(
-            self.field,
-            [(e + exp, c) for e, c in self.terms],
-            self.truncation + exp,
             self.mode,
         )
 

@@ -1,9 +1,9 @@
 """Source hygiene: no module of the package imports a name it never uses,
-defines a top-level function or class that only tests reference, or
-imports inside a function body, or holds an assert statement (python -O
-strips them);
-only PolyRing.order builds an OrderDescriptor; commands that factor never
-load sympy; every name the benchmark tracer wraps exists."""
+defines a top-level function or class, or a method, that only tests
+reference, imports inside a function body, or holds an assert statement
+(python -O strips them); only PolyRing.order builds an OrderDescriptor;
+commands that factor never load sympy; every name the benchmark tracer
+wraps exists."""
 
 import ast
 import importlib
@@ -81,24 +81,45 @@ def _names_in(node):
                 yield alias.name.split(".")[-1]
 
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _methods(cls):
+    """The methods of a class that code calls by name: not dunders, which
+    Python calls itself."""
+    return [node for node in cls.body if isinstance(node, _DEFS[:2])
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
 def unreferenced_definitions(sources):
-    """(file, name) of each top-level function or class of the files in
-    sources ({file: (source, defines)}) that no file references outside
-    the definition itself; only files with defines set are checked."""
+    """(file, name) of each top-level function or class, and each method
+    (as Class.method), of the files in sources ({file: (source, defines)})
+    that no file references outside the definition itself; only files with
+    defines set are checked.  A method counts as referenced wherever its
+    bare name is used, as an attribute or a name."""
     defined = []
-    uses = []  # (file, owner definition or None, names used)
+    uses = []  # (file, definitions the code lies in, names used)
     for file, (source, defines) in sources.items():
         for node in ast.parse(source).body:
-            owner = None
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                owner = node.name
-                if defines:
-                    defined.append((file, node.name))
-            uses.append((file, owner, set(_names_in(node))))
+            if not isinstance(node, _DEFS):
+                uses.append((file, set(), set(_names_in(node))))
+                continue
+            names = [node.name]
+            methods = _methods(node) if isinstance(node, ast.ClassDef) else []
+            for method in methods:
+                dotted = f"{node.name}.{method.name}"
+                names.append(dotted)
+                uses.append((file, {node.name, dotted}, set(_names_in(method))))
+            # the rest of the definition, its methods left out
+            rest = [sub for sub in ast.iter_child_nodes(node) if sub not in methods]
+            uses.append((file, {node.name}, {name for sub in rest for name in _names_in(sub)}))
+            if defines:
+                defined += [(file, name) for name in names]
     return [
         (file, name)
         for file, name in defined
-        if not any(name in names and (f, o) != (file, name) for f, o, names in uses)
+        if not any(name.split(".")[-1] in names and (f != file or name not in owners)
+                   for f, owners, names in uses)
     ]
 
 
@@ -110,11 +131,16 @@ def test_scan_finds_an_unreferenced_definition():
     assert unreferenced_definitions(sources) == [("a.py", "dead")]
 
 
+# methods the standard library calls: argparse calls ArgumentParser.error
+_CALLED_BY_THE_LIBRARY = {("cli.py", "_Parser.error")}
+
+
 def test_no_unreferenced_definitions():
     sources = {p.name: (p.read_text(), True) for p in PACKAGE.glob("*.py")}
     for p in TESTS.glob("*.py"):
         sources["tests/" + p.name] = (p.read_text(), False)
-    found = [f"{file}: {name}" for file, name in unreferenced_definitions(sources)]
+    found = [f"{file}: {name}" for file, name in unreferenced_definitions(sources)
+             if (file, name) not in _CALLED_BY_THE_LIBRARY]
     assert not found, "unreferenced definitions:\n" + "\n".join(found)
 
 
@@ -136,8 +162,28 @@ def test_scan_finds_a_test_only_definition():
     assert caller_free_definitions(package) == [("a.py", "tested")]
 
 
-# library entry points that no module of the package calls
-_CALLER_FREE_ALLOWED = {("valfan.py", "init_additivity_check")}
+def test_scan_finds_a_test_only_method():
+    """A method that another method calls has a caller; one that only
+    calls itself, or that only tests call, has none; dunders are never
+    reported."""
+    package = {
+        "a.py": (
+            "class C:\n"
+            "    def __init__(self):\n        self.helper()\n"
+            "    def helper(self):\n        pass\n"
+            "    def loop(self):\n        self.loop()\n"
+            "    def tested(self):\n        pass\n"
+        ),
+        "b.py": "from .a import C\nC()\n",
+    }
+    assert caller_free_definitions(package) == [("a.py", "C.loop"), ("a.py", "C.tested")]
+
+
+# library entry points that no module of the package calls yet
+_CALLER_FREE_ALLOWED = {
+    ("valfan.py", "init_additivity_check"),
+    ("valfan.py", "GroebnerCone.contains"),
+} | _CALLED_BY_THE_LIBRARY
 
 
 def test_every_definition_has_a_caller_in_the_package():

@@ -835,11 +835,14 @@ def test_torus_point_factors_each_eliminant_factor_once(monkeypatch):
     """The lift of x^2+y^2+z^2 at (1,1,1) adjoins a root of z^2 + 2 from
     the factorization of its eliminant, without factoring it again: no
     eliminant is factored twice at one tower height.  The calls are keyed
-    by their monic polynomial.  The Newton walk meets z^2 + 2 again over
-    Q(a1), and splits it by a square root of its discriminant without
-    factoring it."""
+    by their monic polynomial, with the number of norms each one built.
+    The Newton walk meets z^2 + 2 again over Q(a1); its roots_in_extension
+    call factors it once, and the split by a square root of its
+    discriminant builds no norm."""
     calls = []
+    norms = []
     factor = scalars.factor_univariate
+    norm = scalars._bivariate_norm
 
     def counting(caller):
         def counting_factor(field, coeffs):
@@ -847,21 +850,23 @@ def test_torus_point_factors_each_eliminant_factor_once(monkeypatch):
             while not cs[-1]:
                 cs.pop()
             monic = tuple(scalar_str(c / cs[-1]) for c in cs)
-            calls.append((caller, monic, field.height()))
-            return factor(field, coeffs)
+            before = len(norms)
+            out = factor(field, coeffs)
+            calls.append((caller, monic, field.height(), len(norms) - before))
+            return out
 
         return counting_factor
 
     monkeypatch.setattr(scalars, "factor_univariate", counting("scalars"))
     monkeypatch.setattr(ideals, "factor_univariate", counting("ideals"))
+    monkeypatch.setattr(scalars, "_bivariate_norm", lambda *args: norms.append(args) or norm(*args))
     argv = ["lift", "--vars", "x,y,z", "--ideal", "x^2+y^2+z^2", "--w", "1,1,1",
             "--N", "3"]
     assert cli.run(argv, io.StringIO(), io.StringIO()) == 0
-    eliminant = [call for call in calls if call[0] == "ideals"]
+    eliminant = [call[:3] for call in calls if call[0] == "ideals"]
     assert len(eliminant) == len(set(eliminant)), calls
-    assert [caller for caller, _, _ in calls] == ["ideals", "ideals"]
     z2 = ("2", "0", "1")
-    assert [(monic, h) for _, monic, h in calls] == [(z2, 0), (z2, 1)]
+    assert calls == [("ideals", z2, 0, 0), ("ideals", z2, 1, 0), ("scalars", z2, 1, 0)]
 
 
 def test_torus_point_splits_a_factor_over_a_grown_field():

@@ -348,12 +348,12 @@ def test_newton_puiseux_root_count_and_valuation_sum():
             coeffs = nxt
         roots = newton_puiseux(coeffs, 12)
         assert len(roots) == deg
-        got = sorted(r.valuation().to_fraction() for r in roots)
-        want = sorted(s.valuation().to_fraction() for s in factors)
+        got = sorted(r.valuation() for r in roots)
+        want = sorted(s.valuation() for s in factors)
         assert got == want
         total = coeffs[0].valuation()
         if total is not INF and not isinstance(total, AtLeast):
-            assert sum(got, Fraction(0)) == total.to_fraction()
+            assert sum(got, ValueScalar(0)) == total
 
 
 def test_newton_puiseux_multiple_root():
@@ -1149,19 +1149,26 @@ def test_lift_descends_linear_three_variables():
 
 
 def test_verify_lift_flexible_signatures():
+    """verify_lift takes a LiftResult, or a LiftProblem and a point."""
     R = _ring("x", "y")
     I = _local(R, ["y^2 - x^3"], (2, 3))
     problem = LiftProblem(I, (2, 3), 10)
     res = lift_point(problem)
 
     assert verify_lift(res).ok()
-    assert verify_lift(problem, res).ok()
     assert verify_lift(problem, res.point).ok()
-    assert verify_lift(I, res.point, (2, 3), 10).ok()
 
     # sign symmetry: flipping y still verifies
     flipped = (res.point[0], -res.point[1])
-    assert verify_lift(I, flipped, (2, 3), 10).ok()
+    assert verify_lift(problem, flipped).ok()
+
+    for args, message in (
+        ((res, res.point), "a lift result already carries its point"),
+        ((problem,), "no point to verify"),
+        ((I, res.point), "expected a lift result or a lift problem"),
+    ):
+        with pytest.raises(UsageError, match=message):
+            verify_lift(*args)
 
 
 def test_verify_lift_detects_mismatch():
@@ -1169,7 +1176,7 @@ def test_verify_lift_detects_mismatch():
     I = _local(R, ["y^2 - x^3"], (2, 3))
     field = R.field
     t = ValuedSeries.monomial(field, 1, truncation=12)
-    report = verify_lift(I, (t, t), (2, 3), 10)
+    report = verify_lift(LiftProblem(I, (2, 3), 10), (t, t))
     assert not report.ok()
     assert not all(ok for *_, ok in report.valuation_checks)
 

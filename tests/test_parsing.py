@@ -26,7 +26,7 @@ def parse_rational(text):
     value = parse_scalar(text)
     if value is INF or not value.is_rational:
         raise UsageError("not a rational number: %r" % text.strip())
-    return value.to_fraction()
+    return value.a
 
 
 def test_parse_rational():

@@ -511,21 +511,25 @@ def test_linear_roots_are_solved_not_factored(monkeypatch):
 
 
 def test_adjoined_factor_is_deflated_not_factored_again(monkeypatch):
-    calls = {"factor_univariate": [], "_bivariate_norm": []}
+    calls = {"factor_univariate": [], "_bivariate_norm": [], "_factor_rational_squarefree": []}
     for name in calls:
         fn = getattr(scalars, name)
         monkeypatch.setattr(
             scalars, name, lambda *args, fn=fn, name=name: calls[name].append(args) or fn(*args)
         )
-    # a quadratic is solved by a square root, adjoined when it has none
+    # a quadratic is factored once, split by a square root of its
+    # discriminant with no norm and no Zassenhaus step, and adjoined when
+    # it has none; its cofactor is linear and is solved, not factored
     F, roots = roots_in_extension(NumberField(), [-2, 0, 1])
-    assert calls == {"factor_univariate": [], "_bivariate_norm": []}
+    assert [len(c) for c in calls.values()] == [1, 0, 0]
     assert F.height() == 1 and sorted(m for _, m in roots) == [1, 1]
     # (z^2 - 2)(z^2 - 3): the quartic is factored over Q; z^2 - 3 is then a
-    # quadratic over a quadratic tower, which builds no norm
+    # quadratic over a quadratic tower, factored once more with no norm
+    for fn_calls in calls.values():
+        fn_calls.clear()
     F, roots = roots_in_extension(NumberField(), [6, 0, -5, 0, 1])
     assert F.height() == 2 and len(roots) == 4
-    assert len(calls["factor_univariate"]) == 1 and calls["_bivariate_norm"] == []
+    assert [len(c) for c in calls.values()] == [2, 0, 1]
     # adjoining a root of z^4 - 2 leaves a cubic over a quartic field: the
     # cap still fails on the quartic as a whole, with the same field state
     calls["factor_univariate"].clear()
@@ -754,10 +758,12 @@ def _as_text(x):
 
 
 def _squarefree_factors(factor):
-    """The factors by factor(field, level, f) of each squarefree part."""
+    """The factors by factor(field, level, f) of each squarefree part, in
+    the order factor_univariate sorts them into."""
     def solve(F, poly):
         cs = [as_field_element(F, c) for c in poly]
-        return [factor(F, F.height(), sf) for sf, _ in scalars.squarefree_decomposition(cs)]
+        return [sorted(factor(F, F.height(), sf), key=scalars._poly_sort_key)
+                for sf, _ in scalars.squarefree_decomposition(cs)]
     return solve
 
 
@@ -954,6 +960,16 @@ _NORM_TOWERS = (
 )
 
 
+def _build_tower(tower):
+    """A fresh field with one level g<i> per minimal polynomial of tower."""
+    F = NumberField()
+    for i, mp in enumerate(tower):
+        if callable(mp):
+            mp = mp([F.generator(k + 1) for k in range(i)])
+        F.adjoin(f"g{i + 1}", mp)
+    return F
+
+
 def _random_element(rng, field, level):
     """A random element of the given level, zero coefficients likely."""
     if level == 0:
@@ -974,11 +990,7 @@ def test_charpoly_norm_matches_the_resultant_norm():
     lower_only = 0
     for draw in range(900):
         tower = _NORM_TOWERS[draw % len(_NORM_TOWERS)]
-        F = NumberField()
-        for i, mp in enumerate(tower):
-            if callable(mp):
-                mp = mp([F.generator(k + 1) for k in range(i)])
-            F.adjoin(f"g{i + 1}", mp)
+        F = _build_tower(tower)
         level = rng.randint(1, F.height())
         total = 1
         for lv in F.levels[:level]:
@@ -993,6 +1005,151 @@ def test_charpoly_norm_matches_the_resultant_norm():
         assert [scalar_str(c) for c in got] == [scalar_str(c) for c in want], (
             tower, level, [scalar_str(c) for c in f], s)
     assert 180 <= lower_only <= 270
+
+
+# -- division, gcd and squarefree parts against the earlier helpers
+
+
+def _ref_pdivmod(a, b):
+    """_pdivmod as it was, the reference: the remainder is renormalised at
+    every step, and its leading term subtracted and popped."""
+    a = scalars._pnorm(a)
+    b = scalars._pnorm(b)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    inv_lc = Fraction(1) / b[-1]
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    r = list(a)
+    while len(r) >= len(b) and scalars._pnorm(r):
+        r = scalars._pnorm(r)
+        if len(r) < len(b):
+            break
+        shift = len(r) - len(b)
+        c = r[-1] * inv_lc
+        q[shift] = q[shift] + c
+        for i in range(len(b)):
+            r[shift + i] = r[shift + i] - c * b[i]
+        r.pop()
+    return scalars._pnorm(q), scalars._pnorm(r)
+
+
+def _ref_pgcd(a, b):
+    """_pgcd as it was, the reference: Euclid down to a zero remainder,
+    then made monic."""
+    a = scalars._pnorm(a)
+    b = scalars._pnorm(b)
+    while b:
+        a, b = b, _ref_pdivmod(a, b)[1]
+    return scalars._pmonic(a)
+
+
+def _ref_squarefree_decomposition(f):
+    """Yun's algorithm on every input, quadratics included, the reference."""
+    f = scalars._pmonic(f)
+    df = scalars._pderiv(f)
+    a = _ref_pgcd(f, df)
+    b, _ = _ref_pdivmod(f, a)
+    c, _ = _ref_pdivmod(df, a)
+    d = scalars._psub(c, scalars._pderiv(b))
+    out = []
+    i = 1
+    while scalars._pdeg(b) >= 1:
+        a = _ref_pgcd(b, d)
+        if scalars._pdeg(a) >= 1:
+            out.append((a, i))
+        b, _ = _ref_pdivmod(b, a)
+        c, _ = _ref_pdivmod(d, a)
+        d = scalars._psub(c, scalars._pderiv(b))
+        i += 1
+    return out
+
+
+# Q, then the towers above (Q(sqrt 2) first)
+_HELPER_TOWERS = ((),) + _NORM_TOWERS
+
+
+def _random_poly(rng, F, degree, monic=False, zeros=0):
+    """A polynomial of the given degree over F (the zero list for -1), with
+    a nonzero leading coefficient, 1 when monic, and trailing zeros."""
+    if degree < 0:
+        return [Fraction(0)] * zeros
+    level = rng.randint(0, F.height())
+    lead = Fraction(1)
+    while not monic and (lead == 1 or not lead):
+        lead = _random_element(rng, F, level)
+    body = [_random_element(rng, F, rng.randint(0, F.height())) for _ in range(degree)]
+    return body + [lead] + [Fraction(0)] * zeros
+
+
+def test_division_and_gcd_match_the_earlier_helpers():
+    """Seeded draws over Q and the towers above: quotient, remainder and
+    gcd texts equal the reference's, for monic, non-monic and constant
+    divisors, divisors longer than the dividend, zero dividends and inputs
+    with trailing zeros; products with a common factor give a gcd of
+    positive degree."""
+    rng = random.Random(27)
+    seen = {"monic": 0, "non-monic": 0, "constant": 0, "longer": 0, "zero": 0,
+            "trailing": 0, "common": 0, "coprime": 0}
+    for draw in range(600):
+        F = _build_tower(_HELPER_TOWERS[draw % len(_HELPER_TOWERS)])
+        db = rng.choice((0, 1, 1, 2, 2, 3))
+        da = rng.choice((-1, 0, 1, 2, 3, 4, 5))
+        monic = rng.random() < 0.5
+        b = _random_poly(rng, F, db, monic, zeros=rng.choice((0, 0, 1)))
+        a = _random_poly(rng, F, da, zeros=rng.choice((0, 0, 0, 2)))
+        got, want = scalars._pdivmod(a, b), _ref_pdivmod(a, b)
+        assert _as_text(got) == _as_text(want) and got == want, (a, b)
+        q, r = got
+        assert scalars._pnorm(scalars._padd(scalars._pmul(q, b), r)) == scalars._pnorm(a)
+        seen["constant" if db == 0 else "monic" if monic else "non-monic"] += 1
+        seen["longer"] += da < db
+        seen["zero"] += da < 0
+        seen["trailing"] += len(a) > da + 1 or len(b) > db + 1
+        if rng.random() < 0.5:  # a common factor
+            g = _random_poly(rng, F, rng.randint(1, 2))
+            a, b = scalars._pmul(a, g), scalars._pmul(b, g)
+        got, want = scalars._pgcd(a, b), _ref_pgcd(a, b)
+        assert _as_text(got) == _as_text(want) and got == want, (a, b)
+        seen["common" if len(got) > 1 else "coprime"] += 1
+    assert min(seen.values()) >= 40, seen
+
+
+def _quadratic(rng, F, kind):
+    """lc*(z - r1)*(z - r2) with r2 = r1 for a zero discriminant, or
+    lc*z^2 + p*z + q with random p and q; lc is 1 in about a third."""
+    level = rng.randint(0, F.height())
+    lc = Fraction(1) if rng.random() < 0.3 else _random_poly(rng, F, 0)[0]
+    if kind == "random":
+        return [_random_element(rng, F, level), _random_element(rng, F, level), lc]
+    r1 = _random_element(rng, F, level)
+    r2 = r1 if kind == "double" else _random_element(rng, F, level)
+    return [lc * r1 * r2, -lc * (r1 + r2), lc]
+
+
+def test_squarefree_quadratics_match_yun():
+    """Quadratics with zero, square and random discriminants, monic or not,
+    over Q and the towers above, and polynomials of other degrees: the same
+    squarefree parts and multiplicities as Yun's algorithm on the earlier
+    helpers."""
+    rng = random.Random(2027)
+    seen = {"double": 0, "split": 0, "random": 0, "other": 0, "non-monic": 0}
+    for draw in range(450):
+        F = _build_tower(_HELPER_TOWERS[draw % len(_HELPER_TOWERS)])
+        kind = ("double", "split", "random", "other")[draw // len(_HELPER_TOWERS) % 4]
+        if kind == "other":  # times a square half the time
+            f = _random_poly(rng, F, rng.choice((0, 1, 3, 4)))
+            if rng.random() < 0.5:
+                h = _random_poly(rng, F, 1, monic=True)
+                f = scalars._pmul(f, scalars._pmul(h, h))
+        else:
+            f = _quadratic(rng, F, kind)
+        got, want = scalars.squarefree_decomposition(f), _ref_squarefree_decomposition(f)
+        assert _as_text(got) == _as_text(want) and got == want, (kind, f)
+        if kind == "double":
+            assert got == [([f[1] / (2 * f[2]), Fraction(1)], 2)]
+        seen[kind] += 1
+        seen["non-monic"] += f[-1] != 1
+    assert min(seen.values()) >= 40, seen
 
 
 # -- the rational leaf: Zassenhaus's method against sympy as the reference
@@ -1061,7 +1218,8 @@ def test_rational_factors_match_sympy():
         cs = scalars._pmonic(cs)
         if not _is_squarefree(cs):
             continue
-        assert scalars._factor_rational_squarefree(cs) == _sympy_factors(cs), cs
+        got = sorted(scalars._factor_rational_squarefree(cs), key=scalars._poly_sort_key)
+        assert got == _sympy_factors(cs), cs
         checked += 1
     assert checked > 150
     counts = [len(scalars._factor_rational_squarefree(f)) for f in inputs[:3]]
