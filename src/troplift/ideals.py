@@ -10,8 +10,11 @@ tail is divided once by the other minimal basis elements, fully for global
 orders, which gives the reduced basis, and for at most 200 reductions for
 local ones.  One division routine, ``divide``, a descending heap pass that
 tracks quotients, serves normal forms, exact division, w-homogeneous
-division and the tail reductions alike.  Local membership is decided by
-leading ideals, and the local ``normal_form`` rewrites initial forms.
+division and the tail reductions alike.  Normal forms, membership and the
+leading-ideal helpers take an ``IdealPresentation``, so the generators, the
+order and the cached basis travel together.  Local membership is decided by
+leading ideals on the generators, and the local ``normal_form`` rewrites
+initial forms.
 Everything downstream (quotients, dimension, monomial detection, torus
 points) reduces to this engine, and so does saturation, except by a monomial
 when the generators, stripped of their monomial factors, span a principal
@@ -165,7 +168,8 @@ def divide(f: Polynomial, records, order: OrderDescriptor, max_steps=None):
     monomials; then no remainder monomial is divisible by a leading
     monomial.  With max_steps the pass stops silently after that many
     reductions and the unreduced rest joins the remainder; without it, more
-    than _MAX_REDUCTION_STEPS reductions raise.
+    than _MAX_REDUCTION_STEPS reductions raise a CapabilityError, a size
+    bound like _MAX_SPAIRS.
     """
     quots = [{} for _ in records]
     rem = {}
@@ -193,7 +197,9 @@ def divide(f: Polynomial, records, order: OrderDescriptor, max_steps=None):
             continue
         steps += 1
         if steps > _MAX_REDUCTION_STEPS:
-            raise InternalInvariantError("division did not terminate")
+            raise CapabilityError(
+                f"division needs over {_MAX_REDUCTION_STEPS} reductions"
+            )
         shift = expo_sub(m, mg)
         coef = q[shift] = c / cg
         # h -= coef * x^shift * (g minus its leading term)
@@ -216,44 +222,24 @@ def divide(f: Polynomial, records, order: OrderDescriptor, max_steps=None):
     return [Polynomial(ring, q) for q in quots], Polynomial(ring, rem)
 
 
-def normal_form(f: Polynomial, basis, order: OrderDescriptor) -> Polynomial:
-    """Remainder of f on division by the basis, zero exactly for members when
-    the basis is standard; in local mode the initial-form rewriting, a weak
-    normal form with unit 1, with the basis as the generators (_rewrite)."""
-    if order.mode == "local":
-        return _rewrite(f, basis, basis, order)
-    return divide(f, lead_records(basis, order), order)[1]
+def normal_form(f: Polynomial, I: IdealPresentation) -> Polynomial:
+    """A normal form of f modulo I, zero exactly for the members of I.
 
-
-def _leading_ideal(basis, order):
-    """The sorted minimal generators of the leading ideal of a basis."""
-    lms = {leading_term(g, order)[0] for g in basis if not g.is_zero}
-    return sorted(m for m in lms if not any(o != m and expo_divides(o, m) for o in lms))
-
-
-def _local_member(f, basis, generators, order):
-    """Whether the nonzero f lies in the ideal I of the generators in k[[x]],
-    basis being its local standard basis: iff in_w(f) is in in_w(I) and
-    I + (f), with a basis from the generators (long basis tails are slow
-    there), has the leading ideal of I (Greuel-Pfister, 1.6)."""
-    w = order.weights
-    records = lead_records([initial_form(b, w) for b in basis if not b.is_zero], order)
-    if not divide(initial_form(f, w), records, order)[1].is_zero:
-        return False
-    extended = IdealPresentation(f.ring, [*generators, f], order).standard_basis()
-    return _leading_ideal(extended, order) == _leading_ideal(basis, order)
-
-
-def _rewrite(f, basis, generators, order):
-    """0 for members of the ideal of the generators; else, from h = f on,
-    in_w(h) is divided by the initial forms of the local standard basis,
-    which ends on w-homogeneous input, and h loses the quotients times the
-    basis until a remainder survives as its initial form.  Each step before
-    that raises the w-order of h, which is bounded on a non-member's coset."""
-    if f.is_zero or _local_member(f, basis, generators, order):
+    For a global order, the remainder of f on division by the standard
+    basis.  For a local order, 0 for members of I in k[[x]] (decided on the
+    generators by leading ideals); else a weak normal form with unit 1: from
+    h = f on, in_w(h) is divided by the initial forms of the local standard
+    basis, which ends on w-homogeneous input, and h loses the quotients
+    times the basis until a remainder survives as its initial form.  Each
+    step before that raises the w-order of h, which is bounded on a
+    non-member's coset."""
+    order = I.order
+    basis = I.standard_basis()
+    if order.mode == "global":
+        return divide(f, lead_records(basis, order), order)[1]
+    if f.is_zero or _local_member(f, I):
         return f.ring.zero()
     w = order.weights
-    basis = [b for b in basis if not b.is_zero]
     records, h = lead_records([initial_form(b, w) for b in basis], order), f
     for _ in range(_MAX_REDUCTION_STEPS):
         quots, rem = divide(initial_form(h, w), records, order)
@@ -263,6 +249,24 @@ def _rewrite(f, basis, generators, order):
         if not rem.is_zero:
             return h
     raise InternalInvariantError("initial-form rewriting did not terminate")
+
+
+def _leading_ideal(I):
+    """The sorted minimal generators of the leading ideal of I."""
+    lms = {leading_term(g, I.order)[0] for g in I.standard_basis()}
+    return sorted(m for m in lms if not any(o != m and expo_divides(o, m) for o in lms))
+
+
+def _local_member(f, I):
+    """Whether the nonzero f lies in the local ideal I in k[[x]]: iff in_w(f)
+    is in in_w(I) and I + (f), with a basis from the generators of I (long
+    basis tails are slow there), has the leading ideal of I
+    (Greuel-Pfister, 1.6)."""
+    w = I.order.weights
+    records = lead_records([initial_form(b, w) for b in I.standard_basis()], I.order)
+    if not divide(initial_form(f, w), records, I.order)[1].is_zero:
+        return False
+    return _leading_ideal(I.with_extra([f])) == _leading_ideal(I)
 
 
 # -- standard bases ---------------------------------------------------------
@@ -419,8 +423,8 @@ def ideal_member(f: Polynomial, I: IdealPresentation) -> bool:
     if f.is_zero:
         return True
     if I.order.mode == "local":
-        return _local_member(f, I.standard_basis(), I.generators, I.order)
-    return normal_form(f, I.standard_basis(), I.order).is_zero
+        return _local_member(f, I)
+    return normal_form(f, I).is_zero
 
 
 def ideals_equal(A: IdealPresentation, B: IdealPresentation) -> bool:
@@ -591,21 +595,21 @@ def _least(holds, low, high=None):
 def dimension(I: IdealPresentation) -> int:
     """Krull dimension of the quotient by the leading-term ideal trick:
     the largest variable subset meeting no leading monomial."""
-    basis = I.standard_basis()
     if I.is_unit_ideal():
         raise UsageError("the unit ideal has no dimension")
-    n = I.ring.nvars()
-    if n > 16:
+    if I.ring.nvars() > 16:
         raise UsageError("dimension computation capped at 16 variables")
-    return len(_independent_set(basis, I.order, n))
+    return len(_independent_set(I))
 
 
-def _independent_set(basis, order, n):
+def _independent_set(I):
     """The first largest set of variable indices, in itertools.combinations
-    order, that contains the support of no leading monomial of the basis."""
+    order, that contains the support of no leading monomial of the standard
+    basis of I."""
+    n = I.ring.nvars()
     supports = [
-        frozenset(i for i, e in enumerate(leading_term(g, order)[0]) if e)
-        for g in basis
+        frozenset(i for i, e in enumerate(leading_term(g, I.order)[0]) if e)
+        for g in I.standard_basis()
     ]
     for size in range(n, 0, -1):
         for S in combinations(range(n), size):
@@ -729,7 +733,7 @@ def torus_attempts(J: IdealPresentation, seed=0, start=0):
     n = ring.nvars()
     Jg = _as_global(J)
     basis = list(Jg.standard_basis())
-    indep = _independent_set(basis, Jg.order, n)
+    indep = _independent_set(Jg)
     for attempt in count(start):
         values = _slice_values(seed, attempt, len(indep))
         assignment = dict(zip(indep, values))

@@ -37,7 +37,7 @@ from .ideals import (
     torus_attempts,
     torus_point,
 )
-from .linalg import mat_rank, primitive_row, solve_linear
+from .linalg import mat_rank, primitive_row, rref, solve_linear
 from .polyring import (
     INF,
     PolyRing,
@@ -165,7 +165,7 @@ def _integral_weight(I, data, span):
     """A positive integer vector in the span with the same initial ideal as
     I at data.weights, where data is that initial ideal."""
     w = data.weights
-    initial = data.polynomial_presentation()
+    initial = data.presentation
     for k in range(64):
         approx = []
         for g in span.gamma:
@@ -183,7 +183,7 @@ def _integral_weight(I, data, span):
         if w == tuple(cand):
             # ints is a positive multiple of w, so it orders monomials as w
             return ints
-        if ideals_equal(initial, initial_ideal(I, ints).polynomial_presentation()):
+        if ideals_equal(initial, initial_ideal(I, ints).presentation):
             return ints
     raise DescentWitnessError(
         "no integral weight with the same initial ideal was found"
@@ -213,16 +213,10 @@ def descend(I, w, seed=0):
         )
     data = initial_ideal(Iw, w)
     wp = _integral_weight(Iw, data, span)
-    Jp = data.polynomial_presentation()
+    Jp = data.presentation
 
-    slice_idx = []
-    rows = []
-    for i in range(n):
-        if mat_rank(rows + [span.matrix[i]], span.rank) > len(slice_idx):
-            slice_idx.append(i)
-            rows.append(span.matrix[i])
-        if len(slice_idx) == span.rank:
-            break
+    # the pivot columns of the transpose: the first independent rows
+    _, slice_idx = rref(list(zip(*span.matrix)), n)
     if len(slice_idx) < span.rank:
         raise InternalInvariantError("span matrix lost rank")
     rest_idx = [i for i in range(n) if i not in slice_idx]
@@ -746,8 +740,8 @@ def lift_point(problem, seed=0):
     monic = {_entry(g, sat.order)[0] for g in I_cur.generators}
     if not monic.issuperset(sat.generators):  # else sat = I_cur
         local = presentation(ring, sat.generators, "local", w)
-        leads = [_leading_ideal(J.standard_basis(), J.order) for J in (local, I_cur)]
-        if leads[0] != leads[1]:  # equal leads: equal ideals, as I_cur is in sat
+        # equal leads: equal ideals, as I_cur is in sat
+        if _leading_ideal(local) != _leading_ideal(I_cur):
             I_cur = local
     span = rational_span(w)
     r = span.rank

@@ -642,22 +642,30 @@ def _pmod(a, b):
     return _pdivmod(a, b)[1]
 
 def _pgcd(a, b):
-    """The monic gcd; [1] as soon as a remainder is a nonzero constant."""
+    """The monic gcd; [1] as soon as a remainder is a nonzero constant.  A
+    remainder not shorter than its divisor raises, as the loop would not
+    end."""
     a = _pnorm(a)
     b = _pnorm(b)
     while b:
         if len(b) == 1:
             return [_ONE]
-        a, b = b, _pmod(a, b)
+        r = _pmod(a, b)
+        if len(r) >= len(b):
+            raise InternalInvariantError("a remainder did not shrink")
+        a, b = b, r
     return _pmonic(a)
 
 def _pgcd_ext(a, b):
-    """Extended Euclid: returns (g, u, v) with u*a + v*b = g."""
+    """Extended Euclid: returns (g, u, v) with u*a + v*b = g.  A remainder
+    not shorter than its divisor raises, as in _pgcd."""
     r0, r1 = _pnorm(a), _pnorm(b)
     u0, u1 = [Fraction(1)], []
     v0, v1 = [], [Fraction(1)]
     while r1:
         q, r = _pdivmod(r0, r1)
+        if len(r) >= len(r1):
+            raise InternalInvariantError("a remainder did not shrink")
         r0, r1 = r1, r
         u0, u1 = u1, _psub(u0, _pmul(q, u1))
         v0, v1 = v1, _psub(v0, _pmul(q, v1))
@@ -1144,7 +1152,6 @@ def adjoin_root(field, coeffs):
     cs = _pnorm([as_field_element(field, c) for c in coeffs])
     if _pdeg(cs) < 1:
         raise UsageError("adjoin_root needs a nonconstant polynomial")
-    _check_adjoin_degree(cs)
     _, factors = factor_univariate(field, cs)
     linear = [f for f, _ in factors if len(f) == 2]
     if linear:
@@ -1153,19 +1160,10 @@ def adjoin_root(field, coeffs):
     return field, _adjoin_factor(field, factors[0][0])
 
 
-def _check_adjoin_degree(cs):
-    if _pdeg(cs) > _MAX_ADJOIN_DEGREE:
-        raise ExtensionUnsupportedError(
-            f"extension unsupported: degree {_pdeg(cs)} exceeds "
-            f"{_MAX_ADJOIN_DEGREE} for polynomial with coefficients "
-            f"[{', '.join(scalar_str(c) for c in cs)}]"
-        )
-
-
 def _adjoin_factor(field, fac):
     """A root of the monic irreducible factor fac, adjoined as the next
-    tower level, named a<level>, within the degree and height bounds."""
-    _check_adjoin_degree(fac)
+    tower level, named a<level>, within the height bound; factor_univariate,
+    which gave fac, has already checked its degree."""
     if field.height() >= _MAX_TOWER_HEIGHT:
         raise ExtensionUnsupportedError(
             f"extension unsupported: tower height {_MAX_TOWER_HEIGHT} reached; "

@@ -167,26 +167,6 @@ class ValuedSeries:
                 items.append((ea + eb, ca * cb))
         return ValuedSeries(self.field, items, trunc, self.mode)
 
-    def scale(self, c):
-        """Multiply by an exact scalar coefficient."""
-        c = as_field_element(self.field, c)
-        if not c:
-            return ValuedSeries.zero(self.field, self.truncation, self.mode)
-        return ValuedSeries(
-            self.field,
-            [(e, cc * c) for e, cc in self.terms],
-            self.truncation,
-            self.mode,
-        )
-
-    def power(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise UsageError("series powers need a nonnegative integer exponent")
-        result = ValuedSeries.constant(self.field, 1, self.mode)
-        for _ in range(k):
-            result = result * self
-        return result
-
     # -- comparisons and text ----------------------------------------------
 
     def __eq__(self, other):

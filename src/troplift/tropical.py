@@ -108,7 +108,7 @@ def trop_member(I, query):
     if J.is_zero_ideal():
         return TropMembership(True, query, None, None)
     data = initial_ideal(J, weights)
-    flag, witness = contains_monomial(data.polynomial_presentation())
+    flag, witness = contains_monomial(data.presentation)
     return TropMembership(not flag, query, data, witness if flag else None)
 
 

@@ -10,14 +10,15 @@ of weights sharing a given initial ideal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import UsageError
 from .ideals import (
     IdealPresentation,
-    _rewrite,
     contains_monomial,
     ideal_quotient,
     ideals_equal,
+    normal_form,
     presentation,
 )
 from .linalg import find_strict_point, mat_rank, primitive_row
@@ -39,17 +40,18 @@ class InitialData:
     basis: tuple
     generators: tuple
 
-    def polynomial_presentation(self):
-        """The initial ideal viewed in the polynomial ring (global order).
+    @cached_property
+    def presentation(self):
+        """The initial ideal viewed in the polynomial ring (global order),
+        built once.
 
         It is homogeneous for the positive weight, so localisation gains
         nothing: two such ideals are equal in the power series ring iff
         they are equal here."""
-        ring = self.generators[0].ring if self.generators else self.basis[0].ring
-        return presentation(ring, list(self.generators), "global")
+        return presentation(self.generators[0].ring, self.generators, "global")
 
     def is_monomial_free(self):
-        flag, _ = contains_monomial(self.polynomial_presentation())
+        flag, _ = contains_monomial(self.presentation)
         return not flag
 
 
@@ -86,30 +88,24 @@ class CosetValuationHandle:
     """Evaluator for the weight valuation induced on cosets modulo an ideal.
 
     The value of g is the supremum of weighted orders over the coset
-    g + I: +infinity on members, decided on the generators of I by leading
-    ideals; else the weighted order of g once its initial form, rewritten
-    by the initial forms of the local standard basis at w, survives outside
-    the initial ideal, where no element of the coset can cancel it.
+    g + I: the weighted order of the local normal form of g modulo I at w,
+    +infinity on members; a nonzero normal form keeps its initial form
+    outside the initial ideal, where no element of the coset can cancel it.
     """
 
     def __init__(self, I, w):
-        self.data = initial_ideal(I, w)
-        self.order = I.ring.order(self.data.weights, "local")
-        self.generators = I.generators
-        self.basis = self.data.basis
+        self.ideal = I.local_at(w)
+        self.data = initial_ideal(self.ideal, w)
         self.monomial_free = self.data.is_monomial_free()
-        self.ring = self.basis[0].ring
 
     def value(self, g):
         if not self.monomial_free:
             raise UsageError("not a valuation: initial ideal contains a monomial")
         if not isinstance(g, Polynomial):
             raise UsageError("expected a polynomial")
-        if g.ring is not self.ring and not g.ring.same(self.ring):
+        if not g.ring.same(self.ideal.ring):
             raise UsageError("polynomial lives in a different ring")
-        return w_order(
-            _rewrite(g, self.basis, self.generators, self.order), self.order.weights
-        )
+        return w_order(normal_form(g, self.ideal), self.data.weights)
 
 
 def _sign_normalize(row):
@@ -258,7 +254,7 @@ def tensor_combine(I, J, w1, w2):
     total = initial_ideal(combined, w)
     rhs = presentation(big, block_inits, "global")
     certificate = TensorCertificate(
-        initial_match=ideals_equal(total.polynomial_presentation(), rhs),
+        initial_match=ideals_equal(total.presentation, rhs),
         left_monomial_free=left.is_monomial_free(),
         right_monomial_free=right.is_monomial_free(),
         combined_monomial_free=total.is_monomial_free(),
@@ -280,7 +276,7 @@ def init_additivity_check(I, f, w):
     weights = tuple(w)
     if initial_form(f, weights) != f:
         raise UsageError("polynomial is not homogeneous for the given weight")
-    init_poly = initial_ideal(I, weights).polynomial_presentation()
+    init_poly = initial_ideal(I, weights).presentation
     nonzerodivisor, _, equal = _additivity(init_poly, I.with_extra([f]), f, weights)
     if not nonzerodivisor:
         raise UsageError("polynomial is a zerodivisor modulo the initial ideal")
@@ -298,6 +294,4 @@ def _additivity(initial, extended, f, w):
     if not ideals_equal(ideal_quotient(initial, f), initial):
         return False, None, False
     data = initial_ideal(extended, w)
-    return True, data, ideals_equal(
-        data.polynomial_presentation(), initial.with_extra([f])
-    )
+    return True, data, ideals_equal(data.presentation, initial.with_extra([f]))

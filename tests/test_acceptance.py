@@ -19,6 +19,7 @@ from troplift import ideals
 from troplift.cli import run as cli_run
 from troplift.errors import NonMemberError
 from troplift.ideals import (
+    IdealPresentation,
     dimension,
     eliminate,
     ideals_equal,
@@ -256,14 +257,16 @@ def test_criterion_06_stability_and_product_intersection():
         w_all = tuple(w1) + tuple(w2)
         order = OrderDescriptor(w_all, "local")
         lifted = [inject(g, big, list(range(nx))) for g in I.standard_basis()]
+        lifted_ideal = IdealPresentation(big, lifted, order)
         for f, g in combinations(lifted, 2):
-            assert normal_form(spoly(f, g, order), lifted, order).is_zero
+            assert normal_form(spoly(f, g, order), lifted_ideal).is_zero
         lifted_j = [
             inject(g, big, list(range(nx, nx + ny)))
             for g in J.standard_basis()
         ]
+        lifted_j_ideal = IdealPresentation(big, lifted_j, order)
         for f, g in combinations(lifted_j, 2):
-            assert normal_form(spoly(f, g, order), lifted_j, order).is_zero
+            assert normal_form(spoly(f, g, order), lifted_j_ideal).is_zero
         # product = intersection, computed independently by elimination
         ext = PolyRing(field, ("t_",) + I.ring.vars + J.ring.vars)
         FX = [inject(g, ext, list(range(1, nx + 1))) for g in I.generators]

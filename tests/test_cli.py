@@ -461,6 +461,19 @@ def test_pair_guard_exits_three(monkeypatch):
     assert err == "capability limit: standard basis needs over 2 S-pairs\n"
 
 
+def test_division_step_bound_exits_three(monkeypatch):
+    """The reduction bound of divide is a capability limit, like the
+    S-pair bound."""
+    from troplift import ideals
+
+    monkeypatch.setattr(ideals, "_MAX_REDUCTION_STEPS", 2)
+    code, out, err = cap(
+        ["init-ideal", "--vars", "x,y", "--ideal", "x+y;x-y^2", "--w", "1,1"]
+    )
+    assert (code, out) == (3, "")
+    assert err == "capability limit: division needs over 2 reductions\n"
+
+
 def test_internal_invariant_errors_propagate(monkeypatch):
     """A violated invariant is a bug, not an exit code: it leaves cli.run."""
 

@@ -375,7 +375,8 @@ def _taylor_shift_by_products(coeffs, shift, field, mode):
     for j in range(d + 1):
         acc = ValuedSeries.zero(field, INF, mode)
         for i in range(j, d + 1):
-            acc = acc + coeffs[i].scale(comb(i, j)) * powers[i - j]
+            binom = ValuedSeries.constant(field, comb(i, j), mode)
+            acc = acc + coeffs[i] * binom * powers[i - j]
         out.append(acc)
     return out
 
@@ -467,10 +468,10 @@ def test_taylor_shift_by_a_fraction_is_q_to_the_degree_times_the_reference():
             shift = ValuedSeries.monomial(field, omega, Fraction(a, q), mode)
             got = _shift_series(coeffs, a, omega, field, mode, q)
             want = _taylor_shift_by_products(coeffs, shift, field, mode)
-            factor = q ** (len(coeffs) - 1)
+            factor = ValuedSeries.constant(field, q ** (len(coeffs) - 1), mode)
             for g, h in zip(got, want):
                 assert all(x.__class__ is int for _, x in g.terms)
-                assert g.terms == h.scale(factor).terms, (coeffs, a, q, omega)
+                assert g.terms == (h * factor).terms, (coeffs, a, q, omega)
                 assert g.truncation == h.truncation
             scaled += any(g.terms for g in got)
     assert scaled >= 60
@@ -772,11 +773,11 @@ def _np_case(seed):
         else:
             u = series(a1 + 1 if rng.random() < 0.5 else 1)
             d = rng.choice([2, 3, 5, 5])
-        factors.append([-(u * u).scale(d), zero, one])
+        factors.append([-(u * u * ValuedSeries.constant(field, d, mode)), zero, one])
     coeffs = _poly_product(field, factors, mode)
     if rng.random() < 0.3:
-        k = rng.choice([2, 6, 35])
-        coeffs = [c.scale(k) for c in coeffs]
+        k = ValuedSeries.constant(field, rng.choice([2, 6, 35]), mode)
+        coeffs = [c * k for c in coeffs]
     if rng.random() < 0.4:
         cut = ValueScalar(Fraction(rng.randint(2, 16), rng.randint(1, 3)))
         coeffs = [truncate(c, cut) if rng.random() < 0.7 else c for c in coeffs]
@@ -1007,7 +1008,8 @@ def test_walk_on_rational_input_shifts_int_terms(monkeypatch):
                       Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 7)))
                      for _ in range(rng.randint(1, 3))]
             factors.append([-ValuedSeries(field, terms), ValuedSeries.constant(field, 1)])
-        coeffs = [c.scale(Fraction(6, 5)) for c in _poly_product(field, factors, "puiseux")]
+        six_fifths = ValuedSeries.constant(field, Fraction(6, 5))
+        coeffs = [c * six_fifths for c in _poly_product(field, factors, "puiseux")]
         roots = newton_puiseux(coeffs, 8)
         assert not field.height()
         assert sorted(str(-r) for r in roots) == sorted(str(f[0]) for f in factors)
@@ -1041,8 +1043,8 @@ def test_newton_puiseux_builds_value_scalars_only_for_its_roots(monkeypatch):
     # +-sqrt(3) t^(3/2) (1 + ...) that runs to N
     coeffs = _poly_product(field, [
         [-(t[1] + t[2]), one],
-        [t[1].scale(2) - t[3], one],
-        [-(t[3].scale(3) + t[4]), ValuedSeries.zero(field), one],
+        [t[1] * ValuedSeries.constant(field, 2) - t[3], one],
+        [-(t[3] * ValuedSeries.constant(field, 3) + t[4]), ValuedSeries.zero(field), one],
     ], "puiseux")
     built = []
     build = ValueScalar._build

@@ -10,7 +10,12 @@ import sympy
 from hypothesis import assume, given, seed, settings, strategies as st
 
 from troplift import cli, scalars
-from troplift.errors import ExtensionUnsupportedError, TropliftError, UsageError
+from troplift.errors import (
+    ExtensionUnsupportedError,
+    InternalInvariantError,
+    TropliftError,
+    UsageError,
+)
 from troplift.scalars import (
     AlgebraicNumber,
     NumberField,
@@ -460,6 +465,15 @@ def test_factor_univariate_deterministic():
     lc2, fac2 = factor_univariate(F, coeffs)
     assert lc1 == lc2 and fac1 == fac2
     assert len(fac1) == 2
+
+
+def test_a_remainder_that_does_not_shrink_raises(monkeypatch):
+    """Euclid's loops end because each remainder is shorter than its
+    divisor: a division that breaks this raises instead of looping."""
+    monkeypatch.setattr(scalars, "_pdivmod", lambda a, b: ([], list(b)))
+    for euclid in (scalars._pgcd, scalars._pgcd_ext):
+        with pytest.raises(InternalInvariantError, match="a remainder did not shrink"):
+            euclid([Fraction(-1), Fraction(0), Fraction(1)], [Fraction(-1), Fraction(1)])
 
 
 def test_extension_degree_bound():
@@ -939,6 +953,7 @@ def _resultant(a, b):
         r = scalars._pmod(a, b)
         if not r:
             return Fraction(0)
+        assert len(r) < len(b), "a remainder did not shrink"
         if da * db % 2:
             sign = -sign
         res = res * b[-1] ** (da - len(r) + 1)

@@ -200,14 +200,3 @@ def test_round_trip_hahn_text():
     text = series_str(s)
     back = parse_series(text, F, mode="hahn", d=2)
     assert back == s
-
-
-def test_shift_scale_power():
-    s = _s([(1, 2)], truncation=5)
-    tripled = s.scale(Fraction(3))
-    assert tripled.terms == ((ValueScalar(1), Fraction(6)),)
-    sq = s.power(2)
-    assert sq.terms == ((ValueScalar(2), Fraction(4)),)
-    assert sq.truncation == ValueScalar(6)
-    with pytest.raises(UsageError):
-        s.power(-1)

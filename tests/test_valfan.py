@@ -144,7 +144,7 @@ def test_coset_valuation_axioms():
 def _rewriting_value(handle, g):
     """Reference: rewrite the initial form of the running representative
     inside the initial ideal until it survives outside it."""
-    order, basis = handle.order, handle.basis
+    order, basis = handle.ideal.order, handle.data.basis
     w = order.weights
     if _mora_nf(g, ideals.lead_records(basis, order), order).is_zero:
         return INF
@@ -360,7 +360,7 @@ def _lemma(ring, texts, f, w):
     I + (f) as text."""
     I = _ideal(ring, texts, w)
     f = _p(ring, f)
-    initial = initial_ideal(I, w).polynomial_presentation()
+    initial = initial_ideal(I, w).presentation
     nonzerodivisor, data, equal = _additivity(initial, I.with_extra([f]), f, w)
     gens = None if data is None else [poly_str(g) for g in data.generators]
     return nonzerodivisor, gens, equal
