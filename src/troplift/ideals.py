@@ -306,10 +306,9 @@ def _spair_loop(gens, order):
     _MAX_SPAIRS popped pairs raise a CapabilityError."""
     G = []
     for g in gens:
-        if not g.is_zero:
-            rec = _entry(g, order)
-            if all(rec[0] != r[0] for r in G):
-                G.append(rec)
+        rec = _entry(g, order)
+        if all(rec[0] != r[0] for r in G):
+            G.append(rec)
     pairs = []
     pending = set()
 
@@ -531,8 +530,6 @@ def ideal_quotient(I: IdealPresentation, f: Polynomial) -> IdealPresentation:
     divisor = lead_records([f], order)
     quots = []
     for h in inter:
-        if h.is_zero:
-            continue
         (q,), r = divide(h, divisor, order)
         if not r.is_zero:
             raise InternalInvariantError(f"inexact division: {h} by {f}")
@@ -563,7 +560,7 @@ def contains_monomial(I: IdealPresentation):
         return False, None
     ring = I.ring
     n = ring.nvars()
-    if not saturate(_as_global(I), ring.monomial((1,) * n)).is_unit_ideal():
+    if not saturate(I, ring.monomial((1,) * n)).is_unit_ideal():
         return False, None
 
     def member(expo):
@@ -647,14 +644,9 @@ def _univariate_part(gens, var):
     """gcd of the univariate-in-var members among the generators."""
     acc = []
     for g in gens:
-        if g.is_zero:
-            continue
         if all(all(e == 0 for i, e in enumerate(m) if i != var) for m in g.coeffs):
-            cs = {}
-            for m, c in g.coeffs.items():
-                cs[m[var]] = c
-            deg = max(cs)
-            acc.append([cs.get(i, Fraction(0)) for i in range(deg + 1)])
+            cs = {m[var]: c for m, c in g.coeffs.items()}
+            acc.append([cs.get(i, Fraction(0)) for i in range(max(cs) + 1)])
     if not acc:
         return None
     g = acc[0]
@@ -694,8 +686,6 @@ def _solve_zero_dim(ring, gens, remaining, assignment):
             root = _adjoin_factor(ring.field, fac)
         else:  # a failed branch grew the field, over which fac may split
             _, root = adjoin_root(ring.field, fac)
-        if not root:
-            continue
         trial = dict(assignment)
         trial[var] = root
         found = _solve_zero_dim(ring, gens, rest, trial)
@@ -728,6 +718,8 @@ def torus_attempts(J: IdealPresentation, seed=0, start=0):
     independent variable set and solves for the rest by elimination and
     root adjunction.  The ideal is not checked for monomials here; its
     basis and independent set are computed once for the whole sequence.
+    A point found is in the torus: each coordinate is a nonzero slice value,
+    1, or a root of a factor with nonzero constant term.
     """
     ring = J.ring
     n = ring.nvars()
@@ -739,11 +731,4 @@ def torus_attempts(J: IdealPresentation, seed=0, start=0):
         assignment = dict(zip(indep, values))
         remaining = [i for i in range(n) if i not in assignment]
         found = _solve_zero_dim(ring, basis, remaining, assignment)
-        point = None
-        if found is not None:
-            point = tuple(found[i] for i in range(n))
-            if not all(point) or any(
-                not substitute_scalars(g, found).is_zero for g in J.generators
-            ):
-                point = None
-        yield attempt, point
+        yield attempt, None if found is None else tuple(found[i] for i in range(n))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb, isqrt, lcm
 
 from .errors import (
@@ -225,11 +225,9 @@ def descend(I, w, seed=0):
     for pos, i in enumerate(rest_idx):
         var_map[i] = pos
     ones = {i: Fraction(1) for i in slice_idx}
-    sliced = []
-    for g in Jp.generators:
-        h = project(substitute_scalars(g, ones), small, var_map)
-        if not h.is_zero:
-            sliced.append(h)
+    sliced = [
+        project(substitute_scalars(g, ones), small, var_map) for g in Jp.generators
+    ]
     try:
         Js = presentation(small, sliced, "global")
         wit_x = torus_point(Js, seed=seed)
@@ -237,49 +235,60 @@ def descend(I, w, seed=0):
         raise DescentWitnessError(
             "no torus point on the sliced initial variety: %s" % exc
         )
-    x0 = _unslice(wit_x.point, var_map)
+    found = []
 
+    def later_points():
+        # y0 from the attempts after x0's, up to attempt 24; the attempts
+        # before it found no point
+        attempts = torus_attempts(Js, seed, start=wit_x.attempts)
+        for _, point in islice(attempts, 25 - wit_x.attempts):
+            if point is not None:
+                found.append(_unslice(point, var_map))
+                yield found[-1]
+
+    x0, ys = _unslice(wit_x.point, var_map), later_points()
     failures = []
-    # y0 from the attempts after x0's, up to attempt 24; the attempts
-    # before it found no point
-    for attempt, y0_rest in torus_attempts(Js, seed, start=wit_x.attempts):
-        if attempt > 24:
-            break
-        if y0_rest is None:
-            continue
-        y0 = _unslice(y0_rest, var_map)
-        if y0 == x0:
-            continue
-        for f_tilde, f in _binomials(ring, span, slice_idx, x0, y0):
-            if initial_form(f, w) != f:
-                raise InternalInvariantError("cut polynomial is not homogeneous")
-            I2 = Iw.with_extra([f])
-            nzd_ok, lhs, additivity_ok = _additivity(Jp, I2, f, w)
-            if not nzd_ok:
-                failures.append("%s is a zerodivisor" % poly_str(f))
+    zerodivisors_only = True
+    while True:
+        for y0 in ys:
+            if y0 == x0:
                 continue
-            record = DescentStep(
-                weights=w,
-                integral_weight=wp,
-                slice_indices=tuple(slice_idx),
-                J=tuple(data.generators),
-                x0=x0,
-                y0=y0,
-                f_tilde=f_tilde,
-                f=f,
-                nonzerodivisor_ok=True,
-                additivity_ok=additivity_ok,
-                monomial_free_ok=lhs.is_monomial_free(),
-                dim_before=dim_before,
-                dim_after=dimension(I2),
-            )
-            if record.ok():
-                return I2, record
-            failures.append(
-                "%s: additivity %s, monomial-free %s, dim %d->%d"
-                % (poly_str(f), additivity_ok, record.monomial_free_ok,
-                   dim_before, record.dim_after)
-            )
+            for f_tilde, f in _binomials(ring, span, slice_idx, x0, y0):
+                if initial_form(f, w) != f:
+                    raise InternalInvariantError("cut polynomial is not homogeneous")
+                I2 = Iw.with_extra([f])
+                nzd_ok, lhs, additivity_ok = _additivity(Jp, I2, f, w)
+                if not nzd_ok:
+                    failures.append("%s is a zerodivisor" % poly_str(f))
+                    continue
+                zerodivisors_only = False
+                record = DescentStep(
+                    weights=w,
+                    integral_weight=wp,
+                    slice_indices=tuple(slice_idx),
+                    J=tuple(data.generators),
+                    x0=x0,
+                    y0=y0,
+                    f_tilde=f_tilde,
+                    f=f,
+                    nonzerodivisor_ok=True,
+                    additivity_ok=additivity_ok,
+                    monomial_free_ok=lhs.is_monomial_free(),
+                    dim_before=dim_before,
+                    dim_after=dimension(I2),
+                )
+                if record.ok():
+                    return I2, record
+                failures.append(
+                    "%s: additivity %s, monomial-free %s, dim %d->%d"
+                    % (poly_str(f), additivity_ok, record.monomial_free_ok,
+                       dim_before, record.dim_after)
+                )
+        # every cut through x0 was a zerodivisor, as when x0 lies on two
+        # components: x0 moves to the next point found, y0 to those after it
+        if not zerodivisors_only or not found:
+            break
+        x0, ys = found.pop(0), found
     raise DescentWitnessError(
         "no certified hyperplane cut found"
         + ("; tried: " + "; ".join(failures[:4]) if failures else "")

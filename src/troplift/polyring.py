@@ -161,9 +161,6 @@ class Polynomial:
         zero = (0,) * self.ring.nvars()
         return self.coeffs.get(zero, Fraction(0))
 
-    def coefficient(self, m):
-        return self.coeffs.get(tuple(m), Fraction(0))
-
     # -- arithmetic
 
     def _check(self, other):

@@ -332,7 +332,6 @@ def as_value(x):
 # (ascending powers) of such values.
 
 _MAX_ADJOIN_DEGREE = 8
-_MAX_TOWER_HEIGHT = 3
 
 
 class _FieldLevel:
@@ -1075,18 +1074,15 @@ def _factor_squarefree(field, level, f):
         raise ExtensionUnsupportedError(
             "extension unsupported: no squarefree norm found during descent"
         )
-    sub_factors = _factor_squarefree(field, level - 1, norm)
+    # the norm is squarefree: each factor of it gives one factor of f (Trager)
     out = []
     rest = f
-    for h in sub_factors:
-        if _pdeg(rest) <= 0:
-            break
+    for h in _factor_squarefree(field, level - 1, norm):
         g = _pgcd(rest, _pshift(h, theta * s) if s else h)
-        if _pdeg(g) >= 1:
-            out.append(g)
-            rest, r = _pdivmod(rest, g)
-            if r:
-                raise InternalInvariantError("a factor of f does not divide it")
+        out.append(g)
+        rest, r = _pdivmod(rest, g)
+        if r:
+            raise InternalInvariantError("a factor of f does not divide it")
     return out
 
 
@@ -1146,8 +1142,8 @@ def adjoin_root(field, coeffs):
 
     If the polynomial already has a root in the field, the field is returned
     unchanged with the canonically first such root.  Otherwise the canonically
-    first irreducible factor is adjoined as a new tower level.  Degree and
-    height beyond the implemented bounds raise ExtensionUnsupportedError.
+    first irreducible factor is adjoined as a new tower level.  A factor
+    beyond the degree cap raises ExtensionUnsupportedError.
     """
     cs = _pnorm([as_field_element(field, c) for c in coeffs])
     if _pdeg(cs) < 1:
@@ -1162,13 +1158,8 @@ def adjoin_root(field, coeffs):
 
 def _adjoin_factor(field, fac):
     """A root of the monic irreducible factor fac, adjoined as the next
-    tower level, named a<level>, within the height bound; factor_univariate,
-    which gave fac, has already checked its degree."""
-    if field.height() >= _MAX_TOWER_HEIGHT:
-        raise ExtensionUnsupportedError(
-            f"extension unsupported: tower height {_MAX_TOWER_HEIGHT} reached; "
-            f"cannot adjoin a root of degree {_pdeg(fac)} factor"
-        )
+    tower level, named a<level>; factor_univariate, which gave fac, has
+    checked its degree, and with it the height: levels have degree >= 2."""
     return field.adjoin(f"a{field.height() + 1}", fac)
 
 
@@ -1191,15 +1182,9 @@ def roots_in_extension(field, coeffs):
         raise UsageError("roots_in_extension needs a nonconstant polynomial")
     out = []
     # (polynomial, multiplicity, degree of the adjoined factor it is the
-    # cofactor of, or None)
+    # cofactor of, or None); each pass lowers the degree queued
     pending = [(cs, 1, None)]
-    guard = 0
     while pending:
-        guard += 1
-        if guard > 64:
-            raise ExtensionUnsupportedError(
-                "extension unsupported: root enumeration did not stabilize"
-            )
         poly, mult, adjoined = pending.pop(0)
         if adjoined is not None:
             _check_degree_cap(field, field.height(), adjoined)

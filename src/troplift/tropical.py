@@ -155,7 +155,6 @@ def trop_hypersurface(f):
             % (s, _MAX_SUPPORT)
         )
     cones = []
-    seen = set()
     for mask in range(1, 1 << s):
         chosen = [support[i] for i in range(s) if mask >> i & 1]
         if len(chosen) < 2:
@@ -175,12 +174,9 @@ def trop_hypersurface(f):
         sample = find_strict_point(eq_rows, strict_rows, n, drop_degenerate=False)
         if sample is None:
             continue
+        # the argmin at the sample is the subset: no two subsets share a cone
         J = presentation(ring, [f], "local", sample)
         cone = groebner_cone(J, sample)
-        key = (cone.eq, cone.ineq)
-        if key in seen:
-            continue
-        seen.add(key)
         data = initial_ideal(J, sample)
         cones.append(TropCone(cone, sample, True, data))
     cones.sort(key=lambda c: (c.cone.eq, c.cone.ineq))
@@ -223,7 +219,7 @@ def trop_enumerate(I, budget=128, seed=0):
     truncated = False
     while queue:
         w = queue.pop(0)
-        # a weight met before has its cone in seen already, or rejected
+        # a weight met before has its cone in seen already
         if w in popped:
             continue
         popped.add(w)
@@ -235,9 +231,8 @@ def trop_enumerate(I, budget=128, seed=0):
         if len(seen) >= budget:
             truncated = True
             break
+        # w > 0 meets its own cone's rows strictly: a positive sample exists
         sample = cone.interior_point()
-        if sample is None or any(x <= 0 for x in sample):
-            continue
         # a sample equal to w reuses the basis of the cone
         result = trop_member(Iw, TropQuery(sample))
         seen[key] = TropCone(cone, sample, result.member, result.initial)

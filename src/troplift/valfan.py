@@ -70,14 +70,8 @@ def initial_ideal(I, w):
     local = I.local_at(w)
     weights = local.order.weights
     basis = local.standard_basis()
-    inits = []
-    seen = set()
-    for g in basis:
-        form = initial_form(g, weights)
-        key = tuple(sorted(form.coeffs))
-        if key not in seen:
-            seen.add(key)
-            inits.append(form)
+    # distinct: each form has its own element's leading monomial, and no other
+    inits = [initial_form(g, weights) for g in basis]
     if not inits:
         inits = [I.ring.zero()]
         basis = (I.ring.zero(),)
@@ -109,12 +103,10 @@ class CosetValuationHandle:
 
 
 def _sign_normalize(row):
+    """row, or -row when its first nonzero entry (every cone row has one) is < 0."""
     for v in row:
         if v != 0:
-            if v < 0:
-                return tuple(-x for x in row)
-            return row
-    return row
+            return tuple(-x for x in row) if v < 0 else row
 
 
 @dataclass(frozen=True)
@@ -176,16 +168,12 @@ def _cone_rows(basis, weights):
         anchor = support[0]
         for mono in support[1:]:
             row = tuple(a - b for a, b in zip(anchor, mono))
-            row = _sign_normalize(primitive_row(row))
-            if any(v != 0 for v in row):
-                eq_rows.add(row)
+            eq_rows.add(_sign_normalize(primitive_row(row)))
         for mono in g.support():
             if mono in form.coeffs:
                 continue
             row = tuple(b - a for a, b in zip(anchor, mono))
-            row = primitive_row(row)
-            if any(v != 0 for v in row):
-                ineq_rows.add(row)
+            ineq_rows.add(primitive_row(row))
     for i in range(n):
         ineq_rows.add(tuple(1 if j == i else 0 for j in range(n)))
     return tuple(sorted(eq_rows)), tuple(sorted(ineq_rows))

@@ -274,6 +274,17 @@ def test_np_solve_goldens():
         assert cap(argv) == (0, want, ""), argv
 
 
+def test_np_solve_degenerate_polynomials():
+    """A zero polynomial is refused as input; one whose coefficients all
+    vanish below their truncations is beyond what the walk can decide."""
+    assert cap(["np-solve", "--coeffs=0;0", "--N", "3"]) == (
+        2, "", "usage error: the polynomial is identically zero\n"
+    )
+    assert cap(["np-solve", "--coeffs=O(t^(2));O(t^(3))", "--N", "3"]) == (
+        3, "", "capability limit: every coefficient vanishes below its truncation\n"
+    )
+
+
 def test_np_solve_precision_target_checks():
     base = ["np-solve", "--coeffs=-t^(2);0;1", "--N"]
     assert cap(base + ["inf"]) == (

@@ -192,18 +192,20 @@ def test_descend_rejects_a_zerodivisor_then_cuts():
 
 
 def test_descend_reports_zerodivisor_cuts():
-    """x0 = (1,1,1) lies on both components of (x2-x1)(x3-x1), so every
-    cut through it divides zero; the attempts stop after 24."""
+    """The first torus point (1,1,1) lies on both components of
+    (x2-x1)(x3-x1), so every cut through it is a zerodivisor; descend then
+    moves x0 to the next torus point, off the plane x2 = x1, and the lift
+    through that cut verifies."""
     R = _ring("x1", "x2", "x3")
     w = (1, 1, 1)
     I = _local(R, ["(x2 - x1)*(x3 - x1)"], w)
-    with pytest.raises(DescentWitnessError) as info:
-        descend(I, w, seed=0)
-    assert str(info.value) == (
-        "no certified hyperplane cut found; tried: -x1 + x2 is a zerodivisor; "
-        "-x1^3 + x2^3 is a zerodivisor; -x1^5 + x2^5 is a zerodivisor; "
-        "-x1 + x2 is a zerodivisor"
-    )
+    _, step = descend(I, w, seed=0)
+    assert step.x0 == (1, -1, 1) and step.y0 == (1, -2, 1)
+    assert poly_str(step.f) == "x1 + x2" and step.ok()
+    res = lift_point(LiftProblem(I, w, 3))
+    assert res.point_strings() == ("t^(1)", "-t^(1)", "t^(1)")
+    assert [poly_str(d.f) for d in res.descents] == ["x1 + x2"]
+    assert verify_lift(res).ok()
 
 
 def test_descend_reports_failed_certificates(monkeypatch):
