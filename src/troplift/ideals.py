@@ -44,10 +44,10 @@ from .polyring import (
     expo_divides,
     expo_lcm,
     expo_sub,
+    extend,
     initial_form,
-    inject,
     leading_term,
-    project,
+    move,
     substitute_scalars,
 )
 from .scalars import (
@@ -357,7 +357,7 @@ def _mora_std(gens, order):
     if not gens:
         return [], 0, True
     ring = gens[0].ring
-    big = PolyRing(ring.field, ring.vars + (_fresh_name(ring, "h_"),))
+    big = extend(ring, "h_")
     hom = []
     for g in gens:
         d = g.total_degree()
@@ -438,13 +438,6 @@ def ideals_equal(A: IdealPresentation, B: IdealPresentation) -> bool:
     )
 
 
-def _fresh_name(ring, base):
-    name = base
-    while name in ring.index:
-        name = "_" + name
-    return name
-
-
 def eliminate(ring: PolyRing, gens, elim_indices):
     """Generators of the elimination ideal (still expressed in the full
     ring).  Uses the weight trick: weight 1 on eliminated variables, 0 on the
@@ -487,14 +480,12 @@ def saturate(I: IdealPresentation, g: Polynomial) -> IdealPresentation:
             return _reduced(ring, gens, order)
         if ring.one() in gens:
             return _reduced(ring, [ring.one()], order)
-    big = PolyRing(ring.field, ring.vars + (_fresh_name(ring, "s_"),))
-    vmap = list(range(ring.nvars()))
-    s = big.var(big.nvars() - 1)
-    gens = [inject(f, big, vmap) for f in gens]
-    gens.append(big.one() - s * inject(g, big, vmap))
-    elim = eliminate(big, gens, [big.nvars() - 1])
-    small_map = vmap + [None]
-    return _reduced(ring, [project(f, ring, small_map) for f in elim], order)
+    n = ring.nvars()
+    big, vmap = extend(ring, "s_"), list(range(n))
+    gens = [move(f, big, vmap) for f in gens]
+    gens.append(big.one() - big.var(n) * move(g, big, vmap))
+    elim = eliminate(big, gens, [n])
+    return _reduced(ring, [move(f, ring, vmap + [None]) for f in elim], order)
 
 
 def _strip(f, m):
@@ -518,15 +509,14 @@ def ideal_quotient(I: IdealPresentation, f: Polynomial) -> IdealPresentation:
     if f.is_zero:
         raise UsageError("quotient by the zero polynomial")
     ring = I.ring
-    big = PolyRing(ring.field, ring.vars + (_fresh_name(ring, "t_"),))
-    vmap = list(range(ring.nvars()))
-    t = big.var(big.nvars() - 1)
-    gens = [t * inject(g, big, vmap) for g in I.generators]
-    gens.append((big.one() - t) * inject(f, big, vmap))
-    elim = eliminate(big, gens, [big.nvars() - 1])
-    small_map = vmap + [None]
-    inter = [project(h, ring, small_map) for h in elim]
-    order = ring.order((0,) * ring.nvars(), "global")
+    n = ring.nvars()
+    big, vmap = extend(ring, "t_"), list(range(n))
+    t = big.var(n)
+    gens = [t * move(g, big, vmap) for g in I.generators]
+    gens.append((big.one() - t) * move(f, big, vmap))
+    elim = eliminate(big, gens, [n])
+    inter = [move(h, ring, vmap + [None]) for h in elim]
+    order = ring.order((0,) * n, "global")
     divisor = lead_records([f], order)
     quots = []
     for h in inter:

@@ -38,15 +38,7 @@ from .ideals import (
     torus_point,
 )
 from .linalg import mat_rank, primitive_row, rref, solve_linear
-from .polyring import (
-    INF,
-    PolyRing,
-    Polynomial,
-    initial_form,
-    poly_str,
-    project,
-    substitute_scalars,
-)
+from .polyring import INF, Polynomial, initial_form, poly_str, restrict
 from .scalars import (
     AlgebraicNumber,
     ValueScalar,
@@ -219,15 +211,8 @@ def descend(I, w, seed=0):
     _, slice_idx = rref(list(zip(*span.matrix)), n)
     if len(slice_idx) < span.rank:
         raise InternalInvariantError("span matrix lost rank")
-    rest_idx = [i for i in range(n) if i not in slice_idx]
-    small = PolyRing(ring.field, tuple(ring.vars[i] for i in rest_idx))
-    var_map = [None] * n
-    for pos, i in enumerate(rest_idx):
-        var_map[i] = pos
     ones = {i: Fraction(1) for i in slice_idx}
-    sliced = [
-        project(substitute_scalars(g, ones), small, var_map) for g in Jp.generators
-    ]
+    small, sliced, var_map = restrict(Jp.generators, ring, ones)
     try:
         Js = presentation(small, sliced, "global")
         wit_x = torus_point(Js, seed=seed)

@@ -33,6 +33,7 @@ from .scalars import (
     NumberField,
     ValueScalar,
     _MAX_RADICAND,
+    _square_part,
     adjoin_root,
     as_field_element,
     scalar_str,
@@ -174,12 +175,7 @@ class _Scalars:
         n = int(arg)
         if n > _MAX_RADICAND:  # the square part is found by trial division
             raise UsageError("sqrt(%d) is above the bound 10^12" % n)
-        r, d, q = 1, n, 2  # sqrt(n) = r*sqrt(d) with d squarefree
-        while q * q <= d:
-            if d % (q * q):
-                q += 1
-            else:
-                r, d = r * q, d // (q * q)
+        r, d = _square_part(n)  # sqrt(n) = r*sqrt(d)
         if d > 1 and self.d is not None and d != self.d:
             raise UsageError(
                 "sqrt(%d) conflicts with the session constant d=%d" % (n, self.d)

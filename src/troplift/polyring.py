@@ -8,6 +8,10 @@ form).  Initial forms always follow the min convention: the terms whose
 weight is minimal.  Weight levels of rational weights are int dot products
 with their primitive integer row.  Each ring holds one order object per
 (weights, mode), so the presentations of one ring share its key memo.
+
+Every change of ring lives here: ``move`` renumbers variables, ``extend``
+adds a fresh variable and ``restrict`` substitutes scalars for some
+variables and drops them.
 """
 
 from __future__ import annotations
@@ -377,37 +381,47 @@ def initial_form(f: Polynomial, weights) -> Polynomial:
 # -- ring maps --------------------------------------------------------------
 
 
-def inject(f: Polynomial, big: PolyRing, var_map) -> Polynomial:
-    """Reinterpret f in a larger ring; var_map[i] is the new index of old
-    variable i."""
+def move(f: Polynomial, ring: PolyRing, var_map) -> Polynomial:
+    """f in another ring: variable i becomes variable var_map[i] there.  A
+    variable mapped to None must not occur in f, and the map must be
+    injective on the variables that occur, so no two terms merge."""
+    n = ring.nvars()
     out = {}
-    n = big.nvars()
     for m, c in f.coeffs.items():
         e = [0] * n
         for i, ei in enumerate(m):
             if ei:
-                e[var_map[i]] = ei
+                j = var_map[i]
+                if j is None:
+                    raise UsageError(
+                        f"variable {f.ring.vars[i]} still occurs; cannot project"
+                    )
+                e[j] = ei
         out[tuple(e)] = c
-    return Polynomial(big, out)
+    return Polynomial(ring, out)
 
 
-def project(f: Polynomial, small: PolyRing, var_map) -> Polynomial:
-    """Move f into a subring; var_map[i] is the new index of old variable i
-    or None for dropped variables (which must not occur in f)."""
-    n = small.nvars()
-    items = []
-    for m, c in f.coeffs.items():
-        e = [0] * n
-        for i, ei in enumerate(m):
-            if not ei:
-                continue
-            if var_map[i] is None:
-                raise UsageError(
-                    f"variable {f.ring.vars[i]} still occurs; cannot project"
-                )
-            e[var_map[i]] = ei
-        items.append((e, c))
-    return small.from_terms(items)
+def extend(ring: PolyRing, base) -> PolyRing:
+    """The ring with one fresh last variable: base, with underscores put in
+    front until no variable of the ring has that name."""
+    name = base
+    while name in ring.index:
+        name = "_" + name
+    return PolyRing(ring.field, ring.vars + (name,))
+
+
+def restrict(polys, ring: PolyRing, values):
+    """Substitute the scalars values (index -> scalar) in polys, then move
+    the results to the ring of the other variables.  Returns (that ring,
+    the images, var_map), where var_map[i] is the new index of variable i
+    or None when it was substituted."""
+    free = [i for i in range(ring.nvars()) if i not in values]
+    small = PolyRing(ring.field, tuple(ring.vars[i] for i in free))
+    var_map = [None] * ring.nvars()
+    for pos, i in enumerate(free):
+        var_map[i] = pos
+    images = [move(substitute_scalars(g, values), small, var_map) for g in polys]
+    return small, images, var_map
 
 
 def substitute_scalars(f: Polynomial, values: dict) -> Polynomial:

@@ -47,6 +47,7 @@ import random
 from fractions import Fraction
 
 from .errors import ExtensionUnsupportedError, InternalInvariantError, UsageError
+from .linalg import primitive_row
 
 
 # ---------------------------------------------------------------------------
@@ -103,17 +104,20 @@ _ONE = Fraction(1)
 _new = object.__new__
 
 
+def _square_part(n: int):
+    """(r, d) with n = r^2 * d and d squarefree, for n > 0, by trial
+    division."""
+    r, d, q = 1, n, 2
+    while q * q <= d:
+        if d % (q * q):
+            q += 1
+        else:
+            r, d = r * q, d // (q * q)
+    return r, d
+
+
 def _squarefree(n: int) -> bool:
-    if n <= 0:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        while n % p == 0:
-            n //= p
-        p += 1
-    return True
+    return n > 0 and _square_part(n)[0] == 1
 
 
 class ValueScalar:
@@ -859,11 +863,10 @@ def _z_exact_quotient(a, b):
 
 
 def _z_primitive(a):
-    g = 0
-    for c in a:
-        g = math.gcd(g, c)
-    g = g if a[-1] > 0 else -g
-    return [c // g for c in a]
+    """The primitive int polynomial on the ray of the rational a, with a
+    positive leading coefficient."""
+    f = primitive_row(a)
+    return f if f[-1] > 0 else tuple(-c for c in f)
 
 
 def _factor_rational_squarefree(cs):
@@ -871,10 +874,7 @@ def _factor_rational_squarefree(cs):
     unsorted output), by Zassenhaus's method: factor mod a prime p,
     Hensel-lift the factors to p^k beyond the Landau-Mignotte bound and
     recombine them by trial division over Z."""
-    den = 1
-    for c in cs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    f = _z_primitive([int(c * den) for c in cs])
+    f = _z_primitive(cs)
     n, lc = len(f) - 1, f[-1]
     # the first odd prime dividing neither lc nor the discriminant, which is
     # nonzero as f is squarefree

@@ -17,14 +17,7 @@ from fractions import Fraction
 from .errors import CapabilityError, UsageError
 from .ideals import IdealPresentation, contains_monomial, presentation
 from .linalg import find_strict_point
-from .polyring import (
-    INF,
-    PolyRing,
-    Polynomial,
-    poly_str,
-    project,
-    substitute_scalars,
-)
+from .polyring import INF, Polynomial, poly_str, restrict
 from .scalars import as_value
 from .valfan import GroebnerCone, InitialData, groebner_cone, initial_ideal
 
@@ -96,14 +89,7 @@ def trop_member(I, query):
     J = I
     if inf_idx:
         zeroed = {i: Fraction(0) for i in inf_idx}
-        small = PolyRing(I.ring.field, tuple(I.ring.vars[i] for i in fin_idx))
-        var_map = [None] * n
-        for pos, i in enumerate(fin_idx):
-            var_map[i] = pos
-        gens = [
-            project(substitute_scalars(g, zeroed), small, var_map)
-            for g in I.generators
-        ]
+        small, gens, _ = restrict(I.generators, I.ring, zeroed)
         J = presentation(small, gens, "local", weights)
     if J.is_zero_ideal():
         return TropMembership(True, query, None, None)

@@ -35,7 +35,7 @@ from troplift.lifting import (
     verify_lift,
 )
 from troplift.parsing import parse_poly
-from troplift.polyring import INF, OrderDescriptor, PolyRing, inject
+from troplift.polyring import INF, OrderDescriptor, PolyRing, move
 from troplift.scalars import NumberField, ValueScalar, as_value
 from troplift.series import ValuedSeries, substitute
 from troplift.tropical import trop_member
@@ -256,12 +256,12 @@ def test_criterion_06_stability_and_product_intersection():
         # after disjoint variables join the ring
         w_all = tuple(w1) + tuple(w2)
         order = OrderDescriptor(w_all, "local")
-        lifted = [inject(g, big, list(range(nx))) for g in I.standard_basis()]
+        lifted = [move(g, big, list(range(nx))) for g in I.standard_basis()]
         lifted_ideal = IdealPresentation(big, lifted, order)
         for f, g in combinations(lifted, 2):
             assert normal_form(spoly(f, g, order), lifted_ideal).is_zero
         lifted_j = [
-            inject(g, big, list(range(nx, nx + ny)))
+            move(g, big, list(range(nx, nx + ny)))
             for g in J.standard_basis()
         ]
         lifted_j_ideal = IdealPresentation(big, lifted_j, order)
@@ -269,9 +269,9 @@ def test_criterion_06_stability_and_product_intersection():
             assert normal_form(spoly(f, g, order), lifted_j_ideal).is_zero
         # product = intersection, computed independently by elimination
         ext = PolyRing(field, ("t_",) + I.ring.vars + J.ring.vars)
-        FX = [inject(g, ext, list(range(1, nx + 1))) for g in I.generators]
+        FX = [move(g, ext, list(range(1, nx + 1))) for g in I.generators]
         FY = [
-            inject(g, ext, list(range(nx + 1, nx + ny + 1)))
+            move(g, ext, list(range(nx + 1, nx + ny + 1)))
             for g in J.generators
         ]
         product = [f * g for f in FX for g in FY]

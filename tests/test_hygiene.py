@@ -272,6 +272,17 @@ def test_orders_are_built_only_by_the_ring():
     assert found == ["polyring.py: PolyRing.order"], found
 
 
+def test_rings_change_only_in_polyring():
+    """move, extend and restrict in polyring.py make every change of ring;
+    elsewhere a PolyRing is built only from variable names given by the user
+    or to put two rings side by side."""
+    found = [f"{path.name}: {owner or '<module>'}" for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "polyring.py"
+             for owner in calls_by_owner(path.read_text(), "PolyRing")]
+    assert found == ["cli.py: _load_ideal", "cli.py: _cmd_tensor",
+                     "parsing.py: parse_ideal_text", "valfan.py: tensor_combine"], found
+
+
 # -- the package factors over Q without sympy
 
 _FACTORING_ARGVS = [

@@ -35,10 +35,9 @@ from troplift.polyring import (
     expo_divides,
     expo_lcm,
     expo_sub,
-    inject,
     leading_term,
+    move,
     poly_str,
-    project,
     substitute_scalars,
     w_order,
 )
@@ -389,7 +388,7 @@ def test_ideal_quotient_rejects_inexact_division(monkeypatch):
     R = _ring("x", "y")
     # an intersection with (x) holding y, which x does not divide
     monkeypatch.setattr(
-        ideals, "eliminate", lambda ring, gens, idx: [inject(_p(R, "y"), ring, [0, 1])]
+        ideals, "eliminate", lambda ring, gens, idx: [move(_p(R, "y"), ring, [0, 1])]
     )
     with pytest.raises(InternalInvariantError, match="inexact division"):
         ideal_quotient(_ideal(R, ["x*y"]), _p(R, "x"))
@@ -620,10 +619,10 @@ def _saturate_by_elimination(I, g):
     big = PolyRing(ring.field, ring.vars + ("s_",))
     vmap = list(range(ring.nvars()))
     s = big.var(ring.nvars())
-    gens = [inject(f, big, vmap) for f in I.generators]
-    gens.append(big.one() - s * inject(g, big, vmap))
+    gens = [move(f, big, vmap) for f in I.generators]
+    gens.append(big.one() - s * move(g, big, vmap))
     elim = eliminate(big, gens, [ring.nvars()])
-    back = [project(f, ring, vmap + [None]) for f in elim]
+    back = [move(f, ring, vmap + [None]) for f in elim]
     return presentation(ring, back, "global")
 
 
@@ -736,6 +735,33 @@ def test_ideal_quotient_examples():
         ideal_quotient(_ideal(R, ["x^2", "x*y"]), _p(R, "x")),
         _ideal(R, ["x", "y"]),
     )
+
+
+def test_fresh_variables_avoid_the_ring_names():
+    """The local basis, saturate and ideal_quotient each add a fresh
+    variable (h_, s_, t_); in a ring that already has those names, the
+    answers equal those of the same ring with its variables renamed."""
+    plain = _ring("x", "y", "z", "u")
+    taken = PolyRing(plain.field, ("h_", "_h_", "s_", "t_"))
+    same = list(range(4))
+
+    def both(texts):
+        gens = [_p(plain, t) for t in texts]
+        return gens, [move(g, taken, same) for g in gens]
+
+    def back(polys):
+        return [move(g, plain, same) for g in polys]
+
+    w = (1, 2, 1, 3)
+    gens, renamed = both(["x^2 - y^3 + z*u", "y*z - x^3 + u^2"])
+    want = presentation(plain, gens, "local", w).standard_basis()
+    assert back(presentation(taken, renamed, "local", w).standard_basis()) == list(want)
+    gens, renamed = both(["x*y - z*u", "x^2*z - y*u^2", "y*z + u"])
+    (g, f), (g2, f2) = both(["x + y", "z*u - x"])
+    for op, a, b in ((saturate, g, g2), (ideal_quotient, f, f2)):
+        want = op(presentation(plain, gens, "global"), a).generators
+        got = op(presentation(taken, renamed, "global"), b).generators
+        assert back(got) == list(want), op.__name__
 
 
 def test_dimension_examples():
@@ -1010,7 +1036,7 @@ def test_groebner_stability_under_variable_extension():
             continue
         basis = I.standard_basis()
         big = PolyRing(RX.field, ("x1", "x2", "y1", "y2"))
-        lifted = [inject(g, big, [0, 1]) for g in basis]
+        lifted = [move(g, big, [0, 1]) for g in basis]
         order = OrderDescriptor((ValueScalar(0),) * 4, "global")
         for f, g in combinations(lifted, 2):
             s = spoly(f, g, order)
@@ -1030,8 +1056,8 @@ def test_product_equals_intersection_for_disjoint_blocks():
             continue
         field = NumberField()
         big = PolyRing(field, ("t", "x1", "x2", "y1", "y2"))
-        FX = [inject(g, big, [1, 2]) for g in I.generators]
-        FY = [inject(g, big, [3, 4]) for g in J.generators]
+        FX = [move(g, big, [1, 2]) for g in I.generators]
+        FY = [move(g, big, [3, 4]) for g in J.generators]
         product = [f * g for f in FX for g in FY]
         t = big.var(0)
         one = big.from_terms([((0, 0, 0, 0, 0), Fraction(1))])

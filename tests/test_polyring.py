@@ -13,8 +13,11 @@ from troplift.polyring import (
     INF,
     OrderDescriptor,
     PolyRing,
+    extend,
     initial_form,
+    move,
     poly_str,
+    restrict,
     w_order,
     wdot,
 )
@@ -278,3 +281,18 @@ def test_local_at_equal_weights_returns_self():
     K = J.local_at((4, 6))
     assert K is not J and K.order is R.order((4, 6), "local")
     assert presentation(R, gens, "global").local_at((2, 3)).order is I.order
+
+
+def test_ring_maps():
+    R = _ring("x", "y", "z")
+    S = PolyRing(R.field, ("z", "x"))
+    assert move(_p(R, "x^2*z - 3*z"), S, [1, None, 0]) == _p(S, "x^2*z - 3*z")
+    with pytest.raises(UsageError, match="variable y still occurs; cannot project"):
+        move(_p(R, "x*z + y"), S, [1, None, 0])
+    assert extend(R, "s_").vars == ("x", "y", "z", "s_")
+    assert extend(_ring("s_", "x", "_s_"), "s_").vars == ("s_", "x", "_s_", "__s_")
+    small, images, var_map = restrict(
+        [_p(R, "x*y + y^2*z - 2"), _p(R, "y")], R, {1: Fraction(2)}
+    )
+    assert small.vars == ("x", "z") and var_map == [0, None, 1]
+    assert images == [_p(small, "2*x + 4*z - 2"), small.constant(2)]

@@ -8,7 +8,7 @@ import pytest
 from test_ideals import _mora_nf
 from troplift import ideals
 from troplift.errors import UsageError
-from troplift.ideals import ideal_member, ideals_equal, presentation
+from troplift.ideals import ideal_member, ideal_quotient, ideals_equal, presentation
 from troplift.parsing import parse_poly
 from troplift.polyring import INF, PolyRing, initial_form, poly_str, w_order
 from troplift.scalars import NumberField, ValueScalar
@@ -388,6 +388,38 @@ def test_additivity_lemma_needs_a_homogeneous_cut():
     assert _lemma(_ring("x", "y"), ["x + y"], "x + y^2", (1, 1)) == (
         True, ["x", "y"], False
     )
+
+
+def test_additivity_checks_the_inclusion_that_can_fail():
+    """On seeded ideals, positive weights and w-homogeneous f, in_w(I) lies
+    in in_w(I) : f and in_w(I) + (f) in in_w(I + (f)), and _additivity, which
+    checks only the other inclusions, agrees with equality both ways."""
+    rng = random.Random(67)
+    outcomes = set()
+    for _ in range(40):
+        R = _ring(*"xyz"[: rng.choice((2, 3))])
+        w = tuple(ValueScalar(rng.randint(1, 3)) for _ in range(R.nvars()))
+        gens = [_random_local(R, rng, deg=2) for _ in range(2)]
+        gens = [g for g in gens if g is not None]
+        f = _random_local(R, rng, deg=2)
+        if f is None:
+            continue
+        f = initial_form(f, w)
+        I = presentation(R, gens, "local", w)
+        initial = initial_ideal(I, w).presentation
+        quotient = ideal_quotient(initial, f)
+        data = initial_ideal(I.with_extra([f]), w)
+        spanned = initial.with_extra([f])
+        assert all(ideal_member(g, quotient) for g in initial.generators)
+        assert all(ideal_member(g, data.presentation) for g in spanned.generators)
+        nonzerodivisor = ideals_equal(quotient, initial)
+        equal = nonzerodivisor and ideals_equal(data.presentation, spanned)
+        got, got_data, got_equal = _additivity(initial, I.with_extra([f]), f, w)
+        assert (got, got_equal) == (nonzerodivisor, equal)
+        assert got_data is None if not got else got_data.generators == data.generators
+        outcomes.add((nonzerodivisor, equal))
+    # the lemma: a homogeneous nonzerodivisor always gives equality
+    assert outcomes == {(False, False), (True, True)}
 
 
 def test_initial_ideal_reuses_a_presentation_local_at_the_weight(monkeypatch):
