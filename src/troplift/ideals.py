@@ -74,10 +74,11 @@ def lead_records(polys, order: OrderDescriptor):
 
 
 def _spoly(a, b):
-    f, mf, cf = a
-    g, mg, cg = b
+    """The S-polynomial of two monic records."""
+    f, mf, _ = a
+    g, mg, _ = b
     m = expo_lcm(mf, mg)
-    return f.mul_term(expo_sub(m, mf), 1 / cf) - g.mul_term(expo_sub(m, mg), 1 / cg)
+    return f.mul_monomial(expo_sub(m, mf)) - g.mul_monomial(expo_sub(m, mg))
 
 
 class IdealPresentation:
@@ -159,7 +160,8 @@ def divide(f: Polynomial, records, order: OrderDescriptor, max_steps=None):
     (quotients, remainder) with f = sum q_i g_i + remainder.
 
     One descending pass: the monomials of the running polynomial pop from a
-    heap, largest first under the order's key, and each is reduced by the
+    heap of the order's memoized heap keys (``OrderDescriptor.heap_key``,
+    pushed as they are), largest monomial first, and each is reduced by the
     first record whose leading monomial divides it, or else moves to the
     remainder.  A reduction at m only creates terms below m, so each
     monomial pops once, and every quotient and remainder monomial is written
@@ -174,18 +176,12 @@ def divide(f: Polynomial, records, order: OrderDescriptor, max_steps=None):
     quots = [{} for _ in records]
     rem = {}
     h = dict(f.coeffs)
-    heap = []
-
-    def push(m):
-        # negated keys: heapq pops the largest monomial of the order first
-        k0, k1, rev = order.key(m)
-        heapq.heappush(heap, ((-k0, -k1, tuple([-e for e in rev])), m))
-
-    for m in h:
-        push(m)
+    heap_key = order.heap_key
+    heap = [heap_key(m) for m in h]
+    heapq.heapify(heap)
     steps = 0
     while heap and steps != max_steps:
-        m = heapq.heappop(heap)[1]
+        m = heapq.heappop(heap)[-1]
         c = h.pop(m, None)
         if c is None:
             continue
@@ -209,7 +205,7 @@ def divide(f: Polynomial, records, order: OrderDescriptor, max_steps=None):
             mt = expo_add(mo, shift)
             v = h.get(mt)
             if v is None:
-                push(mt)
+                heapq.heappush(heap, heap_key(mt))
                 h[mt] = -(co * coef)
             else:
                 v = v - co * coef
@@ -281,17 +277,22 @@ def _entry(g, order):
     return g, m, c
 
 
-class _Homogenized:
+class _Homogenized(OrderDescriptor):
     """Lazard's order on a ring whose last variable homogenizes: total degree
     first, then the local order on the other variables, whose degree entry
-    the last exponent replaces within one total degree."""
+    the last exponent replaces within one total degree.  It has no weights;
+    its keys and heap-ready keys are memoized as an OrderDescriptor's are,
+    for the one basis computation that builds it."""
 
-    mode = "global"
+    __slots__ = ("order",)
 
     def __init__(self, order):
         self.order = order
+        self.mode = "global"
+        self._keys = {}
+        self._heap_keys = {}
 
-    def key(self, m):
+    def _key(self, m):
         k, _, rev = self.order.key(m[:-1])
         return expo_deg(m), k, (m[-1],) + rev
 

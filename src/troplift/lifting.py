@@ -714,9 +714,12 @@ def lift_point(problem, seed=0):
     The lift runs in the saturation of the ideal by the product of the
     variables when that is larger: it has the same torus points and
     tropical variety, without the components inside coordinate
-    hyperplanes.  Each parameter set is solved once, with unit
-    parameters: the initial ideal is homogeneous for the grading of w, so
-    its torus points can be moved to any parameter values.
+    hyperplanes.  Parameter sets are tested one at a time, in
+    combinations order, on the ideal with their variables set to 0, and
+    the search stops at the first set that lifts (at most six are tried).
+    Each set is solved once, with unit parameters: the initial ideal is
+    homogeneous for the grading of w, so its torus points can be moved to
+    any parameter values.
     """
     I = problem.ideal
     ring = I.ring
@@ -753,21 +756,15 @@ def lift_point(problem, seed=0):
             "the weights span rank %d but the ideal has dimension %d" % (r, dim)
         )
 
-    param_sets = []
-    for combo in combinations(range(n), r):
-        if mat_rank([span.matrix[i] for i in combo], r) < r:
-            continue
-        test = I_cur.with_extra([ring.var(i) for i in combo])
-        if test.is_unit_ideal():
-            continue
-        if dimension(test) == 0:
-            param_sets.append(combo)
-    if not param_sets:
-        raise DescentWitnessError("no parameter coordinates found")
-
+    param_sets = (
+        S
+        for S in combinations(range(n), r)
+        if mat_rank([span.matrix[i] for i in S], r) == r
+        and _cuts_to_dimension_zero(I_cur, w, S)
+    )
     target = problem.N + max(w) + 1
     failures = []
-    for combo in param_sets[:6]:
+    for combo in islice(param_sets, 6):
         assignment = {
             i: ValuedSeries.monomial(ring.field, w[i], 1, problem.mode)
             for i in combo
@@ -788,7 +785,23 @@ def lift_point(problem, seed=0):
         return LiftResult(
             problem, tuple(point), combo, tuple(descents), achieved, residuals
         )
+    if not failures:  # every set tried that did not lift left a failure
+        raise DescentWitnessError("no parameter coordinates found")
     raise DescentWitnessError("lifting failed; tried: " + "; ".join(failures))
+
+
+def _cuts_to_dimension_zero(I_cur, w, S):
+    """Whether the local ideal I_cur + (x_i : i in S) has dimension 0,
+    decided in the ring of the other variables on I_cur with the variables
+    of S set to 0, at their weights: k[[x]]/(I + (x_S)) is
+    k[[x_rest]]/(I mod x_S).  A set of every variable leaves no ring; it
+    cuts any ideal of the local ring to the maximal ideal, of dimension 0."""
+    ring = I_cur.ring
+    if len(S) == ring.nvars():
+        return True
+    small, images, _ = restrict(I_cur.generators, ring, dict.fromkeys(S, 0))
+    weights = [x for i, x in enumerate(w) if i not in S]
+    return dimension(presentation(small, images, "local", weights)) == 0
 
 
 def _dfs_solve(I_cur, w, assignment, remaining, target, mode):

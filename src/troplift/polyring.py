@@ -16,6 +16,7 @@ variables and drops them.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .errors import UsageError
@@ -38,7 +39,7 @@ def expo_sub(m1, m2):
 
 def expo_divides(m1, m2):
     """True when the monomial x^m1 divides x^m2."""
-    return all(a <= b for a, b in zip(m1, m2))
+    return all(map(operator.le, m1, m2))
 
 def expo_lcm(m1, m2):
     return tuple(max(a, b) for a, b in zip(m1, m2))
@@ -234,11 +235,10 @@ class Polynomial:
             n >>= 1
         return out
 
-    def mul_term(self, m, c):
-        """Multiply by the single term c * x^m."""
-        m = tuple(m)
+    def mul_monomial(self, m):
+        """Multiply by the monomial x^m."""
         return Polynomial(
-            self.ring, {expo_add(m0, m): c0 * c for m0, c0 in self.coeffs.items()}
+            self.ring, {expo_add(m0, m): c for m0, c in self.coeffs.items()}
         )
 
     # -- identity
@@ -302,12 +302,15 @@ class OrderDescriptor:
 
     The leading monomial of a polynomial is the maximum under ``key``.  In
     local mode that is the monomial of smallest weight, so leading parts
-    coincide with min-convention initial forms.  Keys are memoized per order
-    object and depend on the order alone; ``PolyRing.order`` gives each ring
-    one object per (weights, mode), so its presentations share the memo.
+    coincide with min-convention initial forms.  ``heap_key`` is the
+    heap-ready form, under which the leading monomial is the smallest, so
+    ``divide`` pushes it onto its heap as is.  Both keys are memoized per
+    order object and depend on the order alone; ``PolyRing.order`` gives
+    each ring one object per (weights, mode), so its presentations share the
+    memos.
     """
 
-    __slots__ = ("weights", "mode", "_level", "_keys")
+    __slots__ = ("weights", "mode", "_level", "_keys", "_heap_keys")
 
     def __init__(self, weights, mode):
         if mode not in ("local", "global"):
@@ -321,20 +324,32 @@ class OrderDescriptor:
         self.mode = mode
         self._level = _leveller(ws)
         self._keys = {}
+        self._heap_keys = {}
 
     def key(self, m):
         """Sort key of the exponent tuple m, memoized per order; the leading
         monomial is the maximum."""
         k = self._keys.get(m)
         if k is None:
-            lvl = self._level(m)
-            rev = tuple([-e for e in reversed(m)])
-            if self.mode == "local":
-                k = (-lvl, -expo_deg(m), rev)
-            else:
-                k = (lvl, expo_deg(m), rev)
-            self._keys[m] = k
+            k = self._keys[m] = self._key(m)
         return k
+
+    def _key(self, m):
+        lvl = self._level(m)
+        rev = tuple([-e for e in reversed(m)])
+        if self.mode == "local":
+            return -lvl, -expo_deg(m), rev
+        return lvl, expo_deg(m), rev
+
+    def heap_key(self, m):
+        """The entries of key(m) negated, then m itself, memoized per order:
+        a min-heap of these pops the leading monomial first, and m is its
+        last entry."""
+        hk = self._heap_keys.get(m)
+        if hk is None:
+            k0, k1, rev = self.key(m)
+            hk = self._heap_keys[m] = (-k0, -k1, tuple([-e for e in rev]), m)
+        return hk
 
     def describe(self) -> str:
         w = ",".join(str(x) for x in self.weights)

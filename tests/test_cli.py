@@ -158,6 +158,25 @@ def test_lift_hahn_json():
     assert obj["achieved"] == ["1", "sqrt(2)", "1/2+1/2*sqrt(2)"]
 
 
+@pytest.mark.parametrize(
+    "w, extra, lines",
+    [
+        ("1,sqrt(2)", ["--mode", "hahn", "--d", "2"], ["point=t^(1); t^(sqrt(2))"]),
+        ("1,2", [], ["point=t^(1); t^(2)", "descent: f=-x^2 + y dim 2->1"]),
+    ],
+)
+def test_lift_of_the_zero_ideal(w, extra, lines):
+    """After the descents the weight rank equals the number of variables,
+    so every variable is a parameter and the one set of all of them is
+    taken without a test."""
+    code, out, err = cap(
+        ["lift", "--vars", "x,y", "--ideal", "0", "--w", w, "--N", "3", *extra]
+    )
+    assert (code, err) == (0, "")
+    shown = [ln for ln in out.splitlines() if ln.startswith(("point=", "descent:"))]
+    assert shown == lines
+
+
 def test_init_form_text():
     code, out, _ = cap(
         ["init-form", "--vars", "x,y", "--ideal", "y^2-x^3", "--w", "2,3"]

@@ -186,7 +186,7 @@ def _divide_by_max_scan(f, records, order):
         for q, (g, mg, cg) in zip(quots, records):
             if expo_divides(mg, m):
                 q[expo_sub(m, mg)] = c / cg
-                h = h - g.mul_term(expo_sub(m, mg), c / cg)
+                h = h - g.mul_monomial(expo_sub(m, mg)) * (c / cg)
                 break
         else:
             rem[m] = c
@@ -328,7 +328,7 @@ def _mora_nf(f, records, order):
         eg, (g, mg, cg) = T[min(cands)[1]]
         if eg > eh:
             T.append((eh, (h, m, c)))
-        h = h - g.mul_term(expo_sub(m, mg), c / cg)
+        h = h - g.mul_monomial(expo_sub(m, mg)) * (c / cg)
     raise AssertionError("Mora reduction did not terminate")
 
 
@@ -415,7 +415,7 @@ def _tail_reduce_by_resorting(idx, G, order, max_steps=200):
         if target is None:
             break
         m, og, om, oc = target
-        g = g - og.mul_term(expo_sub(m, om), g.coeffs[m] / oc)
+        g = g - og.mul_monomial(expo_sub(m, om)) * (g.coeffs[m] / oc)
     return g, lead_m, lead_c
 
 

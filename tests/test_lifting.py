@@ -5,12 +5,14 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
 import pytest
 
 from test_acceptance import truncate
+from test_census import SLICE, draw
 from troplift import ideals, lifting, scalars
 from troplift.errors import (
     CapabilityError,
@@ -32,7 +34,7 @@ from troplift.lifting import (
     verify_lift,
 )
 from troplift.parsing import parse_poly, parse_series
-from troplift.polyring import INF, PolyRing, initial_form, poly_str
+from troplift.polyring import INF, Polynomial, PolyRing, initial_form, poly_str
 from troplift.scalars import (
     AlgebraicNumber,
     NumberField,
@@ -1304,6 +1306,77 @@ def test_lift_solves_each_parameter_set_once(monkeypatch):
     message = str(info.value)
     assert message.startswith("lifting failed; tried: ")
     assert message.count("extension unsupported") == 2
+
+
+def test_parameter_search_stops_at_the_first_set_that_lifts(monkeypatch):
+    """x1+x2+x3+x4 at (1,1,1,1) has rank 1 and four parameter sets, each of
+    which qualifies: the first lifts, so it is the only one tested.  A
+    parameter test is a dimension call on I_cur cut by x_S, in the ring of
+    the other variables or with the variables of S among its generators."""
+    tested = []
+    dim = lifting.dimension
+
+    def counting_dimension(J):
+        if J.ring.nvars() < 4 or any(
+            len(g.coeffs) == 1 and g.total_degree() == 1 for g in J.generators
+        ):
+            tested.append(J)
+        return dim(J)
+
+    monkeypatch.setattr(lifting, "dimension", counting_dimension)
+    R = _ring("x1", "x2", "x3", "x4")
+    w = (1, 1, 1, 1)
+    res = lift_point(LiftProblem(_local(R, ["x1 + x2 + x3 + x4"], w), w, 3))
+    assert verify_lift(res).ok()
+    assert res.parameters == (0,)
+    assert len(res.descents) == 2
+    assert len(tested) == 1
+
+
+def _cut_is_zero_dimensional(I, S):
+    """The reference parameter test: the dimension of I + (x_i : i in S),
+    with the variables added as generators."""
+    test = I.with_extra([I.ring.var(i) for i in S])
+    return not test.is_unit_ideal() and dimension(test) == 0
+
+
+def _parameter_test_inputs():
+    """Member (names, generator texts, w) from the census slice and from
+    golden_lifts.json, and the Hahn quadric at a rank-2 weight."""
+    rng = random.Random(7)
+    for _ in range(SLICE):
+        names, w, gens = draw(rng)
+        R = _ring(*names)
+        yield names, [poly_str(Polynomial(R, g)) for g in gens], w
+    for entry in json.loads(Path(__file__).with_name("golden_lifts.json").read_text()):
+        yield tuple(entry["vars"]), [entry["ideal"]], tuple(entry["w"])
+    rt = ValueScalar(0, 1, 2)
+    yield ("x", "y", "z"), ["x*y - z^2"], (ValueScalar(1), rt, (1 + rt) / 2)
+
+
+def test_parameter_test_on_the_restricted_ring_matches_the_cut():
+    """k[[x]]/(I + (x_S)) is k[[x_rest]]/(I mod x_S): over seeded member
+    ideals and every r-subset S, the test on the restricted ring gives the
+    verdict of the reference, before and after one descent."""
+    checked = Counter()
+    for names, texts, w in _parameter_test_inputs():
+        R = _ring(*names)
+        I = _local(R, texts, w)
+        if not trop_member(I, w).member:
+            continue
+        r = rational_span(w).rank
+        stages = [I]
+        if dimension(I) > r:
+            try:
+                stages.append(descend(I, w)[0])
+            except CapabilityError:
+                pass
+        for stage, J in enumerate(stages):
+            for S in combinations(range(len(names)), r):
+                got = lifting._cuts_to_dimension_zero(J, w, S)
+                assert got == _cut_is_zero_dimensional(J, S), (texts, w, S, stage)
+                checked[stage, got] += 1
+    assert all(checked[stage, verdict] for stage in (0, 1) for verdict in (True, False))
 
 
 def test_lifts_match_recorded_points():

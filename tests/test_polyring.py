@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from troplift.errors import UsageError
-from troplift.ideals import IdealPresentation, presentation
+from troplift.ideals import IdealPresentation, _Homogenized, presentation
 from troplift.linalg import primitive_row
 from troplift.parsing import parse_poly
 from troplift.polyring import (
@@ -92,6 +92,26 @@ def test_compare_monomials_total_order():
                 assert local.key(a) > local.key(b)
             if sum(a) < sum(b):
                 assert glob.key(a) < glob.key(b)
+
+
+def test_heap_keys_reverse_the_order_and_end_with_the_monomial():
+    """Sorted by heap_key, monomials come leading first, in both modes, at an
+    irrational weight and under Lazard's homogenized order; the key ends
+    with the monomial and is memoized."""
+    rng = random.Random(11)
+    monos = {tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(40)}
+    rt = ValueScalar(0, 1, 2)
+    orders = [
+        OrderDescriptor((ValueScalar(2), ValueScalar(1), ValueScalar(1)), "local"),
+        OrderDescriptor((rt, ValueScalar(1), rt + 1), "local"),
+        OrderDescriptor((ValueScalar(0),) * 3, "global"),
+        _Homogenized(OrderDescriptor((ValueScalar(1), ValueScalar(3)), "local")),
+    ]
+    for order in orders:
+        leading_first = sorted(monos, key=order.key, reverse=True)
+        assert sorted(monos, key=order.heap_key) == leading_first
+        assert [order.heap_key(m)[-1] for m in monos] == list(monos)
+        assert all(order.heap_key(m) is order.heap_key(m) for m in monos)
 
 
 def _reference_key(order, m):
