@@ -164,14 +164,8 @@ def _cmd_init_form(args, out):
         raise UsageError("init-form takes exactly one polynomial")
     w = _need_w(args, fixture_w)
     f = gens[0]
-    order = w_order(f, w)
-    form = initial_form(f, w)
-    _emit(
-        out,
-        args,
-        {"w_order": str(order), "init_form": poly_str(form)},
-        ["w_order=%s" % order, "init_form=%s" % poly_str(form)],
-    )
+    obj = {"w_order": str(w_order(f, w)), "init_form": poly_str(initial_form(f, w))}
+    _emit(out, args, obj, ["%s=%s" % kv for kv in obj.items()])
     return 0
 
 
@@ -318,14 +312,7 @@ def _cmd_tensor(args, out):
         "combined_monomial_free": cert.combined_monomial_free,
         "ok": cert.ok(),
     }
-    lines = [
-        "initial_match=%s" % _b(cert.initial_match),
-        "left_monomial_free=%s" % _b(cert.left_monomial_free),
-        "right_monomial_free=%s" % _b(cert.right_monomial_free),
-        "combined_monomial_free=%s" % _b(cert.combined_monomial_free),
-        "ok=%s" % _b(cert.ok()),
-    ]
-    _emit(out, args, obj, lines)
+    _emit(out, args, obj, ["%s=%s" % (k, _b(v)) for k, v in obj.items()])
     return 0 if cert.ok() else 1
 
 

@@ -37,7 +37,7 @@ from .ideals import (
     torus_attempts,
     torus_point,
 )
-from .linalg import mat_rank, primitive_row, rref, solve_linear
+from .linalg import _scaled, mat_rank, primitive_row, rref, solve_linear
 from .polyring import INF, Polynomial, initial_form, poly_str, restrict
 from .scalars import (
     AlgebraicNumber,
@@ -91,25 +91,15 @@ def rational_span(w):
         raise UsageError("the zero vector spans nothing")
     if rank == 1:
         base = next(p for p in pairs if p != (0, 0))
-        coords = []
-        for a, b in pairs:
-            if base[0] != 0:
-                coords.append(a / base[0])
-            else:
-                coords.append(b / base[1])
-        denom = 1
-        for c in coords:
-            denom = lcm(denom, c.denominator)
+        k = 0 if base[0] else 1
+        denom, ints = _scaled([p[k] / base[k] for p in pairs])
         gamma = (ValueScalar(base[0] / denom, base[1] / denom, d),)
-        matrix = tuple((int(c * denom),) for c in coords)
+        matrix = tuple((v,) for v in ints)
     else:
-        d1 = 1
-        d2 = 1
-        for a, b in pairs:
-            d1 = lcm(d1, a.denominator)
-            d2 = lcm(d2, b.denominator)
+        d1, col1 = _scaled([a for a, _ in pairs])
+        d2, col2 = _scaled([b for _, b in pairs])
         gamma = (ValueScalar(Fraction(1, d1)), ValueScalar(0, Fraction(1, d2), d))
-        matrix = tuple((int(a * d1), int(b * d2)) for a, b in pairs)
+        matrix = tuple(zip(col1, col2))
     for entry, row in zip(entries, matrix):
         total = ValueScalar(0)
         for m, g in zip(row, gamma):
@@ -302,9 +292,7 @@ def _binomials(ring, span, slice_idx, x0, y0):
         z = solve_linear(system, span.matrix[j], r)
         if z is None:
             raise InternalInvariantError("slice rows stopped spanning")
-        k0 = 1
-        for v in z:
-            k0 = lcm(k0, v.denominator)
+        k0 = lcm(*[v.denominator for v in z])
         c = x0[j]
         for s in range(1, 7):
             k = k0 * s

@@ -27,6 +27,8 @@ from .scalars import (
     ValueScalar,
     as_field_element,
     scalar_str,
+    sum_str,
+    term_str,
 )
 
 # -- exponent helpers -------------------------------------------------------
@@ -248,7 +250,7 @@ class Polynomial:
             other = self.ring.constant(other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.ring.same(other.ring) and (self - other).is_zero
+        return self.ring.same(other.ring) and self.coeffs == other.coeffs
 
     def __hash__(self):
         items = tuple(sorted((m, hash(c)) for m, c in self.coeffs.items()))
@@ -262,35 +264,12 @@ class Polynomial:
 
 
 def poly_str(f: Polynomial) -> str:
-    if f.is_zero:
-        return "0"
-    parts = []
+    names = f.ring.vars
+    terms = []
     for m, c in f.terms():
-        mono = "*".join(
-            n if e == 1 else f"{n}^{e}"
-            for n, e in zip(f.ring.vars, m)
-            if e
-        )
-        cs = scalar_str(c)
-        composite = ("+" in cs[1:]) or ("-" in cs[1:])
-        if not mono:
-            term = f"({cs})" if composite else cs
-        elif composite:
-            term = f"({cs})*{mono}"
-        elif cs == "1":
-            term = mono
-        elif cs == "-1":
-            term = "-" + mono
-        else:
-            term = f"{cs}*{mono}"
-        if parts:
-            if term.startswith("-"):
-                parts.append(" - " + term[1:])
-            else:
-                parts.append(" + " + term)
-        else:
-            parts.append(term)
-    return "".join(parts)
+        unit = "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, m) if e)
+        terms.append(term_str(scalar_str(c), unit))
+    return sum_str(terms, True)
 
 
 # -- term orders ------------------------------------------------------------

@@ -19,6 +19,12 @@ Two kinds of scalars live here and never mix:
   algebraic, so the particular conjugate returned by ``adjoin_root`` is
   immaterial.
 
+``term_str`` and ``sum_str`` are the one text form.  Every printer
+(``ValueScalar.__str__``, ``scalar_str``, ``polyring.poly_str`` and
+``series.series_str``) writes a term as a coefficient's text times a unit,
+with 1 and -1 folded into the sign and a sum in brackets, and joins its
+terms as a signed sum; ``parsing`` reads every such text back.
+
 ``factor_univariate`` is the one factoring entry point, and it sorts its
 factors once.  ``squarefree_decomposition`` decides a quadratic by its
 discriminant and runs Yun's algorithm on anything else.
@@ -95,6 +101,40 @@ class _Infinity:
 
 
 INF = _Infinity()
+
+
+# ---------------------------------------------------------------------------
+# text form
+
+
+def term_str(coeff, unit, products=False):
+    """The term coeff*unit from the coefficient's text and a unit such as
+    "x*y^2", "a2^3", "t^(3/2)" or "sqrt(2)"; the empty unit means 1.  A
+    coefficient whose text is a sum (a + or - after its first character),
+    or with products=True one that contains *, is bracketed; 1 and -1
+    fold into the unit's sign."""
+    if "+" in coeff[1:] or "-" in coeff[1:] or (products and "*" in coeff):
+        coeff = f"({coeff})"
+    if not unit:
+        return coeff
+    if coeff == "1":
+        return unit
+    if coeff == "-1":
+        return "-" + unit
+    return f"{coeff}*{unit}"
+
+
+def sum_str(terms, spaced):
+    """The signed sum of term texts, 0 when there are none: spaced as
+    "a - b + c", or unspaced as "a-b+c"; a term's leading - is its sign."""
+    if not terms:
+        return "0"
+    plus, minus = (" + ", " - ") if spaced else ("+", "-")
+    out = terms[0]
+    for t in terms[1:]:
+        out += minus + t[1:] if t[0] == "-" else plus + t
+    return out
+
 
 # the largest d of sqrt(d) in a value scalar: the squarefree check is trial
 # division, so this bounds it to 10^6 steps
@@ -296,19 +336,10 @@ class ValueScalar:
     # -- text form: "a", "b*sqrt(d)" or "a+b*sqrt(d)"
 
     def __str__(self):
-        if self.b == 0:
-            return str(self.a)
-        root = f"sqrt({self.d})"
-        if self.b == 1:
-            bpart = root
-        elif self.b == -1:
-            bpart = "-" + root
-        else:
-            bpart = f"{self.b}*{root}"
-        if self.a == 0:
-            return bpart
-        sep = "+" if not bpart.startswith("-") else ""
-        return f"{self.a}{sep}{bpart}"
+        terms = [str(self.a)] if self.a else []
+        if self.b:
+            terms.append(term_str(str(self.b), f"sqrt({self.d})"))
+        return sum_str(terms, False)
 
     def __repr__(self):
         return f"ValueScalar({self})"
@@ -528,30 +559,13 @@ def scalar_str(x) -> str:
     if not isinstance(x, AlgebraicNumber):
         return str(x)
     name = x.field.levels[x.level - 1].name
-    parts = []
-    for k in range(len(x.coeffs) - 1, -1, -1):
-        c = x.coeffs[k]
-        if not c:
-            continue
-        cs = scalar_str(c)
-        composite = ("+" in cs[1:]) or ("-" in cs[1:])
-        if k == 0:
-            term = f"({cs})" if composite else cs
-        else:
-            var = name if k == 1 else f"{name}^{k}"
-            if composite:
-                term = f"({cs})*{var}"
-            elif cs == "1":
-                term = var
-            elif cs == "-1":
-                term = f"-{var}"
-            else:
-                term = f"{cs}*{var}"
-        if parts and not term.startswith("-"):
-            parts.append("+" + term)
-        else:
-            parts.append(term)
-    return "".join(parts)
+    cs = x.coeffs
+    terms = []
+    for k in range(len(cs) - 1, -1, -1):
+        if cs[k]:
+            unit = f"{name}^{k}" if k > 1 else name if k else ""
+            terms.append(term_str(scalar_str(cs[k]), unit))
+    return sum_str(terms, False)
 
 
 def as_field_element(field, x):

@@ -20,6 +20,8 @@ from .scalars import (
     as_field_element,
     as_value,
     scalar_str,
+    sum_str,
+    term_str,
 )
 
 _MODES = ("puiseux", "hahn")
@@ -192,39 +194,15 @@ class ValuedSeries:
         return "ValuedSeries(%s)" % series_str(self)
 
 
-def _coeff_text(c):
-    text = scalar_str(c)
-    if any(op in text[1:] for op in ("+", "-")) or "*" in text:
-        return "(%s)" % text
-    return text
-
-
 def series_str(a):
     """Canonical text: terms by increasing exponent, then the O-bound."""
-    parts = []
-    for exp, coeff in a.terms:
-        ctext = _coeff_text(coeff)
-        if exp.sign() == 0:
-            parts.append(ctext)
-            continue
-        etext = "t^(%s)" % exp
-        if ctext == "1":
-            parts.append(etext)
-        elif ctext == "-1":
-            parts.append("-%s" % etext)
-        else:
-            parts.append("%s*%s" % (ctext, etext))
+    terms = [
+        term_str(scalar_str(c), "t^(%s)" % e if e.sign() else "", products=True)
+        for e, c in a.terms
+    ]
     if a.truncation is not INF:
-        parts.append("O(t^(%s))" % a.truncation)
-    if not parts:
-        return "0"
-    out = parts[0]
-    for part in parts[1:]:
-        if part.startswith("-"):
-            out += " - " + part[1:]
-        else:
-            out += " + " + part
-    return out
+        terms.append("O(t^(%s))" % a.truncation)
+    return sum_str(terms, True)
 
 
 def _cached_power(powers, assignment, i, e):

@@ -19,7 +19,7 @@ from .ideals import IdealPresentation, contains_monomial, presentation
 from .linalg import find_strict_point
 from .polyring import INF, Polynomial, poly_str, restrict
 from .scalars import as_value
-from .valfan import GroebnerCone, InitialData, groebner_cone, initial_ideal
+from .valfan import GroebnerCone, InitialData, _cone_rows, groebner_cone, initial_ideal
 
 
 @dataclass(frozen=True)
@@ -162,9 +162,8 @@ def trop_hypersurface(f):
             continue
         # the argmin at the sample is the subset: no two subsets share a cone
         J = presentation(ring, [f], "local", sample)
-        cone = groebner_cone(J, sample)
         data = initial_ideal(J, sample)
-        cones.append(TropCone(cone, sample, True, data))
+        cones.append(TropCone(GroebnerCone(*_cone_rows(data)), sample, True, data))
     cones.sort(key=lambda c: (c.cone.eq, c.cone.ineq))
     return cones
 

@@ -63,13 +63,9 @@ def initial_ideal(I, w):
         raise UsageError("weight length does not match the ring")
     local = I.local_at(w)
     weights = local.order.weights
-    basis = local.standard_basis()
+    basis = local.standard_basis() or (I.ring.zero(),)
     # distinct: each form has its own element's leading monomial, and no other
-    inits = [initial_form(g, weights) for g in basis]
-    if not inits:
-        inits = [I.ring.zero()]
-        basis = (I.ring.zero(),)
-    return InitialData(weights, tuple(basis), tuple(inits))
+    return InitialData(weights, basis, tuple(initial_form(g, weights) for g in basis))
 
 
 class CosetValuationHandle:
@@ -149,15 +145,15 @@ class GroebnerCone:
         return n - mat_rank(self.eq, n)
 
 
-def _cone_rows(basis, weights):
-    """Equality and inequality rows cut out by a standard basis at weights."""
+def _cone_rows(data):
+    """Equality and inequality rows cut out by the standard basis of the
+    initial data, each element with its initial form."""
     eq_rows = set()
     ineq_rows = set()
-    n = len(weights)
-    for g in basis:
+    n = len(data.weights)
+    for g, form in zip(data.basis, data.generators):
         if g.is_zero:
             continue
-        form = initial_form(g, weights)
         support = form.support()
         anchor = support[0]
         for mono in support[1:]:
@@ -180,9 +176,7 @@ def groebner_cone(I, w):
     form of the standard basis; the inequalities keep every trailing
     monomial at least as heavy, and keep all coordinates nonnegative.
     """
-    data = initial_ideal(I, w)
-    eq_rows, ineq_rows = _cone_rows(data.basis, data.weights)
-    return GroebnerCone(eq_rows, ineq_rows)
+    return GroebnerCone(*_cone_rows(initial_ideal(I, w)))
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,9 @@ def test_scalar_round_trip():
         b = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         x = ValueScalar(a, b, 2)
         assert parse_scalar(scalar_str(x)) == x
+    for a, b, text in ((Fraction(1, 2), -1, "1/2-sqrt(2)"), (0, Fraction(-3, 2), "-3/2*sqrt(2)"),
+                       (-1, 1, "-1+sqrt(2)")):
+        assert str(ValueScalar(a, b, 2)) == text
 
 
 def test_sqrt_checks_its_radicand_once(monkeypatch):
@@ -145,20 +148,46 @@ def test_sqrt_of_a_square_is_the_root_without_a_minus():
     assert F.height() == 1
 
 
+def _tower():
+    """Q(a1, a2) with a1^2 = 2 and a2^2 = a1 + 3."""
+    F, a1 = adjoin_root(NumberField(), [Fraction(-2), Fraction(0), Fraction(1)])
+    F, a2 = adjoin_root(F, [-(a1 + 3), Fraction(0), Fraction(1)])
+    return F, a1, a2
+
+
+def _tower_coeff(rng, a1, a2):
+    """0, 1, -1, a fraction q, q*a1, a1 + q or (a1 - q)*a2 - a1."""
+    q = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    return rng.choice(
+        [Fraction(0), Fraction(1), Fraction(-1), q, q * a1, a1 + q, (a1 - q) * a2 - a1]
+    )
+
+
 def test_poly_round_trip_random():
+    # exact texts too: the parser also reads texts with brackets dropped
+    F, a1, a2 = _tower()
+    assert scalar_str((a1 - Fraction(1, 2)) * a2 - a1) == "(a1-1/2)*a2-a1"
+    T = PolyRing(F, ("x", "y"))
+    f = T.from_terms([((2, 0), -a2), ((1, 0), (a1 + 1) * a2), ((0, 1), -1), ((0, 0), 2 * a1)])
+    assert poly_str(f) == "-a2*x^2 + ((a1+1)*a2)*x - y + 2*a1"
     rng = random.Random(99)
-    R = PolyRing(NumberField(), ("x", "y", "z"))
-    for _ in range(100):
-        entries = {}
-        for _ in range(rng.randint(1, 5)):
-            mono = tuple(rng.randint(0, 3) for _ in range(3))
-            c = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-            if c:
-                entries[mono] = c
-        if not entries:
-            continue
-        f = R.from_terms(list(entries.items()))
-        assert parse_poly(poly_str(f), R) == f
+    draws = [
+        (PolyRing(NumberField(), ("x", "y", "z")),
+         lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4))),
+        (PolyRing(F, ("x", "y", "z")), lambda: _tower_coeff(rng, a1, a2)),
+    ]
+    for R, coeff in draws:
+        for _ in range(100):
+            entries = {}
+            for _ in range(rng.randint(1, 5)):
+                mono = tuple(rng.randint(0, 3) for _ in range(3))
+                c = coeff()
+                if c:
+                    entries[mono] = c
+            f = R.from_terms(list(entries.items()))
+            text = poly_str(f)
+            back = parse_poly(text, R)
+            assert back == f and poly_str(back) == text, text
 
 
 def test_parse_generators():
@@ -206,6 +235,31 @@ def test_parse_series_round_trip():
     ]
     for s in cases:
         assert parse_series(series_str(s), F) == s
+    T, a1, a2 = _tower()
+    s = ValuedSeries(
+        T, [(0, 2 * a1), (1, -1), (Fraction(3, 2), a1 + 1), (2, -a2)], ValueScalar(4)
+    )
+    assert series_str(s) == "(2*a1) - t^(1) + (a1+1)*t^(3/2) - a2*t^(2) + O(t^(4))"
+    s = ValuedSeries(
+        T, [(ValueScalar(1, -1, 2), Fraction(1, 2)), (ValueScalar(0, 1, 2), -1)], mode="hahn"
+    )
+    assert series_str(s) == "1/2*t^(1-sqrt(2)) - t^(sqrt(2))"
+    assert series_str(ValuedSeries.zero(T, ValueScalar(3))) == "O(t^(3))"
+    rng = random.Random(31)
+    for _ in range(200):
+        mode = rng.choice(("puiseux", "hahn"))
+        d = 2 if mode == "hahn" else None
+
+        def exponent():
+            a = Fraction(rng.randint(-6, 12), rng.randint(1, 3))
+            b = Fraction(rng.randint(-3, 3), rng.randint(1, 2)) if d else 0
+            return ValueScalar(a, b, 2)
+
+        terms = [(exponent(), _tower_coeff(rng, a1, a2)) for _ in range(rng.randint(0, 4))]
+        s = ValuedSeries(T, terms, rng.choice([INF, exponent()]), mode)
+        text = series_str(s)
+        back = parse_series(text, T, mode, d=d)
+        assert back == s and series_str(back) == text, text
 
 
 def test_parse_series_generator_coefficients():
