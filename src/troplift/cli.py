@@ -2,7 +2,8 @@
 
 Subcommands map one to one onto the library: init-form, init-ideal,
 coset-val, cone, trop-member, trop-hyper, trop-enum, tensor, lift,
-verify, np-solve.  Output is plain key=value text by default and
+verify, np-solve.  Each is declared once, with its handler and only the
+options it reads.  Output is plain key=value text by default and
 line-oriented JSON with --json.  Exit codes: 0 success, 1 mathematical
 negative (non-member, failed verification), 2 usage error, 3 capability
 limit (extension bound, witness search failure, truncation collapse).
@@ -45,60 +46,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser():
-    top = _Parser(prog="troplift", description=__doc__, add_help=True)
-    sub = top.add_subparsers(dest="command", metavar="command")
-
-    def add(name, help_text, needs_ideal=True, needs_w=True, seeded=False):
-        p = sub.add_parser(name, help=help_text, add_help=True)
-        if needs_ideal:
-            p.add_argument("--vars", help="comma separated variable names")
-            p.add_argument(
-                "--ideal",
-                help="semicolon separated generators, or @file fixture",
-            )
-        if needs_w:
-            p.add_argument("--w", help="comma separated weights, or @file of queries")
-        p.add_argument("--d", type=int, help="the squarefree sqrt(d) constant")
-        if seeded:
-            p.add_argument("--seed", type=int, default=0, help="witness search seed")
-        p.add_argument(
-            "--json", action="store_true", help="line-oriented JSON output"
-        )
-        return p
-
-    add("init-form", "w-initial form of a single polynomial")
-    add("init-ideal", "generators of the w-initial ideal")
-    p = add("coset-val", "coset valuation of a polynomial")
-    p.add_argument("--g", required=True, help="the polynomial to value")
-    add("cone", "the Groebner cone of the weight")
-    add("trop-member", "membership of w in the local tropical variety")
-    add("trop-hyper", "tropical hypersurface of one polynomial", needs_w=False)
-    p = add("trop-enum", "bounded enumeration of labeled Groebner cones",
-            needs_w=False, seeded=True)
-    p.add_argument("--budget", type=int, default=128, help="maximal cone count")
-    p = add("tensor", "combine two ideals in disjoint variables")
-    p.add_argument("--vars2", help="variables of the second ideal")
-    p.add_argument("--ideal2", required=True, help="second ideal generators")
-    p.add_argument("--w2", required=True, help="second weight vector")
-    p = add("lift", "lift a tropical point to a truncated series point",
-            seeded=True)
-    p.add_argument("--N", required=True, help="truncation target")
-    p.add_argument("--mode", choices=("puiseux", "hahn"), default="puiseux")
-    p = add("verify", "re-check a lifted point")
-    p.add_argument("--N", required=True, help="truncation target")
-    p.add_argument("--mode", choices=("puiseux", "hahn"), default="puiseux")
-    p.add_argument("--point", required=True,
-                   help="semicolon separated series, or @file")
-    p = add("np-solve", "roots of a univariate polynomial over series",
-            needs_ideal=False, needs_w=False)
-    p.add_argument("--coeffs", required=True,
-                   help="semicolon separated series c_0;...;c_d")
-    p.add_argument("--N", required=True, help="truncation target")
-    p.add_argument("--mode", choices=("puiseux", "hahn"), default="puiseux")
-    return top
-
-
 def _read_arg(value):
     """Inline text, or the contents of a file for @path arguments."""
     if value.startswith("@"):
@@ -113,12 +60,14 @@ def _read_arg(value):
 def _load_ideal(args):
     """Ring over a new field, generators, and an optional fixture weight
     vector."""
-    if getattr(args, "ideal", None) is None:
+    if args.ideal is None:
         raise UsageError("--ideal is required")
     field = NumberField()
     text, from_file = _read_arg(args.ideal)
     if from_file:
-        ring, gens, _mode, weights = parse_ideal_text(text, field, d=args.d)
+        ring, gens, _mode, weights = parse_ideal_text(
+            text, field, d=getattr(args, "d", None)
+        )
         if args.vars is not None and parse_vars(args.vars) != ring.vars:
             raise UsageError("--vars disagrees with the fixture header")
         return ring, gens, weights
@@ -129,12 +78,13 @@ def _load_ideal(args):
     return ring, gens, None
 
 
-def _need_w(args, fixture_w):
-    if getattr(args, "w", None) is not None:
+def _need_w(args, fixture_w, parse=parse_weights):
+    """The inline --w read by parse, else the fixture's w."""
+    if args.w is not None:
         text, from_file = _read_arg(args.w)
         if from_file:
             raise UsageError("this command takes a single inline weight vector")
-        return parse_weights(text, d=args.d)
+        return parse(text, d=args.d)
     if fixture_w is not None:
         return fixture_w
     raise UsageError("--w is required")
@@ -180,7 +130,7 @@ def _cmd_init_ideal(args, out):
         "monomial_free": free,
     }
     lines = ["init=%s" % poly_str(g) for g in data.generators]
-    lines.append("monomial_free=%s" % _b(free))
+    lines.append("monomial_free=%s" % json.dumps(free))
     _emit(out, args, obj, lines)
     return 0
 
@@ -215,30 +165,24 @@ def _cmd_cone(args, out):
 
 def _cmd_trop_member(args, out):
     ring, gens, fixture_w = _load_ideal(args)
-    if getattr(args, "w", None) is None:
-        raise UsageError("--w is required")
-    text, from_file = _read_arg(args.w)
-    queries = []
-    if from_file:
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            queries.append(parse_query(line, d=args.d))
+    batch = args.w is not None and args.w.startswith("@")
+    if batch:
+        lines = [raw.strip() for raw in _read_arg(args.w)[0].splitlines()]
+        queries = [parse_query(line, d=args.d) for line in lines
+                   if line and not line.startswith("#")]
     else:
-        queries.append(parse_query(text, d=args.d))
+        queries = [_need_w(args, fixture_w, parse_query)]
     I = presentation(ring, gens, "global")
     results = [trop_member(I, query) for query in queries]
     for result in results:
         payload = result.to_json_dict()
         text_line = "w=%s: member=%s" % (
-            ",".join(payload["w"]),
-            _b(result.member),
+            ",".join(payload["w"]), json.dumps(result.member)
         )
         if not result.member and "monomial" in payload["witness"]:
             text_line += " witness=%s" % payload["witness"]["monomial"]
         _emit(out, args, payload, [text_line])
-    if not from_file and not results[0].member:
+    if not batch and not results[0].member:
         return 1
     return 0
 
@@ -279,20 +223,12 @@ def _cmd_trop_enum(args, out):
         line = "cone: eq=%s ineq=%s member=%s" % (
             _rows_text(cone.cone.eq),
             _rows_text(cone.cone.ineq),
-            _b(cone.member),
+            json.dumps(cone.member),
         )
         _emit(out, args, obj, [line])
     summary = {"cones": len(cones), "members": members, "truncated": truncated}
-    _emit(
-        out,
-        args,
-        summary,
-        [
-            "cones=%d" % len(cones),
-            "members=%d" % members,
-            "truncated=%s" % _b(truncated),
-        ],
-    )
+    lines = ["%s=%s" % (k, json.dumps(v)) for k, v in summary.items()]
+    _emit(out, args, summary, lines)
     return 0
 
 
@@ -312,12 +248,8 @@ def _cmd_tensor(args, out):
         "combined_monomial_free": cert.combined_monomial_free,
         "ok": cert.ok(),
     }
-    _emit(out, args, obj, ["%s=%s" % (k, _b(v)) for k, v in obj.items()])
+    _emit(out, args, obj, ["%s=%s" % (k, json.dumps(v)) for k, v in obj.items()])
     return 0 if cert.ok() else 1
-
-
-def _b(flag):
-    return "true" if flag else "false"
 
 
 def _descent_payload(step):
@@ -375,16 +307,16 @@ def _cmd_verify(args, out):
     )
     report = verify_lift(LiftProblem(I, w, N, args.mode), point)
     obj = report.to_json_dict()
-    lines = ["ok=%s" % _b(report.ok())]
+    lines = ["ok=%s" % json.dumps(report.ok())]
     for i, expected, observed, flag in report.valuation_checks:
         lines.append(
             "valuation[%d]: expected=%s observed=%s ok=%s"
-            % (i, expected, observed, _b(flag))
+            % (i, expected, observed, json.dumps(flag))
         )
     for gi, v, exact, flag in report.residual_checks:
         lines.append(
             "residual[%d]: valuation=%s exact_zero=%s ok=%s"
-            % (gi, v, _b(exact), _b(flag))
+            % (gi, v, json.dumps(exact), json.dumps(flag))
         )
     _emit(out, args, obj, lines)
     return 0 if report.ok() else 1
@@ -406,19 +338,62 @@ def _cmd_np_solve(args, out):
     return 0
 
 
-_COMMANDS = {
-    "init-form": _cmd_init_form,
-    "init-ideal": _cmd_init_ideal,
-    "coset-val": _cmd_coset_val,
-    "cone": _cmd_cone,
-    "trop-member": _cmd_trop_member,
-    "trop-hyper": _cmd_trop_hyper,
-    "trop-enum": _cmd_trop_enum,
-    "tensor": _cmd_tensor,
-    "lift": _cmd_lift,
-    "verify": _cmd_verify,
-    "np-solve": _cmd_np_solve,
-}
+def _build_parser():
+    top = _Parser(prog="troplift", description=__doc__)
+    sub = top.add_subparsers(metavar="command")
+
+    def add(name, handler, help_text, ideal=True, w=True, seed=False,
+            series=False, **options):
+        """Declare one subcommand: its handler, the ideal and weight
+        options it reads, --d wherever a weight or series is parsed, and
+        the further --name options given as add_argument keywords."""
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
+        if ideal:
+            p.add_argument("--vars", help="comma separated variable names")
+            p.add_argument(
+                "--ideal", help="semicolon separated generators, or @file fixture"
+            )
+        if w:
+            p.add_argument("--w", help="comma separated weights, or @file of queries")
+        if w or series:
+            p.add_argument("--d", type=int, help="the squarefree sqrt(d) constant")
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="witness search seed")
+        p.add_argument("--json", action="store_true", help="line-oriented JSON output")
+        if series:
+            options = dict(
+                N={"required": True, "help": "truncation target"},
+                mode={"choices": ("puiseux", "hahn"), "default": "puiseux"},
+                **options,
+            )
+        for option, spec in options.items():
+            p.add_argument("--" + option, **spec)
+
+    add("init-form", _cmd_init_form, "w-initial form of a single polynomial")
+    add("init-ideal", _cmd_init_ideal, "generators of the w-initial ideal")
+    add("coset-val", _cmd_coset_val, "coset valuation of a polynomial",
+        g={"required": True, "help": "the polynomial to value"})
+    add("cone", _cmd_cone, "the Groebner cone of the weight")
+    add("trop-member", _cmd_trop_member,
+        "membership of w in the local tropical variety")
+    add("trop-hyper", _cmd_trop_hyper, "tropical hypersurface of one polynomial",
+        w=False)
+    add("trop-enum", _cmd_trop_enum, "bounded enumeration of labeled Groebner cones",
+        w=False, seed=True,
+        budget={"type": int, "default": 128, "help": "maximal cone count"})
+    add("tensor", _cmd_tensor, "combine two ideals in disjoint variables",
+        vars2={"help": "variables of the second ideal"},
+        ideal2={"required": True, "help": "second ideal generators"},
+        w2={"required": True, "help": "second weight vector"})
+    add("lift", _cmd_lift, "lift a tropical point to a truncated series point",
+        seed=True, series=True)
+    add("verify", _cmd_verify, "re-check a lifted point", series=True,
+        point={"required": True, "help": "semicolon separated series, or @file"})
+    add("np-solve", _cmd_np_solve, "roots of a univariate polynomial over series",
+        ideal=False, w=False, series=True,
+        coeffs={"required": True, "help": "semicolon separated series c_0;...;c_d"})
+    return top
 
 
 def run(argv, stdout=None, stderr=None):
@@ -427,13 +402,14 @@ def run(argv, stdout=None, stderr=None):
     err = stderr if stderr is not None else sys.stderr
     try:
         args = _build_parser().parse_args(argv)
-        if args.command is None:
+        if "handler" not in args:
             raise UsageError("a subcommand is required")
         # once per run: the squarefree test is trial division, and d above
         # the bound is reported where the weights are parsed
-        if args.d is not None and args.d <= _MAX_RADICAND and not _squarefree(args.d):
-            raise UsageError("d=%d is not a positive squarefree integer" % args.d)
-        return _COMMANDS[args.command](args, out)
+        d = getattr(args, "d", None)
+        if d is not None and d <= _MAX_RADICAND and not _squarefree(d):
+            raise UsageError("d=%d is not a positive squarefree integer" % d)
+        return args.handler(args, out)
     except SystemExit as exc:  # argparse --help
         code = exc.code
         return 0 if code is None else int(code)

@@ -416,6 +416,15 @@ def test_ideal_fixture_file(tmp_path):
     assert code == 2
 
 
+def test_member_takes_the_fixture_weight(tmp_path):
+    """With no --w, trop-member asks about the fixture's w, and a
+    non-member exits 1 as for an inline --w."""
+    fixture = tmp_path / "line.ideal"
+    fixture.write_text("vars: x, y\nw: 1, 2\nx + y\n")
+    assert cap(["trop-member", "--ideal", "@%s" % fixture]) == (
+        1, "w=1,2: member=false witness=x\n", "")
+
+
 def test_batch_query_file(tmp_path):
     queries = tmp_path / "queries.txt"
     queries.write_text("2,3\n1,1\n# comment\n4,6\ninf,1\n")
@@ -519,24 +528,69 @@ _CUSP = ["--vars", "x,y", "--ideal", "y^2-x^3"]
 _CUSP_AT = _CUSP + ["--w", "2,3"]
 
 
-def test_seed_only_where_a_witness_search_reads_it():
-    for argv in (
-        ["init-form"] + _CUSP_AT,
-        ["init-ideal"] + _CUSP_AT,
-        ["coset-val", "--g", "x"] + _CUSP_AT,
-        ["cone"] + _CUSP_AT,
-        ["trop-member"] + _CUSP_AT,
-        ["trop-hyper"] + _CUSP,
-        ["tensor", "--vars2", "z", "--ideal2", "z", "--w2", "1"] + _CUSP_AT,
-        ["verify", "--N", "3", "--point", "t^(2);t^(3)"] + _CUSP_AT,
-        ["np-solve", "--coeffs=-t^(2);1", "--N", "3"],
+# each subcommand at the cusp with every option it requires; lift, verify and
+# np-solve already carry --N, and the cusp's answers do not depend on --seed
+_RUNS = {
+    "init-form": _CUSP_AT,
+    "init-ideal": _CUSP_AT,
+    "coset-val": ["--g", "x"] + _CUSP_AT,
+    "cone": _CUSP_AT,
+    "trop-member": _CUSP_AT,
+    "trop-hyper": _CUSP,
+    "trop-enum": _CUSP,
+    "tensor": ["--vars2", "z", "--ideal2", "z", "--w2", "1"] + _CUSP_AT,
+    "lift": ["--N", "3"] + _CUSP_AT,
+    "verify": ["--N", "3", "--point", "t^(2);t^(3)"] + _CUSP_AT,
+    "np-solve": ["--coeffs=-t^(2);1", "--N", "3"],
+}
+_SERIES = {"lift", "verify", "np-solve"}
+_TAKEN_BY = {
+    ("--d", "2"): set(_RUNS) - {"trop-hyper", "trop-enum"},
+    ("--N", "3"): _SERIES,
+    ("--mode", "puiseux"): _SERIES,
+    ("--seed", "1"): {"lift", "trop-enum"},
+}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    """--d only where a weight or series is parsed, --N and --mode only
+    where a series is, and --seed only where a witness search reads it."""
+    for name, rest in _RUNS.items():
+        argv = [name] + rest
+        plain = cap(argv)
+        assert plain[0] == 0, argv
+        for option, takers in _TAKEN_BY.items():
+            got = cap(argv + list(option))
+            if name in takers:
+                assert got == plain, (argv, option)
+            else:
+                assert got == (
+                    2, "", "usage error: unrecognized arguments: %s %s\n" % option
+                ), (argv, option)
+    # every --d that is accepted reaches the bound check
+    assert cap(["trop-member"] + _CUSP_AT + ["--d", "1000000000001"]) == (
+        2, "", "usage error: d=1000000000001 is above the bound 10^12\n")
+
+
+def test_usage_errors_name_the_missing_or_extra_input(tmp_path):
+    queries = tmp_path / "queries.txt"
+    queries.write_text("1,1\n")
+    xy = ["--vars", "x,y"]
+    for argv, message in (
+        (["cone"] + xy + ["--w", "1,1"], "--ideal is required"),
+        (["cone"] + xy + ["--ideal", "x+y"], "--w is required"),
+        (["cone"] + xy + ["--ideal", "x+y", "--w", "@%s" % queries],
+         "this command takes a single inline weight vector"),
+        (["coset-val"] + xy + ["--ideal", "x+y", "--w", "1,1", "--g", "x;y"],
+         "--g takes exactly one polynomial"),
+        (["trop-hyper"] + xy + ["--ideal", "x;y"],
+         "trop-hyper takes exactly one polynomial"),
+        (["trop-enum"] + xy + ["--ideal", "x+y", "--budget", "0"],
+         "--budget must be positive"),
+        (["tensor", "--vars", "x1,x2", "--ideal", "x1+x2", "--w", "1,1",
+          "--ideal2", "y1+y2", "--w2", "1,1"], "--vars2 is required"),
     ):
-        assert cap(argv)[0] == 0, argv
-        assert cap(argv + ["--seed", "1"]) == (
-            2, "", "usage error: unrecognized arguments: --seed 1\n"
-        ), argv
-    for argv in (["lift", "--N", "3"] + _CUSP_AT, ["trop-enum"] + _CUSP):
-        assert cap(argv + ["--seed", "1"])[0] == 0, argv
+        assert cap(argv) == (2, "", "usage error: %s\n" % message), argv
 
 
 def test_help_exits_zero():

@@ -1182,9 +1182,47 @@ def test_verify_lift_detects_mismatch():
     I = _local(R, ["y^2 - x^3"], (2, 3))
     field = R.field
     t = ValuedSeries.monomial(field, 1, truncation=12)
-    report = verify_lift(LiftProblem(I, (2, 3), 10), (t, t))
+    problem = LiftProblem(I, (2, 3), 10)
+    report = verify_lift(problem, (t, t))
     assert not report.ok()
     assert not all(ok for *_, ok in report.valuation_checks)
+    # a point in the other mode, or with a term at a nonpositive exponent
+    hahn = tuple(ValuedSeries.monomial(field, e, mode="hahn") for e in (2, 3))
+    report = verify_lift(problem, hahn)
+    assert (report.mode_ok, report.positive_ok, report.ok()) == (False, True, False)
+    y = ValuedSeries.monomial(field, 3) + ValuedSeries.constant(field, 1)
+    report = verify_lift(problem, (ValuedSeries.monomial(field, 2), y))
+    assert (report.mode_ok, report.positive_ok, report.ok()) == (True, False, False)
+
+
+def _usage_error(call):
+    with pytest.raises(UsageError) as info:
+        call()
+    return str(info.value)
+
+
+def test_lifting_entry_points_check_their_input():
+    R = _ring("x", "y")
+    I = _local(R, ["y^2 - x^3"], (2, 3))
+    one = ValuedSeries.constant(R.field, 1)
+    other_field = ValuedSeries.constant(NumberField(), 1)
+    hahn = ValuedSeries.constant(R.field, 1, "hahn")
+    for call, message in (
+        (lambda: rational_span((1, INF)), "weights must be finite here"),
+        (lambda: rational_span(()), "empty weight vector"),
+        (lambda: rational_span((0, 0)), "the zero vector spans nothing"),
+        (lambda: LiftProblem(I, (2, INF), 5), "weights must be finite here"),
+        (lambda: LiftProblem(I, (2, 3), INF), "weights must be finite here"),
+        (lambda: LiftProblem(I, (2, 3), 5, "laurent"), "mode must be puiseux or hahn"),
+        (lambda: LiftProblem(I, (2, ValueScalar(0, 1, 2)), 5),
+         "irrational weight sqrt(2) needs hahn mode"),
+        (lambda: LiftProblem(I, (2, 0), 5), "weights must be positive"),
+        (lambda: newton_puiseux([], 5), "no coefficients"),
+        (lambda: newton_puiseux([one, other_field], 5),
+         "coefficients live over different fields"),
+        (lambda: newton_puiseux([one, hahn], 5), "coefficient mode does not match"),
+    ):
+        assert _usage_error(call) == message
 
 
 def _traced_dfs(monkeypatch, names, texts, w, target=10):

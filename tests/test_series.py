@@ -12,6 +12,7 @@ from troplift.scalars import NumberField, ValueScalar, adjoin_root
 from troplift.series import (
     AtLeast,
     ValuedSeries,
+    poly_to_series_coeffs,
     series_str,
     substitute,
     valuation_at_least,
@@ -126,6 +127,26 @@ def test_substitute_precision_collapse():
     s = _s([(-2, 1)], truncation=Fraction(-1))
     with pytest.raises(InsufficientTruncationError):
         substitute(f, (s,))
+
+
+def test_substitution_entry_points_check_their_input():
+    R = PolyRing(F, ("x", "y"))
+    f = parse_poly("x + y", R)
+    t = ValuedSeries.monomial(F, 1)
+    for call, message in (
+        (lambda: substitute("x + y", (t, t)), "expected a polynomial"),
+        (lambda: substitute(f, ()), "empty substitution"),
+        (lambda: substitute(f, (t, ValuedSeries.monomial(F, 1, mode="hahn"))),
+         "cannot mix puiseux and hahn series"),
+        (lambda: substitute(f, (t, ValuedSeries.monomial(NumberField(), 1))),
+         "series live over different fields"),
+        (lambda: substitute(f, {0: t}), "no series assigned to variable index 1"),
+        (lambda: poly_to_series_coeffs("x + y", 1, {0: t}), "expected a polynomial"),
+        (lambda: poly_to_series_coeffs(f, 1, {}), "empty substitution"),
+    ):
+        with pytest.raises(UsageError) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_terms_at_or_past_truncation_are_dropped():
